@@ -26,7 +26,7 @@ from typing import Any, Sequence
 
 from . import jsonio, verify as verify_mod, witnesses as engine
 from .errors import ConstructionLimitation, MathematicalObstruction
-from .fields import Field, PrimeField, Rationals, is_prime
+from .fields import PRIMALITY_BOUND, Field, PrimeField, Rationals
 from .generate import ENSURE_CHOICES, random_complex, random_endomorphism
 from .jsonio import SchemaError
 from .splitting import split_complex
@@ -56,9 +56,12 @@ def _parse_field(text: str) -> Field:
             p = int(text[3:])
         except ValueError:
             raise UsageError(f"bad field spec {text!r}")
-        if not is_prime(p):
+        if p >= PRIMALITY_BOUND:
+            raise UsageError(f"modulus {p} is not below the supported bound {PRIMALITY_BOUND}")
+        try:
+            return PrimeField(p)
+        except ValueError:
             raise UsageError(f"modulus {p} is not prime")
-        return PrimeField(p)
     raise UsageError(f"bad field spec {text!r}; expected Q or Fp:<prime>")
 
 
@@ -99,7 +102,7 @@ def _load_document(path: str) -> jsonio.Document:
             raw = json.load(handle)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or UTF-8, or a JSON integer too long to convert
         raise SchemaError([jsonio.SchemaViolation("invalid_json", "$", str(exc))])
     return jsonio.parse_document(raw)
 

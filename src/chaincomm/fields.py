@@ -15,15 +15,38 @@ from typing import Iterator, Union
 Scalar = Union[Fraction, int]
 
 
+_WITNESS_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
+"""Miller-Rabin over the thirteen prime bases 2..41 is exact for every n below
+this bound (Sorenson & Webster 2015); it is also the exclusive upper limit on
+moduli.  The bases 2..37 alone are not: they pass the composite
+318665857834031151167461."""
+
+
 def is_prime(n: int) -> bool:
-    """Trial-division primality check; moduli are expected to be small."""
+    """Deterministic Miller-Rabin primality test for ``n < PRIMALITY_BOUND``."""
+    if n >= PRIMALITY_BOUND:
+        raise ValueError(f"is_prime is exact only below {PRIMALITY_BOUND}, got a {n.bit_length()}-bit number")
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for q in _WITNESS_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _WITNESS_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -21,13 +21,18 @@ from math import gcd
 from typing import Any, Sequence
 
 from .complexes import ChainComplex, ChainEndomorphism, Homotopy, validate_chain_map, validate_complex
-from .fields import Field, PrimeField, Rationals, Scalar, is_prime
+from .fields import PRIMALITY_BOUND, Field, PrimeField, Rationals, Scalar
 from .matrices import Matrix
 from .witnesses import CommutatorWitness, HomotopyWitness, PointwiseWitness
 
 FORMAT_VERSION = "1"
 
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+
+MAX_RATIONAL_DIGITS = 4000
+"""Longest numerator or denominator, in decimal digits, that a document may
+carry; it stays below the interpreter's default limit of 4300 digits for
+converting a string to an ``int``."""
 
 
 @dataclass(frozen=True)
@@ -101,6 +106,14 @@ def _decode_scalar(field: Field, raw: Any, path: str, errors: _Collector) -> Sca
     match = _RATIONAL_RE.match(raw)
     if not match:
         errors.add("rational_invalid", path, f"cannot parse rational {raw!r}")
+        return None
+    digits = max(len(match.group(1).lstrip("-")), len(match.group(2) or ""))
+    if digits > MAX_RATIONAL_DIGITS:
+        errors.add(
+            "rational_too_large",
+            path,
+            f"numerator and denominator may have at most {MAX_RATIONAL_DIGITS} digits, got {digits}",
+        )
         return None
     num = int(match.group(1))
     den = int(match.group(2)) if match.group(2) else 1
@@ -193,10 +206,16 @@ def _decode_field(raw: Any, errors: _Collector) -> Field | None:
         return Rationals()
     if kind == "Fp":
         p = raw.get("p")
-        if isinstance(p, bool) or not isinstance(p, int) or not is_prime(p):
+        if isinstance(p, int) and p >= PRIMALITY_BOUND:
+            errors.add(
+                "modulus_too_large", "field.p", f"modulus must be below {PRIMALITY_BOUND}, got {p.bit_length()} bits"
+            )
+            return None
+        try:
+            return PrimeField(p)
+        except ValueError:
             errors.add("modulus_not_prime", "field.p", f"modulus must be a prime integer, got {p!r}")
             return None
-        return PrimeField(p)
     errors.add("field_invalid", "field.kind", f"unknown field kind {kind!r}")
     return None
 

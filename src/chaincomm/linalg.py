@@ -8,8 +8,9 @@ downstream construction is reproducible run to run.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
-from .matrices import Matrix, hstack, kron
+from .matrices import Matrix, _canonical, hstack, kron
 
 
 @dataclass(frozen=True)
@@ -25,47 +26,85 @@ class RrefResult:
         return len(self.pivots)
 
 
-def rref(m: Matrix) -> RrefResult:
-    """Gauss-Jordan elimination.  transform * m == reduced, transform invertible."""
+def _eliminate(m: Matrix, transform: bool) -> tuple[list[list], list[list] | None, tuple[int, ...]]:
+    """Gauss-Jordan elimination of ``m`` as row lists, in the field's own
+    arithmetic: raw residues over F_p, ``Fraction`` over Q.
+
+    Returns the reduced rows, the transform rows (None unless ``transform``)
+    and the pivot columns.  Reduced form and pivots are unique; every row
+    operation only touches columns from the pivot onward, where the pivot row
+    can be nonzero.
+    """
     field = m.field
-    rows = [list(m.row(i)) for i in range(m.rows)]
-    trans = [list(Matrix.identity(field, m.rows).row(i)) for i in range(m.rows)]
+    n, c, e = m.rows, m.cols, m.entries
+    rows = [list(e[i * c : (i + 1) * c]) for i in range(n)]
+    trans = None
+    if transform:
+        zero, one = field.zero, field.one
+        trans = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    if field.finite:
+        p = field.size
+
+        def invert(x):
+            return pow(x, -1, p)
+
+        def scaled(vec, s):
+            return [x * s % p for x in vec]
+
+        def reduced_by(vec, f, piv):
+            return [(a - f * b) % p for a, b in zip(vec, piv)]
+
+    else:
+
+        def invert(x):
+            return 1 / x
+
+        def scaled(vec, s):
+            return [x * s if x else x for x in vec]
+
+        def reduced_by(vec, f, piv):
+            return [a - f * b if b else a for a, b in zip(vec, piv)]
+
     pivots: list[int] = []
-    pivot_row = 0
-    for col in range(m.cols):
-        pivot = None
-        for r in range(pivot_row, m.rows):
-            if rows[r][col] != 0:
-                pivot = r
-                break
+    for col in range(c):
+        top = len(pivots)
+        if top == n:
+            break
+        pivot = next((r for r in range(top, n) if rows[r][col]), None)
         if pivot is None:
             continue
-        if pivot != pivot_row:
-            rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-            trans[pivot_row], trans[pivot] = trans[pivot], trans[pivot_row]
-        inv = field.invert(rows[pivot_row][col])
-        if inv != field.one:
-            rows[pivot_row] = [field.mul(inv, e) for e in rows[pivot_row]]
-            trans[pivot_row] = [field.mul(inv, e) for e in trans[pivot_row]]
-        for r in range(m.rows):
-            if r == pivot_row:
-                continue
+        if pivot != top:
+            rows[top], rows[pivot] = rows[pivot], rows[top]
+            if trans is not None:
+                trans[top], trans[pivot] = trans[pivot], trans[top]
+        lead = rows[top][col]
+        if lead != 1:
+            inv = invert(lead)
+            rows[top][col:] = scaled(rows[top][col:], inv)
+            if trans is not None:
+                trans[top] = scaled(trans[top], inv)
+        tail = rows[top][col:]
+        for r in range(n):
             factor = rows[r][col]
-            if factor == 0:
+            if r == top or not factor:
                 continue
-            rows[r] = [field.sub(a, field.mul(factor, b)) for a, b in zip(rows[r], rows[pivot_row])]
-            trans[r] = [field.sub(a, field.mul(factor, b)) for a, b in zip(trans[r], trans[pivot_row])]
+            rows[r][col:] = reduced_by(rows[r][col:], factor, tail)
+            if trans is not None:
+                trans[r] = reduced_by(trans[r], factor, trans[top])
         pivots.append(col)
-        pivot_row += 1
-        if pivot_row == m.rows:
-            break
-    reduced = Matrix(field, m.rows, m.cols, (e for row in rows for e in row))
-    transform = Matrix(field, m.rows, m.rows, (e for row in trans for e in row))
-    return RrefResult(reduced, transform, tuple(pivots))
+    return rows, trans, tuple(pivots)
+
+
+def rref(m: Matrix) -> RrefResult:
+    """Gauss-Jordan elimination.  transform * m == reduced, transform invertible."""
+    rows, trans, pivots = _eliminate(m, transform=True)
+    reduced = _canonical(m.field, m.rows, m.cols, tuple(chain.from_iterable(rows)))
+    transform = _canonical(m.field, m.rows, m.rows, tuple(chain.from_iterable(trans)))
+    return RrefResult(reduced, transform, pivots)
 
 
 def rank(m: Matrix) -> int:
-    return rref(m).rank
+    return len(_eliminate(m, transform=False)[2])
 
 
 def is_invertible(m: Matrix) -> bool:
@@ -85,62 +124,56 @@ def inverse(m: Matrix) -> Matrix:
 def kernel_basis(m: Matrix) -> Matrix:
     """Columns form a deterministic basis of ker(m); count = cols - rank."""
     field = m.field
-    result = rref(m)
-    pivot_of_col = {col: r for r, col in enumerate(result.pivots)}
-    free_cols = [c for c in range(m.cols) if c not in pivot_of_col]
-    columns = []
-    for f in free_cols:
-        vec = [field.zero] * m.cols
-        vec[f] = field.one
-        for r, col in enumerate(result.pivots):
-            vec[col] = field.neg(result.reduced.entry(r, f))
-        columns.append(vec)
-    return Matrix(field, m.cols, len(columns), (columns[j][i] for i in range(m.cols) for j in range(len(columns))))
+    rows, _, pivots = _eliminate(m, transform=False)
+    pivot_cols = set(pivots)
+    free_cols = [col for col in range(m.cols) if col not in pivot_cols]
+    basis = [[field.zero] * len(free_cols) for _ in range(m.cols)]
+    for j, f in enumerate(free_cols):
+        basis[f][j] = field.one
+        for r, col in enumerate(pivots):
+            basis[col][j] = field.neg(rows[r][f])
+    return _canonical(field, m.cols, len(free_cols), tuple(chain.from_iterable(basis)))
 
 
 def image_basis(m: Matrix) -> Matrix:
     """The pivot columns of m: a deterministic basis of the column space."""
-    return m.take_columns(list(rref(m).pivots))
+    return m.take_columns(_eliminate(m, transform=False)[2])
 
 
 def complement_basis(inside: Matrix, ambient_basis: Matrix) -> Matrix:
     """Greedily extend the independent columns of ``inside`` to a basis of
-    span(ambient_basis), choosing ambient columns by ascending index."""
+    span(ambient_basis), choosing ambient columns by ascending index.
+
+    One elimination of ``[inside | ambient_basis]`` decides it: a column is a
+    pivot exactly when it is independent of the columns before it, so
+    ``inside`` is independent exactly when its columns are the first pivots,
+    and the ambient pivots are the greedy choice."""
     if inside.rows != ambient_basis.rows:
         raise ValueError("row count mismatch")
-    if rank(inside) != inside.cols:
+    k = inside.cols
+    pivots = _eliminate(hstack([inside, ambient_basis]), transform=False)[2]
+    if pivots[:k] != tuple(range(k)):
         raise ValueError("inside columns are linearly dependent")
-    current = inside
-    current_rank = inside.cols
-    chosen: list[int] = []
-    for j in range(ambient_basis.cols):
-        candidate = hstack([current, ambient_basis.take_columns([j])])
-        r = rank(candidate)
-        if r > current_rank:
-            chosen.append(j)
-            current = candidate
-            current_rank = r
-    return ambient_basis.take_columns(chosen)
+    return ambient_basis.take_columns([col - k for col in pivots[k:]])
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     """One exact solution of a*x = b (free variables set to zero), or None.
 
-    b may have several columns; each is solved against the same reduction.
+    b may have several columns; all are solved by one elimination of
+    ``[a | b]``, which is solvable exactly when no pivot falls in b.
     """
     if a.rows != b.rows:
         raise ValueError("row count mismatch between system and right-hand side")
     field = a.field
-    result = rref(a)
-    c = result.transform * b
-    for r in range(result.rank, a.rows):
-        if any(c.entry(r, j) != 0 for j in range(b.cols)):
-            return None
-    x = [[field.zero] * b.cols for _ in range(a.cols)]
-    for r, col in enumerate(result.pivots):
-        for j in range(b.cols):
-            x[col][j] = c.entry(r, j)
-    return Matrix(field, a.cols, b.cols, (e for row in x for e in row))
+    n = a.cols
+    rows, _, pivots = _eliminate(hstack([a, b]), transform=False)
+    if pivots and pivots[-1] >= n:
+        return None
+    x = [[field.zero] * b.cols for _ in range(n)]
+    for r, col in enumerate(pivots):
+        x[col] = rows[r][n:]
+    return _canonical(field, n, b.cols, tuple(chain.from_iterable(x)))
 
 
 def sylvester_operator(a: Matrix, b: Matrix) -> Matrix:
@@ -161,8 +194,8 @@ def sylvester_solve(a: Matrix, b: Matrix, c: Matrix) -> Matrix | None:
     if c.shape != (a.rows, b.rows):
         raise ValueError(f"right-hand side must be {a.rows}x{b.rows}, got {c.shape}")
     operator = sylvester_operator(a, b)
-    rhs = Matrix(c.field, c.rows * c.cols, 1, c.entries)  # row-major vectorization
+    rhs = _canonical(c.field, c.rows * c.cols, 1, c.entries)  # row-major vectorization
     vec = solve_linear(operator, rhs)
     if vec is None:
         return None
-    return Matrix(c.field, c.rows, c.cols, vec.entries)
+    return _canonical(c.field, c.rows, c.cols, vec.entries)

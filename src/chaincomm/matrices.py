@@ -5,11 +5,18 @@ form, so equality is structural and matrices are hashable (they appear in
 sets during exhaustive finite-field searches).  Zero-row and zero-column
 matrices are first-class: they occur at the ends of every bounded complex,
 and the 0x0 matrix counts as invertible.
+
+The public constructor normalises and validates every entry.  Results of
+matrix operations are computed canonical (F_p: ``int`` in ``range(p)``; Q:
+``Fraction``) and wrapped by :func:`_canonical` without a second pass.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from fractions import Fraction
+from itertools import chain, compress, product
+from math import lcm
+from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .fields import Field, Scalar
@@ -48,11 +55,16 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
-        return cls(field, rows, cols, (0,) * (rows * cols))
+        if rows < 0 or cols < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        return _canonical(field, rows, cols, (field.zero,) * (rows * cols))
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
-        return cls(field, n, n, (1 if i == j else 0 for i in range(n) for j in range(n)))
+        if n < 0:
+            raise ValueError("matrix dimensions must be nonnegative")
+        zero, one = field.zero, field.one
+        return _canonical(field, n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
 
     @classmethod
     def column(cls, field: Field, values: Sequence[Scalar]) -> "Matrix":
@@ -76,23 +88,38 @@ class Matrix:
     def to_rows(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
+    def _row_tuples(self) -> list[tuple[Scalar, ...]]:
+        c, e = self.cols, self.entries
+        return [e[i * c : (i + 1) * c] for i in range(self.rows)]
+
+    def _column_tuples(self) -> list[tuple[Scalar, ...]]:
+        if self.rows == 0:
+            return [()] * self.cols
+        return list(zip(*self._row_tuples()))
+
     def column_at(self, j: int) -> "Matrix":
-        return Matrix(self.field, self.rows, 1, (self.entry(i, j) for i in range(self.rows)))
+        if not 0 <= j < self.cols:
+            raise IndexError(j)
+        return _canonical(self.field, self.rows, 1, self.entries[j :: self.cols])
 
     def take_columns(self, indices: Sequence[int]) -> "Matrix":
-        return Matrix(
-            self.field,
-            self.rows,
-            len(indices),
-            (self.entry(i, j) for i in range(self.rows) for j in indices),
+        c, e = self.cols, self.entries
+        for j in indices:
+            if not 0 <= j < c:
+                raise IndexError(j)
+        return _canonical(
+            self.field, self.rows, len(indices), tuple(e[i * c + j] for i in range(self.rows) for j in indices)
         )
 
     def submatrix(self, row0: int, row1: int, col0: int, col1: int) -> "Matrix":
-        return Matrix(
+        if not (0 <= row0 <= row1 <= self.rows and 0 <= col0 <= col1 <= self.cols):
+            raise IndexError((row0, row1, col0, col1))
+        c, e = self.cols, self.entries
+        return _canonical(
             self.field,
             row1 - row0,
             col1 - col0,
-            (self.entry(i, j) for i in range(row0, row1) for j in range(col0, col1)),
+            tuple(chain.from_iterable(e[i * c + col0 : i * c + col1] for i in range(row0, row1))),
         )
 
     # -- algebra -----------------------------------------------------------
@@ -116,16 +143,14 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        f = self.field
-        return Matrix(f, self.rows, self.cols, (a + b for a, b in zip(self.entries, other.entries)))
+        return _reduced(self.field, self.rows, self.cols, map(add, self.entries, other.entries))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._check_same_shape(other)
-        f = self.field
-        return Matrix(f, self.rows, self.cols, (a - b for a, b in zip(self.entries, other.entries)))
+        return _reduced(self.field, self.rows, self.cols, map(sub, self.entries, other.entries))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols, (-a for a in self.entries))
+        return _reduced(self.field, self.rows, self.cols, map(neg, self.entries))
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -134,27 +159,14 @@ class Matrix:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        a, b = self.entries, other.entries
-        n, m, k = self.rows, other.cols, self.cols
-        bc = other.cols
-        out = []
-        for i in range(n):
-            base = i * k
-            for j in range(m):
-                acc = 0
-                for t in range(k):
-                    acc += a[base + t] * b[t * bc + j]
-                out.append(acc)
-        return Matrix(self.field, n, m, out)
+        return _product(self, other)
 
     def scale(self, scalar: Scalar) -> "Matrix":
         c = self.field.normalize(scalar)
-        return Matrix(self.field, self.rows, self.cols, (c * a for a in self.entries))
+        return _reduced(self.field, self.rows, self.cols, (c * a for a in self.entries))
 
     def transpose(self) -> "Matrix":
-        return Matrix(
-            self.field, self.cols, self.rows, (self.entry(i, j) for j in range(self.cols) for i in range(self.rows))
-        )
+        return _canonical(self.field, self.cols, self.rows, tuple(chain.from_iterable(self._column_tuples())))
 
     def trace(self) -> Scalar:
         if not self.is_square:
@@ -195,18 +207,75 @@ class Matrix:
         return f"Matrix({self.field.kind} {self.rows}x{self.cols} [{body}])"
 
 
+def _canonical(field: Field, rows: int, cols: int, entries: tuple) -> Matrix:
+    """A matrix over ``field`` from a tuple of ``rows * cols`` entries that are
+    already canonical; unlike ``Matrix(...)`` it neither normalises nor checks."""
+    m = object.__new__(Matrix)
+    object.__setattr__(m, "field", field)
+    object.__setattr__(m, "rows", rows)
+    object.__setattr__(m, "cols", cols)
+    object.__setattr__(m, "entries", entries)
+    return m
+
+
+def _reduced(field: Field, rows: int, cols: int, raw: Iterable[Scalar]) -> Matrix:
+    """A matrix over ``field`` from the raw results of ring operations on
+    canonical entries: reduced ``% p`` over F_p; over Q sums, differences and
+    products of ``Fraction``s are already canonical."""
+    if field.finite:
+        p = field.size
+        return _canonical(field, rows, cols, tuple(x % p for x in raw))
+    return _canonical(field, rows, cols, tuple(raw))
+
+
+def _integer_dots(left_rows: Sequence[Sequence[int]], right_cols: Sequence[Sequence[int]]) -> Iterator[list[int]]:
+    """For each left row, its integer dot products with every right column,
+    summed over the row's nonzero positions only."""
+    for row in left_rows:
+        values = [x for x in row if x]
+        yield [sum(map(mul, values, compress(col, row))) for col in right_cols]
+
+
+def _scaled_to_integers(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
+    """Each rational vector v as integers w and a denominator d, v == w / d,
+    with d the least common multiple of the denominators of v."""
+    integer_vectors, denominators = [], []
+    for v in vectors:
+        ratios = [x.as_integer_ratio() for x in v]
+        d = lcm(*(q for _, q in ratios))
+        integer_vectors.append([n * (d // q) for n, q in ratios])
+        denominators.append(d)
+    return integer_vectors, denominators
+
+
+def _product(a: Matrix, b: Matrix) -> Matrix:
+    """a * b for matrices of one field with matching inner dimension."""
+    field = a.field
+    if field.finite:
+        dots = _integer_dots(a._row_tuples(), b._column_tuples())
+        return _reduced(field, a.rows, b.cols, chain.from_iterable(dots))
+    left, left_dens = _scaled_to_integers(a._row_tuples())
+    right, right_dens = _scaled_to_integers(b._column_tuples())
+    zero = Fraction(0)
+    data = tuple(
+        Fraction(acc, dl * dr) if acc else zero
+        for accs, dl in zip(_integer_dots(left, right), left_dens)
+        for acc, dr in zip(accs, right_dens)
+    )
+    return _canonical(field, a.rows, b.cols, data)
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; dimensions multiply, empty factors give empty results."""
     if a.field != b.field:
         raise ValueError("field mismatch")
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    out = []
-    for i in range(rows):
-        ia, ib = divmod(i, b.rows)
-        for j in range(cols):
-            ja, jb = divmod(j, b.cols)
-            out.append(a.entry(ia, ja) * b.entry(ib, jb))
-    return Matrix(a.field, rows, cols, out)
+    b_rows = b._row_tuples()
+    return _reduced(
+        a.field,
+        a.rows * b.rows,
+        a.cols * b.cols,
+        (x * y for ra in a._row_tuples() for rb in b_rows for x in ra for y in rb),
+    )
 
 
 def hstack(mats: Sequence[Matrix]) -> Matrix:
@@ -217,11 +286,9 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     field = mats[0].field
     if any(m.rows != rows or m.field != field for m in mats):
         raise ValueError("row count or field mismatch in hstack")
-    out = []
-    for i in range(rows):
-        for m in mats:
-            out.extend(m.row(i))
-    return Matrix(field, rows, sum(m.cols for m in mats), out)
+    pieces = [m._row_tuples() for m in mats]
+    data = tuple(chain.from_iterable(piece[i] for i in range(rows) for piece in pieces))
+    return _canonical(field, rows, sum(m.cols for m in mats), data)
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -231,10 +298,7 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     field = mats[0].field
     if any(m.cols != cols or m.field != field for m in mats):
         raise ValueError("column count or field mismatch in vstack")
-    out = []
-    for m in mats:
-        out.extend(m.entries)
-    return Matrix(field, sum(m.rows for m in mats), cols, out)
+    return _canonical(field, sum(m.rows for m in mats), cols, tuple(chain.from_iterable(m.entries for m in mats)))
 
 
 def block_matrix(

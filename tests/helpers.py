@@ -5,14 +5,21 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from hypothesis import strategies as st
+
 from chaincomm.complexes import ChainComplex, ChainEndomorphism
 from chaincomm.fields import GF2, RATIONALS, Field, PrimeField
-from chaincomm.matrices import Matrix
+from chaincomm.matrices import Matrix, hstack
 
 Q = RATIONALS
 F2 = GF2
 F3 = PrimeField(3)
 F5 = PrimeField(5)
+F101 = PrimeField(101)
+F_M31 = PrimeField(2**31 - 1)
+
+# the fields the arithmetic kernel is checked over
+KERNEL_FIELDS = (Q, F2, F3, F101, F_M31)
 
 
 def mat(field: Field, rows) -> Matrix:
@@ -50,3 +57,109 @@ def alternating_reflection(c: ChainComplex) -> ChainEndomorphism:
 def seeds(n: int, start: int = 0):
     for s in range(start, start + n):
         yield s, random.Random(s)
+
+
+# -- reference implementations ------------------------------------------------
+# The field-generic elimination and greedy complement the library used before
+# its field-specialised kernel, kept as the semantics the kernel must match.
+
+
+def reference_rref(m: Matrix):
+    """(reduced, transform, pivots) by Gauss-Jordan elimination through the
+    field's own operations."""
+    field = m.field
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    trans = [list(Matrix.identity(field, m.rows).row(i)) for i in range(m.rows)]
+    pivots: list[int] = []
+    pivot_row = 0
+    for col in range(m.cols):
+        pivot = None
+        for r in range(pivot_row, m.rows):
+            if rows[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        if pivot != pivot_row:
+            rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
+            trans[pivot_row], trans[pivot] = trans[pivot], trans[pivot_row]
+        inv = field.invert(rows[pivot_row][col])
+        if inv != field.one:
+            rows[pivot_row] = [field.mul(inv, e) for e in rows[pivot_row]]
+            trans[pivot_row] = [field.mul(inv, e) for e in trans[pivot_row]]
+        for r in range(m.rows):
+            if r == pivot_row:
+                continue
+            factor = rows[r][col]
+            if factor == 0:
+                continue
+            rows[r] = [field.sub(a, field.mul(factor, b)) for a, b in zip(rows[r], rows[pivot_row])]
+            trans[r] = [field.sub(a, field.mul(factor, b)) for a, b in zip(trans[r], trans[pivot_row])]
+        pivots.append(col)
+        pivot_row += 1
+        if pivot_row == m.rows:
+            break
+    reduced = Matrix(field, m.rows, m.cols, (e for row in rows for e in row))
+    transform = Matrix(field, m.rows, m.rows, (e for row in trans for e in row))
+    return reduced, transform, tuple(pivots)
+
+
+def reference_rank(m: Matrix) -> int:
+    return len(reference_rref(m)[2])
+
+
+def reference_complement_basis(inside: Matrix, ambient_basis: Matrix) -> Matrix:
+    """Add ambient columns one at a time, keeping each that raises the rank."""
+    if inside.rows != ambient_basis.rows:
+        raise ValueError("row count mismatch")
+    if reference_rank(inside) != inside.cols:
+        raise ValueError("inside columns are linearly dependent")
+    current = inside
+    current_rank = inside.cols
+    chosen: list[int] = []
+    for j in range(ambient_basis.cols):
+        candidate = hstack([current, ambient_basis.take_columns([j])])
+        r = reference_rank(candidate)
+        if r > current_rank:
+            chosen.append(j)
+            current = candidate
+            current_rank = r
+    return ambient_basis.take_columns(chosen)
+
+
+# -- kernel property-test support ---------------------------------------------
+
+
+def scalars(field: Field):
+    """Field elements with 0 and +-1 drawn often, so that rank drops happen."""
+    if field.finite:
+        p = field.size
+        return st.one_of(st.sampled_from(sorted({0, 1, p - 1})), st.integers(min_value=0, max_value=p - 1))
+    return st.one_of(
+        st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]),
+        st.fractions(min_value=-5, max_value=5, max_denominator=4),
+    )
+
+
+@st.composite
+def matrices(draw, field: Field, rows: int | None = None, cols: int | None = None, max_dim: int = 5) -> Matrix:
+    """A matrix over ``field``; with two or more rows, the last row may repeat
+    the first, which makes the rows dependent."""
+    r = draw(st.integers(min_value=0, max_value=max_dim)) if rows is None else rows
+    c = draw(st.integers(min_value=0, max_value=max_dim)) if cols is None else cols
+    data = [draw(st.lists(scalars(field), min_size=c, max_size=c)) for _ in range(r)]
+    if r >= 2 and draw(st.booleans()):
+        data[-1] = list(data[0])
+    return Matrix(field, r, c, (e for row in data for e in row))
+
+
+def assert_canonical(m: Matrix) -> None:
+    """Entries are in the field's canonical form, and m equals and hashes like
+    the same matrix built through the normalising public constructor."""
+    if m.field.finite:
+        assert all(type(e) is int and 0 <= e < m.field.size for e in m.entries)
+    else:
+        assert all(type(e) is Fraction for e in m.entries)
+    assert len(m.entries) == m.rows * m.cols
+    public = Matrix(m.field, m.rows, m.cols, m.entries)
+    assert m == public and hash(m) == hash(public)

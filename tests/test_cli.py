@@ -1,12 +1,18 @@
 import json
+import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
 from chaincomm.cli import main
+from chaincomm.fields import PRIMALITY_BOUND
 
 from helpers import mat
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -182,6 +188,7 @@ def test_usage_errors_exit_64(capsys, tmp_path):
     assert run_cli(capsys, "witness")[0] == 64
     assert run_cli(capsys, "random", "--seed", "1", "--field", "Fp:4")[0] == 64
     assert run_cli(capsys, "random", "--seed", "1", "--field", "C")[0] == 64
+    assert run_cli(capsys, "random", "--seed", "1", "--field", f"Fp:{PRIMALITY_BOUND}")[0] == 64
     assert run_cli(capsys, "analyze", str(tmp_path / "missing.json"))[0] == 64
 
 
@@ -201,6 +208,32 @@ def test_schema_violations_exit_65(capsys, tmp_path):
     path = write_json(tmp_path, "noendo.json", missing_endo)
     code, out, _ = run_cli(capsys, "witness", path, "--theorem", "1")
     assert code == 65
+
+
+def test_oversized_numbers_exit_65_with_a_diagnostic(capsys, tmp_path):
+    payload = json.loads((FIXTURES / "q_exact.json").read_text(encoding="utf-8"))
+    payload["differentials"][0][0][0] = "1" * 5000
+    code, out, err = run_cli(capsys, "analyze", write_json(tmp_path, "long_rational.json", payload))
+    assert code == 65
+    assert [v["code"] for v in json.loads(out)["schema_violations"]] == ["rational_too_large"]
+    assert "schema error" in err and "Traceback" not in err
+
+    # a JSON integer too long for the interpreter to convert
+    too_long = tmp_path / "long_integer.json"
+    too_long.write_text('{"format_version": "1", "lo": ' + "1" * 5000 + "}", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(too_long))
+    assert code == 65
+    assert [v["code"] for v in json.loads(out)["schema_violations"]] == ["invalid_json"]
+
+
+def test_analyze_with_a_61_bit_modulus_is_prompt(capsys, tmp_path):
+    payload = json.loads((FIXTURES / "f2_window.json").read_text(encoding="utf-8"))
+    payload["field"] = {"kind": "Fp", "p": 2**61 - 1}
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "analyze", write_json(tmp_path, "m61.json", payload))
+    assert code == 0
+    assert time.perf_counter() - start < 5
+    assert json.loads(out)["conditions"]["theorem1"] is False  # identity on F_p^2 has trace 2
 
 
 def test_module_entry_point_runs():

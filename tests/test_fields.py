@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chaincomm.fields import GF2, RATIONALS, PrimeField, Rationals, is_prime
+from chaincomm.fields import GF2, PRIMALITY_BOUND, RATIONALS, PrimeField, Rationals, is_prime
 
 Q = RATIONALS
 F5 = PrimeField(5)
@@ -20,6 +20,41 @@ def test_prime_validation():
         with pytest.raises(ValueError):
             PrimeField(bad)
     assert is_prime(2) and is_prime(13) and not is_prime(1) and not is_prime(15)
+
+
+def trial_division_is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_is_prime_agrees_with_trial_division_below_1e5():
+    assert all(is_prime(n) == trial_division_is_prime(n) for n in range(-3, 10**5))
+
+
+def test_is_prime_rejects_strong_pseudoprimes_and_accepts_large_primes():
+    # strong pseudoprimes to the bases 2..7 and 2..23 respectively
+    assert not is_prime(3215031751)
+    assert not is_prime(3825123056546413051)
+    # strong pseudoprime to every base 2..37 (= 399165290221 * 798330580441), below the bound
+    assert not is_prime(318665857834031151167461)
+    assert is_prime(2**31 - 1) and is_prime(2**61 - 1)
+    assert not is_prime((2**31 - 1) ** 2) and not is_prime(561)
+    assert PrimeField(2**61 - 1).modulus == 2**61 - 1
+
+
+def test_moduli_at_the_primality_bound_are_refused():
+    with pytest.raises(ValueError):
+        is_prime(PRIMALITY_BOUND)
+    with pytest.raises(ValueError):
+        PrimeField(PRIMALITY_BOUND)
+    with pytest.raises(ValueError):
+        PrimeField(True)
 
 
 def test_normalization_is_canonical():

@@ -7,9 +7,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaincomm.complexes import ChainEndomorphism
-from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
+from chaincomm.fields import GF2, PRIMALITY_BOUND, RATIONALS as Q, PrimeField
 from chaincomm.generate import random_complex, random_endomorphism
 from chaincomm.jsonio import (
+    MAX_RATIONAL_DIGITS,
     SchemaError,
     encode_scalar,
     parse_document,
@@ -140,6 +141,32 @@ def test_rejects_bad_field_and_modulus():
     with pytest.raises(SchemaError) as err:
         parse_document(raw)
     assert "field_invalid" in codes_of(err.value)
+
+
+def test_modulus_bound():
+    raw = load_fixture("f2_window.json")
+    raw["field"] = {"kind": "Fp", "p": PRIMALITY_BOUND}
+    with pytest.raises(SchemaError) as err:
+        parse_document(raw)
+    assert codes_of(err.value) == {"modulus_too_large"}
+    raw["field"] = {"kind": "Fp", "p": 2**61 - 1}
+    assert parse_document(raw).complex.field == PrimeField(2**61 - 1)
+    # a strong pseudoprime to the bases 2..37, below the bound
+    raw["field"] = {"kind": "Fp", "p": 318665857834031151167461}
+    with pytest.raises(SchemaError) as err:
+        parse_document(raw)
+    assert codes_of(err.value) == {"modulus_not_prime"}
+
+
+def test_rejects_oversized_rationals():
+    raw = load_fixture("q_exact.json")
+    for too_long in ("7" * (MAX_RATIONAL_DIGITS + 1), "-1/" + "3" * (MAX_RATIONAL_DIGITS + 1)):
+        raw["differentials"][0][0][0] = too_long
+        with pytest.raises(SchemaError) as err:
+            parse_document(raw)
+        assert codes_of(err.value) == {"rational_too_large"}
+    raw["differentials"][0][0][0] = "7" * MAX_RATIONAL_DIGITS
+    assert parse_document(raw).complex.differential(0).entry(0, 0) == int("7" * MAX_RATIONAL_DIGITS)
 
 
 def test_rejects_bad_window_and_dims():

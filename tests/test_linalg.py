@@ -19,7 +19,16 @@ from chaincomm.linalg import (
 )
 from chaincomm.matrices import Matrix, hstack, kron
 
-from helpers import mat, seeds
+from helpers import (
+    KERNEL_FIELDS,
+    assert_canonical,
+    mat,
+    matrices,
+    reference_complement_basis,
+    reference_rank,
+    reference_rref,
+    seeds,
+)
 
 F3 = PrimeField(3)
 FIELDS = (Q, GF2, F3)
@@ -227,3 +236,79 @@ def test_sylvester_empty_edge_cases():
     assert x is not None and x.shape == (0, 1)
     assert sylvester_operator(empty, b).shape == (0, 0)
     assert is_invertible(sylvester_operator(empty, b))
+
+
+# -- the field-specialised kernel against the field-generic reference ---------
+
+field_matrices = st.sampled_from(KERNEL_FIELDS).flatmap(matrices)
+
+
+@settings(max_examples=300, deadline=None)
+@given(field_matrices)
+def test_rref_matches_reference(m):
+    r = rref(m)
+    reduced, transform, pivots = reference_rref(m)
+    assert (r.reduced, r.transform, r.pivots) == (reduced, transform, pivots)
+    assert r.transform * m == r.reduced
+    assert rank(m) == len(r.pivots) == reference_rank(m)
+    assert is_invertible(m) == (m.is_square and reference_rank(m) == m.rows)
+    assert_canonical(r.reduced)
+    assert_canonical(r.transform)
+    assert_canonical(kernel_basis(m))
+    assert_canonical(image_basis(m))
+
+
+@st.composite
+def complement_cases(draw):
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(min_value=0, max_value=5))
+    ambient = draw(matrices(field, rows=n))
+    if ambient.cols and draw(st.booleans()):
+        # ambient columns, possibly repeated: both dependent and independent
+        indices = draw(st.lists(st.integers(min_value=0, max_value=ambient.cols - 1), max_size=3))
+        inside = ambient.take_columns(indices)
+    else:
+        inside = draw(matrices(field, rows=n, max_dim=3))
+    return inside, ambient
+
+
+@settings(max_examples=300, deadline=None)
+@given(complement_cases())
+def test_complement_basis_matches_greedy_reference(case):
+    inside, ambient = case
+    try:
+        expected = reference_complement_basis(inside, ambient)
+    except ValueError:
+        with pytest.raises(ValueError):
+            complement_basis(inside, ambient)
+        return
+    result = complement_basis(inside, ambient)
+    assert result == expected
+    assert_canonical(result)
+
+
+@st.composite
+def linear_systems(draw):
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    n = draw(st.integers(min_value=0, max_value=5))
+    return draw(matrices(field, rows=n)), draw(matrices(field, rows=n, max_dim=2))
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_systems())
+def test_solve_linear_matches_transform_reference(case):
+    a, b = case
+    _, transform, pivots = reference_rref(a)
+    c = transform * b
+    field = a.field
+    if any(c.entry(r, j) != 0 for r in range(len(pivots), a.rows) for j in range(b.cols)):
+        expected = None
+    else:
+        x = [[field.zero] * b.cols for _ in range(a.cols)]
+        for r, col in enumerate(pivots):
+            x[col] = list(c.row(r))
+        expected = Matrix(field, a.cols, b.cols, (e for row in x for e in row))
+    result = solve_linear(a, b)
+    assert result == expected
+    if result is not None:
+        assert_canonical(result)

@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
 from chaincomm.matrices import Matrix, block_matrix, enumerate_matrices, hstack, kron, split_blocks, vstack
 
-from helpers import mat
+from helpers import KERNEL_FIELDS, assert_canonical, mat, matrices, scalars
 
 F3 = PrimeField(3)
 
@@ -125,3 +125,60 @@ def test_enumerate_matrices_order_and_count():
     assert len(list(enumerate_matrices(F3, 2, 1))) == 9
     with pytest.raises(TypeError):
         list(enumerate_matrices(Q, 1, 1))
+
+
+# -- the field-specialised kernel against naive field operations ---------------
+
+
+def naive_product(a, b):
+    f = a.field
+    out = []
+    for i in range(a.rows):
+        for j in range(b.cols):
+            acc = f.zero
+            for t in range(a.cols):
+                acc = f.add(acc, f.mul(a.entry(i, t), b.entry(t, j)))
+            out.append(acc)
+    return Matrix(f, a.rows, b.cols, out)
+
+
+@st.composite
+def operand_triples(draw):
+    """(a, b, c) over one field with a, b of one shape and c multipliable on the right."""
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    n, k, m = (draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
+    return draw(matrices(field, n, k)), draw(matrices(field, n, k)), draw(matrices(field, k, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_triples())
+def test_products_sums_and_differences_match_field_ops(case):
+    a, b, c = case
+    f = a.field
+    assert a * c == naive_product(a, c)
+    assert a + b == Matrix(f, a.rows, a.cols, (f.add(x, y) for x, y in zip(a.entries, b.entries)))
+    assert a - b == Matrix(f, a.rows, a.cols, (f.sub(x, y) for x, y in zip(a.entries, b.entries)))
+    for result in (a * c, a + b, a - b, -a, a.transpose(), kron(a, c), hstack([a, b]), vstack([a, b])):
+        assert_canonical(result)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS).flatmap(lambda f: st.tuples(matrices(f, max_dim=4), scalars(f))), st.data())
+def test_structural_results_are_canonical(case, data):
+    m, s = case
+    f = m.field
+    assert_canonical(m.scale(s))
+    assert m.scale(s) == Matrix(f, m.rows, m.cols, (f.mul(s, x) for x in m.entries))
+    assert_canonical(Matrix.identity(f, m.rows))
+    assert_canonical(Matrix.zeros(f, m.rows, m.cols))
+    if m.cols:
+        cols = data.draw(st.lists(st.integers(min_value=0, max_value=m.cols - 1), max_size=4))
+        taken = m.take_columns(cols)
+        assert taken == Matrix(f, m.rows, len(cols), (m.entry(i, j) for i in range(m.rows) for j in cols))
+        assert_canonical(taken)
+        assert_canonical(m.column_at(cols[0] if cols else 0))
+    r0, r1 = sorted(data.draw(st.tuples(*[st.integers(min_value=0, max_value=m.rows)] * 2)))
+    c0, c1 = sorted(data.draw(st.tuples(*[st.integers(min_value=0, max_value=m.cols)] * 2)))
+    sub = m.submatrix(r0, r1, c0, c1)
+    assert sub == Matrix(f, r1 - r0, c1 - c0, (m.entry(i, j) for i in range(r0, r1) for j in range(c0, c1)))
+    assert_canonical(sub)
