@@ -29,7 +29,6 @@ from .errors import ConstructionLimitation, MathematicalObstruction
 from .fields import PRIMALITY_BOUND, Field, PrimeField, Rationals
 from .generate import ENSURE_CHOICES, random_complex, random_endomorphism
 from .jsonio import SchemaError
-from .splitting import split_complex
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -181,8 +180,7 @@ def _cmd_random(args) -> int:
         raise UsageError("need --length >= 1 and --max-dim >= 0")
     rng = random.Random(args.seed)
     complex = random_complex(rng, field, max_dim=args.max_dim, length=args.length)
-    splitting = split_complex(complex)
-    endo = random_endomorphism(rng, complex, ensure=args.ensure, splitting=splitting)
+    endo = random_endomorphism(rng, complex, ensure=args.ensure)
     _emit(jsonio.serialize_document(complex, endo))
     return EXIT_OK
 

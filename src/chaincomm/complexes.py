@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .fields import Field, Scalar
-from .linalg import complement_basis, image_basis, kernel_basis, solve_linear
+from .linalg import image_basis, kernel_basis
 from .matrices import Matrix
 
 
@@ -50,6 +50,7 @@ class ChainComplex:
         self.hi = lo + len(dims) - 1
         self._dims = tuple(dims)
         self._differentials = tuple(differentials)
+        self._hash: int | None = None
 
     def dim(self, degree: int) -> int:
         if self.lo <= degree <= self.hi:
@@ -85,6 +86,13 @@ class ChainComplex:
             and self._dims == other._dims
             and self._differentials == other._differentials
         )
+
+    def __hash__(self) -> int:
+        # memoised: the splitting cache hashes its key on every lookup, and
+        # hashing every entry of every differential each time is not free
+        if self._hash is None:
+            self._hash = hash((self.field, self.lo, self._dims, self._differentials))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"ChainComplex({self.field.kind}, degrees {self.lo}..{self.hi}, dims {list(self._dims)})"
@@ -254,33 +262,27 @@ def cohomology(c: ChainComplex, degree: int) -> CohomologySpace:
     return CohomologySpace(cocycles.cols - boundaries.cols, cocycles, boundaries)
 
 
+def _splitting(c: ChainComplex):
+    """The complex's cached standard-form splitting."""
+    from .splitting import split_complex  # splitting imports this module
+
+    return split_complex(c)
+
+
 def cohomology_lifts(c: ChainComplex, degree: int) -> tuple[Matrix, Matrix]:
-    """(boundary basis, cocycle representatives extending it): the
-    deterministic lift convention shared by every cohomology computation."""
-    spaces = cohomology(c, degree)
-    lifts = complement_basis(spaces.boundary_basis, spaces.cocycle_basis)
-    return spaces.boundary_basis, lifts
+    """(boundary basis, cocycle representatives extending it): the B- and
+    H-columns of the complex's standard-form splitting, the deterministic lift
+    convention shared by every cohomology computation."""
+    s = _splitting(c)
+    b, h, _ = s.block_dims(degree)
+    p = s.basis(degree)
+    return p.submatrix(0, p.rows, 0, b), p.submatrix(0, p.rows, b, b + h)
 
 
 def induced_cohomology_map(phi: ChainEndomorphism, degree: int) -> Matrix:
-    """The matrix of phi on cohomology: lift representatives, apply phi,
-    re-express modulo boundaries.  Independent of the choice of lifts."""
-    c = phi.complex
-    boundaries, lifts = cohomology_lifts(c, degree)
-    h = lifts.cols
-    if h == 0:
-        return Matrix.zeros(c.field, 0, 0)
-    images = phi.map(degree) * lifts
-    basis = Matrix(
-        c.field,
-        boundaries.rows,
-        boundaries.cols + lifts.cols,
-        (e for i in range(boundaries.rows) for e in (*boundaries.row(i), *lifts.row(i))),
-    )
-    coords = solve_linear(basis, images)
-    if coords is None:
-        raise ValueError("endomorphism does not preserve cocycles; not a chain map?")
-    return coords.submatrix(boundaries.cols, boundaries.cols + h, 0, h)
+    """The matrix of phi on cohomology in the lift basis of
+    :func:`cohomology_lifts`, read off the complex's cached splitting."""
+    return _splitting(phi.complex).cohomology_action(degree, phi.map(degree))
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,11 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Any, Sequence
 
 from .complexes import ChainComplex, ChainEndomorphism, Homotopy, validate_chain_map, validate_complex
 from .fields import PRIMALITY_BOUND, Field, PrimeField, Rationals, Scalar
-from .matrices import Matrix
+from .matrices import Matrix, _canonical
 from .witnesses import CommutatorWitness, HomotopyWitness, PointwiseWitness
 
 FORMAT_VERSION = "1"
@@ -33,6 +32,11 @@ MAX_RATIONAL_DIGITS = 4000
 """Longest numerator or denominator, in decimal digits, that a document may
 carry; it stays below the interpreter's default limit of 4300 digits for
 converting a string to an ``int``."""
+
+MAX_TOTAL_DIMENSION = 10_000
+"""Largest sum of ``dims`` a document may declare.  Zero matrices off and at
+the ends of the window are allocated from ``dims`` alone, before any entry is
+read, so without a cap a few bytes of JSON could ask for gigabytes."""
 
 
 @dataclass(frozen=True)
@@ -116,18 +120,22 @@ def _decode_scalar(field: Field, raw: Any, path: str, errors: _Collector) -> Sca
         )
         return None
     num = int(match.group(1))
-    den = int(match.group(2)) if match.group(2) else 1
+    if match.group(2) is None:
+        return Fraction(num)
+    den = int(match.group(2))
     if den == 0:
         errors.add("rational_invalid", path, "zero denominator")
         return None
-    if gcd(abs(num), den) != 1 or (den == 1 and match.group(2)):
+    value = Fraction(num, den)
+    # in lowest terms exactly when Fraction did not reduce it; "n/1" is not
+    if den == 1 or value.denominator != den:
         errors.add(
             "rational_not_reduced",
             path,
-            f"{raw!r} is not in lowest terms; write {str(Fraction(num, den))!r}",
+            f"{raw!r} is not in lowest terms; write {str(value)!r}",
         )
         return None
-    return Fraction(num, den)
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +170,7 @@ def _decode_matrix(
                 entries.append(value)
     if not ok:
         return None
-    return Matrix(field, rows, cols, entries)
+    return _canonical(field, rows, cols, tuple(entries))
 
 
 def _decode_matrix_list(
@@ -255,6 +263,9 @@ def parse_document(data: Any) -> Document:
         or any(isinstance(n, bool) or not isinstance(n, int) or n < 0 for n in dims)
     ):
         errors.add("dims_invalid", "dims", "dims must be an array of nonnegative integers")
+        dims = None
+    elif sum(dims) > MAX_TOTAL_DIMENSION:
+        errors.add("dims_too_large", "dims", f"dimensions may total at most {MAX_TOTAL_DIMENSION}, got {sum(dims)}")
         dims = None
     elif isinstance(lo, int) and isinstance(hi, int) and lo <= hi and len(dims) != hi - lo + 1:
         errors.add("dims_invalid", "dims", f"expected {hi - lo + 1} entries for degrees {lo}..{hi}")

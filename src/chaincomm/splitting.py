@@ -17,6 +17,7 @@ variables in preimage solves), so block data is reproducible run to run.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Mapping
 
 from .complexes import ChainComplex, ChainEndomorphism, validate_chain_map, validate_complex
@@ -69,6 +70,22 @@ class Splitting:
 
     def from_split(self, degree: int, split_map: Matrix) -> Matrix:
         return self.basis(degree) * split_map * self.inverse_basis(degree)
+
+    def cohomology_action(self, degree: int, endo_map: Matrix) -> Matrix:
+        """The H-block of a V_degree endomorphism in split coordinates: the
+        H-rows of P^-1 times ``endo_map`` times the H-columns of P.  Raises
+        ValueError when ``endo_map`` moves a cohomology lift out of the
+        cocycles B (+) H, which a chain map never does."""
+        b, h, _ = self.block_dims(degree)
+        if h == 0:
+            return Matrix.zeros(self.complex.field, 0, 0)
+        p = self.basis(degree)
+        n = p.rows
+        images = endo_map * p.submatrix(0, n, b, b + h)
+        coords = self.inverse_basis(degree).submatrix(b, n, 0, n) * images
+        if not coords.submatrix(h, n - b, 0, h).is_zero():
+            raise ValueError("endomorphism does not preserve cocycles; not a chain map?")
+        return coords.submatrix(0, h, 0, h)
 
     def standard_differential(self, degree: int) -> Matrix:
         """The split-coordinate differential out of ``degree``: identity in
@@ -159,8 +176,14 @@ class BlockData:
         return Matrix.zeros(c.field, 0, 0)
 
 
+@lru_cache(maxsize=16)
 def split_complex(c: ChainComplex) -> Splitting:
     """Choose the standard-form bases for a valid complex.
+
+    Memoised on the complex's content (field, lo, dims, differentials) in a
+    16-entry LRU cache, so equal complexes share one splitting;
+    ``split_complex.cache_info()`` reports hits and misses and
+    ``split_complex.__wrapped__`` is the uncached construction.
 
     Construction per degree: boundary basis = pivot columns of the incoming
     differential; extend to a basis of the cocycles (the new columns lift

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from chaincomm.complexes import ChainComplex, ChainEndomorphism
+from chaincomm.complexes import ChainComplex, ChainEndomorphism, cohomology
 from chaincomm.fields import GF2, RATIONALS, Field, PrimeField
+from chaincomm.linalg import complement_basis, solve_linear
 from chaincomm.matrices import Matrix, hstack
 
 Q = RATIONALS
@@ -61,7 +62,9 @@ def seeds(n: int, start: int = 0):
 
 # -- reference implementations ------------------------------------------------
 # The field-generic elimination and greedy complement the library used before
-# its field-specialised kernel, kept as the semantics the kernel must match.
+# its field-specialised kernel, and the solve-based induced cohomology map it
+# used before reading cohomology off the splitting, kept as the semantics the
+# fast paths must match.
 
 
 def reference_rref(m: Matrix):
@@ -125,6 +128,24 @@ def reference_complement_basis(inside: Matrix, ambient_basis: Matrix) -> Matrix:
             current = candidate
             current_rank = r
     return ambient_basis.take_columns(chosen)
+
+
+def reference_induced_cohomology_map(phi: ChainEndomorphism, degree: int) -> Matrix:
+    """The induced map on cohomology computed without a splitting: lift
+    cohomology by the greedy complement of the boundaries in the cocycles,
+    apply phi, and solve for coordinates in boundaries + lifts."""
+    c = phi.complex
+    spaces = cohomology(c, degree)
+    boundaries = spaces.boundary_basis
+    lifts = complement_basis(boundaries, spaces.cocycle_basis)
+    h = lifts.cols
+    if h == 0:
+        return Matrix.zeros(c.field, 0, 0)
+    images = phi.map(degree) * lifts
+    coords = solve_linear(hstack([boundaries, lifts]), images)
+    if coords is None:
+        raise ValueError("endomorphism does not preserve cocycles; not a chain map?")
+    return coords.submatrix(boundaries.cols, boundaries.cols + h, 0, h)
 
 
 # -- kernel property-test support ---------------------------------------------

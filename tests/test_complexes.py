@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from chaincomm.complexes import (
     Stretch,
     chain_map_basis,
     cohomology,
+    cohomology_lifts,
     commutator,
     homotopy_boundary,
     induced_cohomology_map,
@@ -21,11 +23,20 @@ from chaincomm.complexes import (
     validate_complex,
 )
 from chaincomm.fields import GF2, RATIONALS as Q
-from chaincomm.generate import random_chain_map, random_complex, random_homotopy
-from chaincomm.linalg import image_basis
+from chaincomm.generate import random_chain_map, random_complex, random_homotopy, random_matrix
+from chaincomm.linalg import complement_basis, image_basis
 from chaincomm.matrices import Matrix
 
-from helpers import alternating_reflection, corner_window, exact_two_term, mat, seeds, zero_differential_complex
+from helpers import (
+    KERNEL_FIELDS,
+    alternating_reflection,
+    corner_window,
+    exact_two_term,
+    mat,
+    reference_induced_cohomology_map,
+    seeds,
+    zero_differential_complex,
+)
 
 
 # -- construction and validation ---------------------------------------------
@@ -129,6 +140,48 @@ def test_induced_map_is_independent_of_lift_choice():
             coords = solve_linear(basis, images)
             alt = coords.submatrix(boundaries.cols, boundaries.cols + lifts.cols, 0, lifts.cols)
             assert alt == standard
+
+
+def _or_error(compute, phi, degree):
+    try:
+        return compute(phi, degree)
+    except ValueError:
+        return ValueError
+
+
+@given(
+    field=st.sampled_from(KERNEL_FIELDS),
+    seed=st.integers(min_value=0, max_value=10**6),
+    length=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_splitting_view_matches_solve_reference(field, seed, length):
+    """The view over the cached splitting equals the solve-based induced map
+    on chain maps, and on arbitrary degreewise families it raises exactly
+    when the solve finds a lift mapped outside the cocycles."""
+    rng = random.Random(seed)
+    c = random_complex(rng, field, max_dim=4, length=length, lo=rng.randint(-2, 2))
+    phi = random_chain_map(rng, c)
+    family = ChainEndomorphism(c, [random_matrix(rng, field, n, n) for n in c.dims])
+    for i in range(c.lo - 1, c.hi + 2):
+        spaces = cohomology(c, i)
+        lifts = complement_basis(spaces.boundary_basis, spaces.cocycle_basis)
+        assert cohomology_lifts(c, i) == (spaces.boundary_basis, lifts)
+        assert induced_cohomology_map(phi, i) == reference_induced_cohomology_map(phi, i)
+        assert _or_error(induced_cohomology_map, family, i) == _or_error(reference_induced_cohomology_map, family, i)
+
+
+def test_induced_map_rejects_map_moving_a_cocycle():
+    # V_0 = k^2 -> V_1 = k, d = [0 1]: e1 spans H^0 and phi_0 sends it to e2,
+    # which is not a cocycle
+    c = ChainComplex(Q, 0, [2, 1], [mat(Q, [[0, 1]])])
+    phi = ChainEndomorphism(c, [mat(Q, [[0, 0], [1, 0]]), mat(Q, [[0]])])
+    assert validate_chain_map(phi) != []  # phi is not a chain map
+    for compute in (induced_cohomology_map, reference_induced_cohomology_map):
+        with pytest.raises(ValueError):
+            compute(phi, 0)
+    with pytest.raises(ValueError):
+        trace_report(phi)
 
 
 # -- stretches ------------------------------------------------------------------

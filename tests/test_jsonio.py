@@ -11,6 +11,7 @@ from chaincomm.fields import GF2, PRIMALITY_BOUND, RATIONALS as Q, PrimeField
 from chaincomm.generate import random_complex, random_endomorphism
 from chaincomm.jsonio import (
     MAX_RATIONAL_DIGITS,
+    MAX_TOTAL_DIMENSION,
     SchemaError,
     encode_scalar,
     parse_document,
@@ -167,6 +168,30 @@ def test_rejects_oversized_rationals():
         assert codes_of(err.value) == {"rational_too_large"}
     raw["differentials"][0][0][0] = "7" * MAX_RATIONAL_DIGITS
     assert parse_document(raw).complex.differential(0).entry(0, 0) == int("7" * MAX_RATIONAL_DIGITS)
+
+
+def test_rejects_oversized_dimension_total_before_allocating():
+    raw = {"format_version": "1", "field": {"kind": "Q"}, "lo": 0, "hi": 0, "differentials": []}
+    for dims in ([MAX_TOTAL_DIMENSION + 1], [10**18]):
+        with pytest.raises(SchemaError) as err:
+            parse_document({**raw, "dims": dims})
+        assert codes_of(err.value) == {"dims_too_large"}
+    assert parse_document({**raw, "dims": [MAX_TOTAL_DIMENSION]}).complex.total_dim() == MAX_TOTAL_DIMENSION
+
+
+def test_decodes_each_rational_in_lowest_terms():
+    raw = load_fixture("q_exact.json")
+    for entry, value in (("-3/2", Fraction(-3, 2)), ("7", Fraction(7)), ("-0", Fraction(0)), ("0", Fraction(0))):
+        raw["differentials"][0][0][0] = entry
+        m = parse_document(raw).complex.differential(0)
+        assert m.entry(0, 0) == value and type(m.entry(0, 0)) is Fraction
+        assert m == Matrix(Q, m.rows, m.cols, m.entries) and hash(m) == hash(Matrix(Q, m.rows, m.cols, m.entries))
+    for entry, lowest in (("2/4", "1/2"), ("3/1", "3"), ("0/5", "0"), ("-6/3", "-2")):
+        raw["differentials"][0][0][0] = entry
+        with pytest.raises(SchemaError) as err:
+            parse_document(raw)
+        assert codes_of(err.value) == {"rational_not_reduced"}
+        assert f"write {lowest!r}" in str(err.value)
 
 
 def test_rejects_bad_window_and_dims():

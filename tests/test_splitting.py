@@ -1,9 +1,14 @@
+import json
+import pathlib
+import random
+
 import pytest
 
+from chaincomm import jsonio, witnesses
 from chaincomm.complexes import ChainComplex, ChainEndomorphism, induced_cohomology_map, trace_report
 from chaincomm.errors import BlockStructureError
 from chaincomm.fields import GF2, RATIONALS as Q
-from chaincomm.generate import random_chain_map, random_complex, random_homotopy
+from chaincomm.generate import random_chain_map, random_complex, random_endomorphism, random_homotopy
 from chaincomm.matrices import Matrix
 from chaincomm.splitting import BlockData, assemble, extract_blocks, split_complex
 
@@ -165,3 +170,72 @@ def test_cohomology_block_trace_matches_functor_path():
         blocks = extract_blocks(phi, s)
         for i in c.degrees:
             assert blocks.cohomology_block(i).trace() == induced_cohomology_map(phi, i).trace()
+
+
+# -- the splitting cache ---------------------------------------------------------
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def _parsed(name: str) -> jsonio.Document:
+    return jsonio.parse_document(json.loads((FIXTURES / name).read_text(encoding="utf-8")))
+
+
+def test_equal_complexes_share_one_splitting():
+    first, second = _parsed("f2_window.json"), _parsed("f2_window.json")
+    assert first.complex is not second.complex
+    assert first.complex == second.complex and hash(first.complex) == hash(second.complex)
+    split_complex.cache_clear()
+    s = split_complex(first.complex)
+    assert (split_complex.cache_info().hits, split_complex.cache_info().misses) == (0, 1)
+    assert split_complex(second.complex) is s
+    assert (split_complex.cache_info().hits, split_complex.cache_info().misses) == (1, 1)
+
+
+def test_changed_differential_entry_misses():
+    c = ChainComplex(Q, 0, [2, 2], [mat(Q, [[1, 2], [3, 4]])])
+    changed = ChainComplex(Q, 0, [2, 2], [mat(Q, [[1, 2], [3, 5]])])
+    split_complex.cache_clear()
+    split_complex(c)
+    s = split_complex(changed)
+    assert (split_complex.cache_info().hits, split_complex.cache_info().misses) == (0, 2)
+    assert s.complex == changed
+
+
+def test_cache_holds_at_most_sixteen_splittings():
+    split_complex.cache_clear()
+    for k in range(20):
+        split_complex(exact_two_term(Q, k + 1))
+        assert split_complex.cache_info().currsize <= 16
+    info = split_complex.cache_info()
+    assert info.maxsize == 16 and info.currsize == 16 and info.misses == 20
+
+
+def test_generation_does_not_fill_the_cache():
+    rng = random.Random(5)
+    c = random_complex(rng, Q, max_dim=4, length=4)
+    split_complex.cache_clear()
+    before = split_complex.cache_info()
+    for ensure in (None, "t1", "t3"):
+        random_endomorphism(rng, c, ensure=ensure)
+    random_chain_map(rng, c)
+    assert split_complex.cache_info() == before
+
+
+@pytest.mark.parametrize("builder", ["commutator_witness", "homotopy_commutator_witness", "homotopy_pointwise_witness"])
+def test_certificates_do_not_depend_on_cache_state(builder):
+    rng = random.Random(11)
+    c = random_complex(rng, Q, max_dim=4, length=4)
+    document = json.dumps(jsonio.serialize_document(c, random_endomorphism(rng, c, ensure="t2")))
+
+    def certificate() -> str:
+        doc = jsonio.parse_document(json.loads(document))
+        witness = getattr(witnesses, builder)(doc.endomorphism)
+        return json.dumps(jsonio.serialize_document(doc.complex, doc.endomorphism, [witness]), sort_keys=True)
+
+    split_complex.cache_clear()
+    cold = certificate()
+    assert split_complex.cache_info().misses == 1
+    warm = certificate()
+    assert split_complex.cache_info().misses == 1 and split_complex.cache_info().hits > 0
+    assert warm == cold
