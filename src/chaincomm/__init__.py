@@ -11,7 +11,10 @@ from .complexes import (
     ChainComplex,
     ChainEndomorphism,
     CohomologySpace,
+    CommutatorWitness,
     Homotopy,
+    HomotopyWitness,
+    PointwiseWitness,
     Stretch,
     TraceReport,
     add,
@@ -61,22 +64,20 @@ from .verify import (
     Violation,
     brute_force_chain_commutator,
     brute_force_commutator,
+    commutant_set,
     commutator_image,
     example2_search,
     verify_commutator,
     verify_homotopy_witness,
     verify_pointwise,
+    verify_witness,
 )
 from .witnesses import (
     Analysis,
     CommutatorConstruction,
-    CommutatorWitness,
-    HomotopyWitness,
     PairSelection,
-    PointwiseWitness,
     Verdict,
     analyze,
-    commutant_set,
     commutator_decomposition,
     commutator_witness,
     commutator_witness_detailed,

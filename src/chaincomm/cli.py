@@ -140,18 +140,6 @@ def _cmd_witness(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(endo, witness):
-    from .witnesses import CommutatorWitness, HomotopyWitness, PointwiseWitness
-
-    if isinstance(witness, CommutatorWitness):
-        return verify_mod.verify_commutator(endo, witness)
-    if isinstance(witness, PointwiseWitness):
-        return verify_mod.verify_pointwise(endo, witness)
-    if isinstance(witness, HomotopyWitness):
-        return verify_mod.verify_homotopy_witness(endo, witness)
-    raise TypeError(f"unknown witness: {witness!r}")
-
-
 def _cmd_verify(args) -> int:
     doc = _load_document(args.file)
     if doc.endomorphism is None:
@@ -159,7 +147,7 @@ def _cmd_verify(args) -> int:
     if not doc.witnesses:
         _emit({"ok": False, "violations": [], "reason": "document carries no witnesses"})
         return EXIT_VERIFY_FAILED
-    results = [_verify_one(doc.endomorphism, w) for w in doc.witnesses]
+    results = [verify_mod.verify_witness(doc.endomorphism, w) for w in doc.witnesses]
     payload = {
         "ok": all(r.ok for r in results),
         "witnesses": [jsonio.encode_verification(r) for r in results],
@@ -178,6 +166,11 @@ def _cmd_random(args) -> int:
     field = _parse_field(args.field)
     if args.length < 1 or args.max_dim < 0:
         raise UsageError("need --length >= 1 and --max-dim >= 0")
+    # a larger instance could not be parsed back (dims_too_large); --length
+    # is capped on its own because --max-dim may be 0
+    cap = jsonio.MAX_TOTAL_DIMENSION
+    if args.length > cap or args.max_dim * args.length > cap:
+        raise UsageError(f"need --length and --max-dim x --length at most {cap}")
     rng = random.Random(args.seed)
     complex = random_complex(rng, field, max_dim=args.max_dim, length=args.length)
     endo = random_endomorphism(rng, complex, ensure=args.ensure)

@@ -5,7 +5,8 @@ A complex is supported on a finite window [lo, hi]; every space outside the
 window is zero, so the represented complexes are automatically quasi-bounded.
 The module also computes the four trace functionals (per degree, per degree
 on cohomology, and their alternating sums over stretches) that govern the
-commutator properties decided by :mod:`chaincomm.witnesses`.
+commutator properties decided by :mod:`chaincomm.witnesses`, and holds the
+containers of the witnesses that certify them.
 """
 
 from __future__ import annotations
@@ -98,91 +99,41 @@ class ChainComplex:
         return f"ChainComplex({self.field.kind}, degrees {self.lo}..{self.hi}, dims {list(self._dims)})"
 
 
-class ChainEndomorphism:
-    """A degreewise square matrix family; validity (commuting with the
-    differential) is checked by :func:`validate_chain_map`."""
+class _GradedMap:
+    """One matrix per degree of the window, the map at degree i going
+    V_i -> V_{i - shift}; chain endomorphisms have shift 0, homotopies 1."""
+
+    _shift = 0
+    _noun = "map"
+    _plural = "maps"
 
     def __init__(self, complex: ChainComplex, maps: Sequence[Matrix]):
         if len(maps) != len(complex.dims):
-            raise ValueError(f"expected {len(complex.dims)} maps, got {len(maps)}")
-        for j, m in enumerate(maps):
-            n = complex.dims[j]
+            raise ValueError(f"expected {len(complex.dims)} {self._plural}, got {len(maps)}")
+        for degree, m in zip(complex.degrees, maps):
+            want = self.shape(complex, degree)
             if m.field != complex.field:
-                raise ValueError("map field does not match the complex")
-            if m.shape != (n, n):
-                raise ValueError(f"map at degree {complex.lo + j} has shape {m.shape}, expected {(n, n)}")
-        self.complex = complex
-        self._maps = tuple(maps)
-
-    @classmethod
-    def zero(cls, complex: ChainComplex) -> "ChainEndomorphism":
-        return cls(complex, [Matrix.zeros(complex.field, n, n) for n in complex.dims])
-
-    @classmethod
-    def identity(cls, complex: ChainComplex) -> "ChainEndomorphism":
-        return cls(complex, [Matrix.identity(complex.field, n) for n in complex.dims])
-
-    @classmethod
-    def from_map(cls, complex: ChainComplex, maps: Mapping[int, Matrix]) -> "ChainEndomorphism":
-        return cls(
-            complex,
-            [maps.get(i, Matrix.zeros(complex.field, complex.dim(i), complex.dim(i))) for i in complex.degrees],
-        )
-
-    def map(self, degree: int) -> Matrix:
-        if self.complex.lo <= degree <= self.complex.hi:
-            return self._maps[degree - self.complex.lo]
-        n = self.complex.dim(degree)
-        return Matrix.zeros(self.complex.field, n, n)
-
-    @property
-    def maps(self) -> tuple[Matrix, ...]:
-        return self._maps
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ChainEndomorphism)
-            and self.complex == other.complex
-            and self._maps == other._maps
-        )
-
-    def __repr__(self) -> str:
-        return f"ChainEndomorphism(degrees {self.complex.lo}..{self.complex.hi})"
-
-
-class Homotopy:
-    """A degree -1 family: the map at degree i goes V_i -> V_{i-1}.
-
-    Any family of the right shapes is a legal operand; no algebraic
-    condition is imposed.
-    """
-
-    def __init__(self, complex: ChainComplex, maps: Sequence[Matrix]):
-        if len(maps) != len(complex.dims):
-            raise ValueError(f"expected {len(complex.dims)} homotopy maps, got {len(maps)}")
-        for j, m in enumerate(maps):
-            degree = complex.lo + j
-            want = (complex.dim(degree - 1), complex.dim(degree))
-            if m.field != complex.field:
-                raise ValueError("homotopy field does not match the complex")
+                raise ValueError(f"{self._noun} field does not match the complex")
             if m.shape != want:
-                raise ValueError(f"homotopy at degree {degree} has shape {m.shape}, expected {want}")
+                raise ValueError(f"{self._noun} at degree {degree} has shape {m.shape}, expected {want}")
         self.complex = complex
         self._maps = tuple(maps)
 
     @classmethod
-    def zero(cls, complex: ChainComplex) -> "Homotopy":
-        return cls(
-            complex,
-            [Matrix.zeros(complex.field, complex.dim(i - 1), complex.dim(i)) for i in complex.degrees],
-        )
+    def shape(cls, complex: ChainComplex, degree: int) -> tuple[int, int]:
+        return complex.dim(degree - cls._shift), complex.dim(degree)
 
     @classmethod
-    def from_map(cls, complex: ChainComplex, maps: Mapping[int, Matrix]) -> "Homotopy":
+    def zero(cls, complex: ChainComplex):
+        return cls.from_map(complex, {})
+
+    @classmethod
+    def from_map(cls, complex: ChainComplex, maps: Mapping[int, Matrix]):
+        """The family with the given maps, zero at every degree not given."""
         return cls(
             complex,
             [
-                maps.get(i, Matrix.zeros(complex.field, complex.dim(i - 1), complex.dim(i)))
+                maps[i] if i in maps else Matrix.zeros(complex.field, *cls.shape(complex, i))
                 for i in complex.degrees
             ],
         )
@@ -190,14 +141,66 @@ class Homotopy:
     def map(self, degree: int) -> Matrix:
         if self.complex.lo <= degree <= self.complex.hi:
             return self._maps[degree - self.complex.lo]
-        return Matrix.zeros(self.complex.field, self.complex.dim(degree - 1), self.complex.dim(degree))
+        return Matrix.zeros(self.complex.field, *self.shape(self.complex, degree))
 
     @property
     def maps(self) -> tuple[Matrix, ...]:
         return self._maps
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Homotopy) and self.complex == other.complex and self._maps == other._maps
+        return isinstance(other, type(self)) and self.complex == other.complex and self._maps == other._maps
+
+
+class ChainEndomorphism(_GradedMap):
+    """A degreewise square matrix family; validity (commuting with the
+    differential) is checked by :func:`validate_chain_map`."""
+
+    @classmethod
+    def identity(cls, complex: ChainComplex) -> "ChainEndomorphism":
+        return cls(complex, [Matrix.identity(complex.field, n) for n in complex.dims])
+
+    def __repr__(self) -> str:
+        return f"ChainEndomorphism(degrees {self.complex.lo}..{self.complex.hi})"
+
+
+class Homotopy(_GradedMap):
+    """A degree -1 family: the map at degree i goes V_i -> V_{i-1}.
+
+    Any family of the right shapes is a legal operand; no algebraic
+    condition is imposed.
+    """
+
+    _shift = 1
+    _noun = "homotopy"
+    _plural = "homotopy maps"
+
+
+# ---------------------------------------------------------------------------
+# witness containers
+
+
+@dataclass(frozen=True)
+class PointwiseWitness:
+    """Per-degree pairs (a_i, b_i) with a_i b_i - b_i a_i = phi_i."""
+
+    complex: ChainComplex
+    pairs: dict[int, tuple[Matrix, Matrix]]
+
+
+@dataclass(frozen=True)
+class CommutatorWitness:
+    """Chain maps alpha, beta with [alpha, beta] = phi."""
+
+    alpha: ChainEndomorphism
+    beta: ChainEndomorphism
+
+
+@dataclass(frozen=True)
+class HomotopyWitness:
+    """A homotopy s plus a residual witness for phi - (d s + s d)."""
+
+    homotopy: Homotopy
+    residual: CommutatorWitness | PointwiseWitness
 
 
 @dataclass(frozen=True)
@@ -249,6 +252,15 @@ def validate_chain_map(phi: ChainEndomorphism) -> list[str]:
         if lhs != rhs:
             violations.append(f"degree {i}: d({i}) . phi({i}) != phi({i + 1}) . d({i})")
     return violations
+
+
+def require_chain_map(phi: ChainEndomorphism) -> ChainEndomorphism:
+    """phi itself; raises ValueError naming every failure when it is not a
+    chain map."""
+    problems = validate_chain_map(phi)
+    if problems:
+        raise ValueError("not a chain map: " + "; ".join(problems))
+    return phi
 
 
 # ---------------------------------------------------------------------------
@@ -326,20 +338,22 @@ class TraceReport:
     stretch_traces_vanish: bool
 
 
+def alternating_sum(field: Field, run: Stretch, values: Mapping[int, Scalar]) -> Scalar:
+    """The sum of (-1)^i values[i] over the stretch; a degree missing from
+    ``values`` counts as zero."""
+    return field.normalize(
+        sum((field.mul(field.alternating_sign(i), values.get(i, field.zero)) for i in run.degrees()), start=0)
+    )
+
+
 def trace_report(phi: ChainEndomorphism) -> TraceReport:
     c = phi.complex
     f = c.field
     per_degree = {i: degree_trace(phi, i) for i in c.degrees}
     per_degree_h = {i: cohomology_trace(phi, i) for i in c.degrees}
     runs = stretches(c)
-    stretch_traces = {
-        s: f.normalize(sum((f.mul(f.alternating_sign(i), per_degree[i]) for i in s.degrees()), start=0))
-        for s in runs
-    }
-    stretch_traces_h = {
-        s: f.normalize(sum((f.mul(f.alternating_sign(i), per_degree_h[i]) for i in s.degrees()), start=0))
-        for s in runs
-    }
+    stretch_traces = {s: alternating_sum(f, s, per_degree) for s in runs}
+    stretch_traces_h = {s: alternating_sum(f, s, per_degree_h) for s in runs}
     quasi_bounded = any(c.differential(i).is_zero() for i in range(c.lo - 1, c.hi + 2))
     t1 = all(f.is_zero(v) for v in per_degree.values())
     t3 = all(f.is_zero(v) for v in per_degree_h.values())
@@ -359,7 +373,8 @@ def trace_report(phi: ChainEndomorphism) -> TraceReport:
 
 
 # ---------------------------------------------------------------------------
-# algebra of chain maps and homotopies
+# algebra of chain maps and homotopies; every result is rechecked, and as chain
+# maps are closed under it, a failure means an operand was not a chain map
 
 
 def _check_same_complex(a: ChainEndomorphism, b: ChainEndomorphism) -> None:
@@ -367,45 +382,36 @@ def _check_same_complex(a: ChainEndomorphism, b: ChainEndomorphism) -> None:
         raise ValueError("chain endomorphisms live on different complexes")
 
 
-def _revalidated(result: ChainEndomorphism) -> ChainEndomorphism:
-    # closed under the algebra when the operands are chain maps; failing here
-    # means an operand was not one
-    problems = validate_chain_map(result)
-    if problems:
-        raise ValueError("result is not a chain map (operand was not one): " + "; ".join(problems))
-    return result
-
-
 def add(a: ChainEndomorphism, b: ChainEndomorphism) -> ChainEndomorphism:
     _check_same_complex(a, b)
-    return _revalidated(ChainEndomorphism(a.complex, [x + y for x, y in zip(a.maps, b.maps)]))
+    return require_chain_map(ChainEndomorphism(a.complex, [x + y for x, y in zip(a.maps, b.maps)]))
 
 
 def subtract(a: ChainEndomorphism, b: ChainEndomorphism) -> ChainEndomorphism:
     _check_same_complex(a, b)
-    return _revalidated(ChainEndomorphism(a.complex, [x - y for x, y in zip(a.maps, b.maps)]))
+    return require_chain_map(ChainEndomorphism(a.complex, [x - y for x, y in zip(a.maps, b.maps)]))
 
 
 def compose(a: ChainEndomorphism, b: ChainEndomorphism) -> ChainEndomorphism:
     """Degreewise product a . b."""
     _check_same_complex(a, b)
-    return _revalidated(ChainEndomorphism(a.complex, [x * y for x, y in zip(a.maps, b.maps)]))
+    return require_chain_map(ChainEndomorphism(a.complex, [x * y for x, y in zip(a.maps, b.maps)]))
 
 
 def commutator(a: ChainEndomorphism, b: ChainEndomorphism) -> ChainEndomorphism:
     """a b - b a in the endomorphism ring of the complex."""
     _check_same_complex(a, b)
-    return _revalidated(ChainEndomorphism(a.complex, [x * y - y * x for x, y in zip(a.maps, b.maps)]))
+    return require_chain_map(ChainEndomorphism(a.complex, [x * y - y * x for x, y in zip(a.maps, b.maps)]))
 
 
 def scale(a: ChainEndomorphism, scalar: Scalar) -> ChainEndomorphism:
-    return _revalidated(ChainEndomorphism(a.complex, [m.scale(scalar) for m in a.maps]))
+    return require_chain_map(ChainEndomorphism(a.complex, [m.scale(scalar) for m in a.maps]))
 
 
 def homotopy_boundary(s: Homotopy) -> ChainEndomorphism:
     """The chain endomorphism d . s + s . d; always a chain map (asserted)."""
     c = s.complex
-    return _revalidated(
+    return require_chain_map(
         ChainEndomorphism(
             c,
             [c.differential(i - 1) * s.map(i) + s.map(i + 1) * c.differential(i) for i in c.degrees],

@@ -19,10 +19,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Sequence
 
-from .complexes import ChainComplex, ChainEndomorphism, Homotopy, validate_chain_map, validate_complex
+from .complexes import (
+    ChainComplex,
+    ChainEndomorphism,
+    CommutatorWitness,
+    Homotopy,
+    HomotopyWitness,
+    PointwiseWitness,
+    validate_chain_map,
+    validate_complex,
+)
 from .fields import PRIMALITY_BOUND, Field, PrimeField, Rationals, Scalar
 from .matrices import Matrix, _canonical
-from .witnesses import CommutatorWitness, HomotopyWitness, PointwiseWitness
 
 FORMAT_VERSION = "1"
 
@@ -228,15 +236,6 @@ def _decode_field(raw: Any, errors: _Collector) -> Field | None:
     return None
 
 
-def _endomorphism_shapes(dims: Sequence[int]) -> list[tuple[int, int]]:
-    return [(n, n) for n in dims]
-
-
-def _homotopy_shapes(dims: Sequence[int]) -> list[tuple[int, int]]:
-    # entry j is the map out of degree lo+j landing one degree down
-    return [(dims[j - 1] if j > 0 else 0, dims[j]) for j in range(len(dims))]
-
-
 def parse_document(data: Any) -> Document:
     errors = _Collector()
     if not isinstance(data, dict):
@@ -288,12 +287,10 @@ def parse_document(data: Any) -> Document:
 
     endomorphism = None
     if "endomorphism" in data and data["endomorphism"] is not None:
-        maps = _decode_matrix_list(
-            field, data["endomorphism"], _endomorphism_shapes(dims), "endomorphism", errors
-        )
+        endomorphism = _decode_graded(ChainEndomorphism, complex, data["endomorphism"], "endomorphism", errors)
         errors.raise_if_any()
-        assert maps is not None
-        endomorphism = ChainEndomorphism(complex, maps)
+        # analyze and the builders rely on the subject being a chain map; the
+        # witnesses' own algebra is left to the verifier
         for problem in validate_chain_map(endomorphism):
             errors.add("endomorphism_not_chain_map", "endomorphism", problem)
         errors.raise_if_any()
@@ -337,50 +334,42 @@ def _parse_pairs(
     return pairs if ok else None
 
 
-def _parse_endo_list(
-    complex: ChainComplex, raw: Any, path: str, errors: _Collector
-) -> ChainEndomorphism | None:
-    maps = _decode_matrix_list(complex.field, raw, _endomorphism_shapes(complex.dims), path, errors)
-    if maps is None:
-        return None
-    endo = ChainEndomorphism(complex, maps)
-    problems = validate_chain_map(endo)
-    if problems:
-        for problem in problems:
-            errors.add("witness_invalid", path, problem)
-        return None
-    return endo
+def _decode_graded(cls: type, complex: ChainComplex, raw: Any, path: str, errors: _Collector):
+    """A ChainEndomorphism or Homotopy of the right shapes, or None; no
+    algebraic condition is checked here."""
+    shapes = [cls.shape(complex, i) for i in complex.degrees]
+    maps = _decode_matrix_list(complex.field, raw, shapes, path, errors)
+    return cls(complex, maps) if maps is not None else None
+
+
+_WITNESS_TYPES = ("pointwise", "commutator", "homotopy_pointwise", "homotopy_commutator")
 
 
 def _parse_witness(complex: ChainComplex, raw: Any, path: str, errors: _Collector) -> object | None:
+    """Shapes and scalars only: whether the maps satisfy the witness's
+    identities is for :mod:`chaincomm.verify` to decide."""
     if not isinstance(raw, dict):
         errors.add("witness_invalid", path, "witness must be an object")
         return None
     kind = raw.get("type")
-    if kind == "pointwise":
+    if kind not in _WITNESS_TYPES:
+        errors.add("witness_invalid", f"{path}.type", f"unknown witness type {kind!r}")
+        return None
+    homotopic = kind.startswith("homotopy_")
+    if homotopic:
+        homotopy = _decode_graded(Homotopy, complex, raw.get("homotopy"), f"{path}.homotopy", errors)
+    if kind.endswith("pointwise"):
         pairs = _parse_pairs(complex, raw.get("pairs"), f"{path}.pairs", errors)
-        return PointwiseWitness(complex, pairs) if pairs is not None else None
-    if kind == "commutator":
-        alpha = _parse_endo_list(complex, raw.get("alpha"), f"{path}.alpha", errors)
-        beta = _parse_endo_list(complex, raw.get("beta"), f"{path}.beta", errors)
-        return CommutatorWitness(alpha, beta) if alpha is not None and beta is not None else None
-    if kind in ("homotopy_commutator", "homotopy_pointwise"):
-        maps = _decode_matrix_list(
-            complex.field, raw.get("homotopy"), _homotopy_shapes(complex.dims), f"{path}.homotopy", errors
-        )
-        homotopy = Homotopy(complex, maps) if maps is not None else None
-        if kind == "homotopy_commutator":
-            alpha = _parse_endo_list(complex, raw.get("alpha"), f"{path}.alpha", errors)
-            beta = _parse_endo_list(complex, raw.get("beta"), f"{path}.beta", errors)
-            if homotopy is None or alpha is None or beta is None:
-                return None
-            return HomotopyWitness(homotopy, CommutatorWitness(alpha, beta))
-        pairs = _parse_pairs(complex, raw.get("pairs"), f"{path}.pairs", errors)
-        if homotopy is None or pairs is None:
-            return None
-        return HomotopyWitness(homotopy, PointwiseWitness(complex, pairs))
-    errors.add("witness_invalid", f"{path}.type", f"unknown witness type {kind!r}")
-    return None
+        residual = PointwiseWitness(complex, pairs) if pairs is not None else None
+    else:
+        alpha = _decode_graded(ChainEndomorphism, complex, raw.get("alpha"), f"{path}.alpha", errors)
+        beta = _decode_graded(ChainEndomorphism, complex, raw.get("beta"), f"{path}.beta", errors)
+        residual = CommutatorWitness(alpha, beta) if alpha is not None and beta is not None else None
+    if not homotopic:
+        return residual
+    if homotopy is None or residual is None:
+        return None
+    return HomotopyWitness(homotopy, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -393,41 +382,23 @@ def encode_field(field: Field) -> dict[str, Any]:
     return {"kind": "Q"}
 
 
-def _encode_endo(endo: ChainEndomorphism) -> list:
-    return [encode_matrix(endo.map(i)) for i in endo.complex.degrees]
-
-
-def _encode_homotopy(h: Homotopy) -> list:
-    return [encode_matrix(h.map(i)) for i in h.complex.degrees]
+def _encode_graded(g: ChainEndomorphism | Homotopy) -> list:
+    return [encode_matrix(m) for m in g.maps]
 
 
 def encode_witness(witness: object) -> dict[str, Any]:
-    if isinstance(witness, PointwiseWitness):
-        c = witness.complex
-        return {
-            "type": "pointwise",
-            "pairs": [[encode_matrix(witness.pairs[i][0]), encode_matrix(witness.pairs[i][1])] for i in c.degrees],
-        }
-    if isinstance(witness, CommutatorWitness):
-        return {
-            "type": "commutator",
-            "alpha": _encode_endo(witness.alpha),
-            "beta": _encode_endo(witness.beta),
-        }
     if isinstance(witness, HomotopyWitness):
-        base = {"homotopy": _encode_homotopy(witness.homotopy)}
-        if isinstance(witness.residual, CommutatorWitness):
-            base["type"] = "homotopy_commutator"
-            base["alpha"] = _encode_endo(witness.residual.alpha)
-            base["beta"] = _encode_endo(witness.residual.beta)
-        else:
-            base["type"] = "homotopy_pointwise"
-            c = witness.residual.complex
-            base["pairs"] = [
-                [encode_matrix(witness.residual.pairs[i][0]), encode_matrix(witness.residual.pairs[i][1])]
-                for i in c.degrees
-            ]
-        return base
+        out = _encode_residual(witness.residual)
+        return {**out, "type": "homotopy_" + out["type"], "homotopy": _encode_graded(witness.homotopy)}
+    return _encode_residual(witness)
+
+
+def _encode_residual(witness: object) -> dict[str, Any]:
+    if isinstance(witness, PointwiseWitness):
+        pairs = (witness.pairs[i] for i in witness.complex.degrees)
+        return {"type": "pointwise", "pairs": [[encode_matrix(a), encode_matrix(b)] for a, b in pairs]}
+    if isinstance(witness, CommutatorWitness):
+        return {"type": "commutator", "alpha": _encode_graded(witness.alpha), "beta": _encode_graded(witness.beta)}
     raise TypeError(f"not a witness: {witness!r}")
 
 
@@ -445,7 +416,7 @@ def serialize_document(
         "differentials": [encode_matrix(d) for d in complex.stored_differentials],
     }
     if endomorphism is not None:
-        doc["endomorphism"] = _encode_endo(endomorphism)
+        doc["endomorphism"] = _encode_graded(endomorphism)
     if witnesses:
         doc["witnesses"] = [encode_witness(w) for w in witnesses]
     return doc

@@ -18,9 +18,9 @@ variables in preimage solves), so block data is reproducible run to run.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Mapping
 
-from .complexes import ChainComplex, ChainEndomorphism, validate_chain_map, validate_complex
+from .complexes import ChainComplex, ChainEndomorphism, Homotopy, validate_chain_map, validate_complex
 from .errors import BlockStructureError
 from .linalg import complement_basis, image_basis, inverse, is_invertible, kernel_basis, solve_linear
 from .matrices import Matrix, block_matrix, hstack, split_blocks
@@ -238,3 +238,15 @@ def assemble(blocks: BlockData) -> ChainEndomorphism:
     if problems:
         raise BlockStructureError("assembled endomorphism is not a chain map: " + "; ".join(problems))
     return phi
+
+
+def assemble_homotopy(s: Splitting, grid: Callable[[int], Mapping[tuple[int, int], Matrix]]) -> Homotopy:
+    """The homotopy whose map at each degree i > lo is, in split coordinates,
+    the sparse block grid ``grid(i)`` from (b_i, h_i, b_{i+1}) to
+    (b_{i-1}, h_{i-1}, b_i); the map out of degree lo lands in zero."""
+    c = s.complex
+    maps = {}
+    for i in range(c.lo + 1, c.hi + 1):
+        split_map = block_matrix(c.field, s.block_dims(i - 1), s.block_dims(i), grid(i))
+        maps[i] = s.basis(i - 1) * split_map * s.inverse_basis(i)
+    return Homotopy.from_map(c, maps)

@@ -2,12 +2,13 @@
 
 The verifiers recompute every claimed identity from scratch with plain
 matrix arithmetic; they share no code with the constructions in
-:mod:`chaincomm.witnesses` beyond the exact linear-algebra primitives, so a
-witness that passes here is trustworthy even if the construction code were
-wrong.  The module also hosts exhaustive finite-field searches: a pair scan
-oracle for single matrices, a chain-level search over the space of chain
-maps, and the bit-exact reproduction of the F_2 counterexample that defeats
-the pair-selection lemma.
+:mod:`chaincomm.witnesses` beyond the exact linear-algebra primitives and
+the witness containers of :mod:`chaincomm.complexes`, so a witness that
+passes here is trustworthy even if the construction code were wrong.  The
+module also hosts exhaustive finite-field searches: pair scans over single
+matrices (a first commutator pair, commutant sets), a chain-level search
+over the space of chain maps, and the bit-exact reproduction of the F_2
+counterexample that defeats the pair-selection lemma.
 """
 
 from __future__ import annotations
@@ -15,11 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .complexes import ChainEndomorphism, chain_map_basis, commutator
+from .complexes import (
+    ChainEndomorphism,
+    CommutatorWitness,
+    HomotopyWitness,
+    PointwiseWitness,
+    chain_map_basis,
+    commutator,
+)
 from .fields import PrimeField
 from .linalg import solve_linear, sylvester_operator, sylvester_solve, is_invertible
 from .matrices import Matrix, enumerate_matrices
-from .witnesses import CommutatorWitness, HomotopyWitness, PointwiseWitness
 
 
 @dataclass(frozen=True)
@@ -93,23 +100,31 @@ def verify_pointwise(phi: ChainEndomorphism, witness: PointwiseWitness) -> Verif
 def verify_homotopy_witness(phi: ChainEndomorphism, witness: HomotopyWitness) -> VerificationResult:
     """Re-check that phi minus the boundary of the homotopy equals the
     residual's commutator (chainwise or pointwise per residual kind)."""
-    out: list[Violation] = []
     c = phi.complex
     s = witness.homotopy
     if s.complex != c:
-        out.append(Violation("complex", "homotopy lives on the same complex", "homotopy complex", "target complex"))
-        return VerificationResult(tuple(out))
+        return VerificationResult(
+            (Violation("complex", "homotopy lives on the same complex", "homotopy complex", "target complex"),)
+        )
     residual_maps = {
         i: phi.map(i) - (c.differential(i - 1) * s.map(i) + s.map(i + 1) * c.differential(i))
         for i in c.degrees
     }
     residual = ChainEndomorphism(c, [residual_maps[i] for i in c.degrees])
-    if isinstance(witness.residual, CommutatorWitness):
-        return VerificationResult(tuple(out) + verify_commutator(residual, witness.residual).violations)
-    if isinstance(witness.residual, PointwiseWitness):
-        return VerificationResult(tuple(out) + verify_pointwise(residual, witness.residual).violations)
-    out.append(Violation("residual", "known residual kind", type(witness.residual).__name__, "CommutatorWitness|PointwiseWitness"))
-    return VerificationResult(tuple(out))
+    return verify_witness(residual, witness.residual)
+
+
+def verify_witness(phi: ChainEndomorphism, witness: object) -> VerificationResult:
+    """Re-check a witness of any kind against phi; an unknown kind is a
+    violation."""
+    if isinstance(witness, CommutatorWitness):
+        return verify_commutator(phi, witness)
+    if isinstance(witness, PointwiseWitness):
+        return verify_pointwise(phi, witness)
+    if isinstance(witness, HomotopyWitness):
+        return verify_homotopy_witness(phi, witness)
+    known = "CommutatorWitness|PointwiseWitness|HomotopyWitness"
+    return VerificationResult((Violation("witness", "known witness kind", type(witness).__name__, known),))
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +135,26 @@ _PAIR_SCAN_BOUNDS = {2: 3, 3: 2, 5: 2}  # modulus -> max size
 
 def _scan_allowed(field, size: int) -> bool:
     return field.finite and _PAIR_SCAN_BOUNDS.get(field.size, 0) >= size
+
+
+def commutant_set(m: Matrix) -> frozenset[Matrix]:
+    """C(m) = { p : some q satisfies p q - q p = m }, by exhaustive
+    enumeration of all (p, q) pairs over a small finite field."""
+    field = m.field
+    if not field.finite:
+        raise ValueError("commutant enumeration requires a finite field")
+    if not m.is_square:
+        raise ValueError("square matrix required")
+    n = m.rows
+    if field.size ** (2 * n * n) > 1 << 20:
+        raise ValueError(f"enumeration of {field.size}^{2 * n * n} pairs is out of bounds")
+    members = []
+    for p in enumerate_matrices(field, n, n):
+        for q in enumerate_matrices(field, n, n):
+            if p * q - q * p == m:
+                members.append(p)
+                break
+    return frozenset(members)
 
 
 def brute_force_commutator(m: Matrix) -> tuple[Matrix, Matrix] | None:
@@ -202,18 +237,6 @@ class Example2Report:
     matches_expected: bool
 
 
-def _commutant_by_pair_scan(m: Matrix) -> frozenset[Matrix]:
-    field = m.field
-    n = m.rows
-    members = []
-    for p in enumerate_matrices(field, n, n):
-        for q in enumerate_matrices(field, n, n):
-            if p * q - q * p == m:
-                members.append(p)
-                break
-    return frozenset(members)
-
-
 def example2_search() -> Example2Report:
     """Reproduce the F_2 counterexample exhaustively.
 
@@ -227,8 +250,8 @@ def example2_search() -> Example2Report:
     boundary_target = _f2([[0, 0], [1, 0]])
     cohomology_target = _f2([[0, 1], [0, 0]])
 
-    c_boundary = _commutant_by_pair_scan(boundary_target)
-    c_cohomology = _commutant_by_pair_scan(cohomology_target)
+    c_boundary = commutant_set(boundary_target)
+    c_cohomology = commutant_set(cohomology_target)
 
     admissible = tuple(
         (p, s_mat)

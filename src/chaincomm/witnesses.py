@@ -17,10 +17,20 @@ independent re-checker lives in :mod:`chaincomm.verify`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import complexes
-from .complexes import ChainComplex, ChainEndomorphism, Homotopy, TraceReport, trace_report, validate_chain_map
+from .complexes import (
+    ChainComplex,
+    ChainEndomorphism,
+    CommutatorWitness,
+    Homotopy,
+    HomotopyWitness,
+    PointwiseWitness,
+    TraceReport,
+    require_chain_map,
+    trace_report,
+)
 from .errors import (
     FieldTooSmall,
     FiniteFieldUnsupported,
@@ -30,35 +40,8 @@ from .errors import (
 )
 from .fields import Field, Scalar
 from .linalg import complement_basis, inverse, is_invertible, sylvester_operator, sylvester_solve
-from .matrices import Matrix, block_matrix, enumerate_matrices, hstack
-from .splitting import BlockData, Splitting, assemble, extract_blocks, split_complex
-
-# ---------------------------------------------------------------------------
-# witness containers
-
-
-@dataclass(frozen=True)
-class PointwiseWitness:
-    """Per-degree pairs (a_i, b_i) with a_i b_i - b_i a_i = phi_i."""
-
-    complex: ChainComplex
-    pairs: dict[int, tuple[Matrix, Matrix]]
-
-
-@dataclass(frozen=True)
-class CommutatorWitness:
-    """Chain maps alpha, beta with [alpha, beta] = phi."""
-
-    alpha: ChainEndomorphism
-    beta: ChainEndomorphism
-
-
-@dataclass(frozen=True)
-class HomotopyWitness:
-    """A homotopy s plus a residual witness for phi - (d s + s d)."""
-
-    homotopy: Homotopy
-    residual: CommutatorWitness | PointwiseWitness
+from .matrices import Matrix, enumerate_matrices, hstack
+from .splitting import BlockData, Splitting, assemble, assemble_homotopy, extract_blocks, split_complex
 
 
 @dataclass(frozen=True)
@@ -247,26 +230,6 @@ def commutator_decomposition(m: Matrix) -> tuple[Matrix, Matrix]:
     return p, q
 
 
-def commutant_set(m: Matrix) -> frozenset[Matrix]:
-    """C(m) = { p : some q satisfies p q - q p = m }, by exhaustive
-    enumeration of all (p, q) pairs over a small finite field."""
-    field = m.field
-    if not field.finite:
-        raise ValueError("commutant enumeration requires a finite field")
-    if not m.is_square:
-        raise ValueError("square matrix required")
-    n = m.rows
-    if field.size ** (2 * n * n) > 1 << 20:
-        raise ValueError(f"enumeration of {field.size}^{2 * n * n} pairs is out of bounds")
-    members = []
-    for p in enumerate_matrices(field, n, n):
-        for q in enumerate_matrices(field, n, n):
-            if p * q - q * p == m:
-                members.append(p)
-                break
-    return frozenset(members)
-
-
 # ---------------------------------------------------------------------------
 # compatible pair selection (the five-condition lemma)
 
@@ -372,26 +335,12 @@ def _assert_selection(first: Sequence[Matrix], second: Sequence[Matrix], sel: Pa
 # per-degree (pointwise) witnesses
 
 
-def _require_chain_map(phi: ChainEndomorphism) -> None:
-    problems = validate_chain_map(phi)
-    if problems:
-        raise ValueError("not a chain map: " + "; ".join(problems))
-
-
-def _check_degree_traces(phi: ChainEndomorphism) -> None:
+def _check_traces(phi: ChainEndomorphism, trace: Callable[[ChainEndomorphism, int], Scalar], kind: str) -> None:
     field = phi.complex.field
     for i in phi.complex.degrees:
-        value = complexes.degree_trace(phi, i)
+        value = trace(phi, i)
         if not field.is_zero(value):
-            raise TraceObstruction(i, "degree", value)
-
-
-def _check_cohomology_traces(phi: ChainEndomorphism) -> None:
-    field = phi.complex.field
-    for i in phi.complex.degrees:
-        value = complexes.cohomology_trace(phi, i)
-        if not field.is_zero(value):
-            raise TraceObstruction(i, "cohomology", value)
+            raise TraceObstruction(i, kind, value)
 
 
 def pointwise_commutator_witness(phi: ChainEndomorphism) -> PointwiseWitness:
@@ -400,8 +349,8 @@ def pointwise_commutator_witness(phi: ChainEndomorphism) -> PointwiseWitness:
     Requires every degreewise trace to vanish; raises TraceObstruction at the
     first degree where it does not.
     """
-    _require_chain_map(phi)
-    _check_degree_traces(phi)
+    require_chain_map(phi)
+    _check_traces(phi, complexes.degree_trace, "degree")
     pairs = {}
     for i in phi.complex.degrees:
         a, b = commutator_decomposition(phi.map(i))
@@ -433,9 +382,9 @@ def commutator_witness_detailed(
             "the chain-commutator construction requires an infinite field; "
             "no claim is made about existence over finite fields"
         )
-    _require_chain_map(phi)
-    _check_degree_traces(phi)
-    _check_cohomology_traces(phi)
+    require_chain_map(phi)
+    _check_traces(phi, complexes.degree_trace, "degree")
+    _check_traces(phi, complexes.cohomology_trace, "cohomology")
 
     s = split_complex(c)
     blocks = extract_blocks(phi, s)
@@ -498,28 +447,21 @@ def homotopy_commutator_witness(phi: ChainEndomorphism) -> HomotopyWitness:
     on cohomology, which is then factored blockwise as a commutator of
     block-diagonal chain maps.
     """
-    _require_chain_map(phi)
-    _check_cohomology_traces(phi)
+    require_chain_map(phi)
+    _check_traces(phi, complexes.cohomology_trace, "cohomology")
     c = phi.complex
     s = split_complex(c)
     blocks = extract_blocks(phi, s)
 
-    maps = {}
-    for i in c.degrees:
-        if i == c.lo:
-            maps[i] = Matrix.zeros(c.field, c.dim(i - 1), c.dim(i))
-            continue
-        row_sizes = s.block_dims(i - 1)
-        col_sizes = s.block_dims(i)
-        grid = {
+    homotopy = assemble_homotopy(
+        s,
+        lambda i: {
             (1, 0): blocks.block(i - 1, 1, 2),
             (2, 0): blocks.block(i, 0, 0),
             (2, 1): blocks.block(i, 0, 1),
             (2, 2): blocks.block(i, 0, 2),
-        }
-        split_map = block_matrix(c.field, row_sizes, col_sizes, grid)
-        maps[i] = s.basis(i - 1) * split_map * s.inverse_basis(i)
-    homotopy = Homotopy.from_map(c, maps)
+        },
+    )
 
     residual = complexes.subtract(phi, complexes.homotopy_boundary(homotopy))
     residual_blocks = extract_blocks(residual, s)
@@ -572,9 +514,7 @@ def prescribed_trace_nullhomotopy(
 
     runs = complexes.stretches(c)
     for run in runs:
-        total = field.normalize(
-            sum((field.mul(field.alternating_sign(i), target(i)) for i in run.degrees()), start=0)
-        )
+        total = complexes.alternating_sum(field, run, prescribed)
         if not field.is_zero(total):
             raise StretchObstruction(run.start, run.end, total)
 
@@ -603,16 +543,7 @@ def prescribed_trace_nullhomotopy(
     }
     tau = assemble(BlockData.from_blocks(s, tau_blocks))
 
-    sigma_maps = {}
-    for i in c.degrees:
-        if i == c.lo:
-            sigma_maps[i] = Matrix.zeros(field, c.dim(i - 1), c.dim(i))
-            continue
-        split_map = block_matrix(
-            field, s.block_dims(i - 1), s.block_dims(i), {(2, 0): boundary_action(i)}
-        )
-        sigma_maps[i] = s.basis(i - 1) * split_map * s.inverse_basis(i)
-    sigma = Homotopy.from_map(c, sigma_maps)
+    sigma = assemble_homotopy(s, lambda i: {(2, 0): boundary_action(i)})
 
     if complexes.homotopy_boundary(sigma) != tau:
         raise AssertionError("homotopy boundary does not reproduce tau")
@@ -630,7 +561,7 @@ def homotopy_pointwise_witness(phi: ChainEndomorphism) -> HomotopyWitness:
     off first; the remainder is pointwise traceless and is factored degree
     by degree.
     """
-    _require_chain_map(phi)
+    require_chain_map(phi)
     c = phi.complex
     field = c.field
     report_traces = {i: complexes.degree_trace(phi, i) for i in c.degrees}

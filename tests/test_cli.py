@@ -192,6 +192,16 @@ def test_usage_errors_exit_64(capsys, tmp_path):
     assert run_cli(capsys, "analyze", str(tmp_path / "missing.json"))[0] == 64
 
 
+def test_random_refuses_instances_too_large_to_parse(capsys):
+    # dims may total at most jsonio.MAX_TOTAL_DIMENSION = 10000
+    for max_dim, length in (("0", "10001"), ("20000", "1"), ("101", "100")):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "random", "--seed", "1", "--max-dim", max_dim, "--length", length)
+        assert (code, out) == (64, "")
+        assert "usage error" in err
+        assert time.perf_counter() - start < 1.0
+
+
 def test_schema_violations_exit_65(capsys, tmp_path):
     path = write_json(tmp_path, "bad.json", {"format_version": "1"})
     code, out, _ = run_cli(capsys, "analyze", path)

@@ -1,8 +1,17 @@
+import ast
+import json
+import pathlib
+import random
+from fractions import Fraction
+
 import pytest
 
+import chaincomm
+from chaincomm.cli import main
 from chaincomm.complexes import ChainComplex, ChainEndomorphism, Homotopy, commutator
 from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
 from chaincomm.generate import random_chain_map, random_complex, random_endomorphism
+from chaincomm.jsonio import parse_document, serialize_document
 from chaincomm.matrices import Matrix, enumerate_matrices
 from chaincomm.verify import (
     brute_force_chain_commutator,
@@ -12,6 +21,7 @@ from chaincomm.verify import (
     verify_commutator,
     verify_homotopy_witness,
     verify_pointwise,
+    verify_witness,
 )
 from chaincomm.witnesses import (
     CommutatorWitness,
@@ -134,6 +144,55 @@ def test_verify_homotopy_witness_roundtrip_and_tampering():
         if not still_valid:
             broken += 1
     assert broken > 0  # at least one tampering must actually break the identity
+
+
+@pytest.mark.parametrize("builder", (commutator_witness, homotopy_commutator_witness))
+def test_witness_alpha_off_the_chain_condition_parses_and_fails_verification(builder, tmp_path, capsys):
+    rng = random.Random(11)
+    c = random_complex(rng, Q, max_dim=3, length=3)
+    phi = random_endomorphism(rng, c, ensure="t2")
+    doc = serialize_document(c, phi, [builder(phi)])
+    # bump alpha_j[r][0] for the first differential d_j with a nonzero column
+    # r: d_j . alpha_j changes in column 0, alpha_{j+1} . d_j does not
+    j, r = next(
+        (j, r)
+        for j, d in enumerate(c.stored_differentials)
+        for r in range(d.cols)
+        if any(d.entry(k, r) != 0 for k in range(d.rows))
+    )
+    alpha = doc["witnesses"][0]["alpha"]
+    alpha[j][r][0] = str(Fraction(alpha[j][r][0]) + 1)
+    failure = (f"degree {c.lo + j}", "alpha commutes with the differential")
+
+    parsed = parse_document(doc)  # witness algebra is the verifier's to check
+    result = verify_witness(parsed.endomorphism, parsed.witnesses[0])
+    assert failure in [(v.location, v.identity) for v in result.violations]
+
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", str(path)]) == 1
+    violations = json.loads(capsys.readouterr().out)["witnesses"][0]["violations"]
+    assert failure in [(v["location"], v["identity"]) for v in violations]
+
+
+def test_verify_witness_reports_an_unknown_kind():
+    result = verify_witness(ChainEndomorphism.zero(exact_two_term()), object())
+    assert [(v.location, v.identity) for v in result.violations] == [("witness", "known witness kind")]
+
+
+def test_verifier_and_parser_import_no_construction_code():
+    # importing chaincomm.verify runs chaincomm/__init__, which loads every
+    # module, so only the source can show what these two modules use
+    package = pathlib.Path(chaincomm.__file__).parent
+    for name in ("verify.py", "jsonio.py"):
+        imported = set()
+        for node in ast.walk(ast.parse((package / name).read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                imported.update((node.module or "").split("."))
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(part for alias in node.names for part in alias.name.split("."))
+        assert not imported & {"witnesses", "splitting", "generate"}, name
 
 
 # -- single-matrix brute force ----------------------------------------------------

@@ -24,9 +24,9 @@ from chaincomm.generate import random_chain_map, random_complex, random_endomorp
 from chaincomm.linalg import inverse, is_invertible, sylvester_operator
 from chaincomm.matrices import Matrix, enumerate_matrices
 from chaincomm.splitting import extract_blocks, split_complex
+from chaincomm.verify import commutant_set
 from chaincomm.witnesses import (
     analyze,
-    commutant_set,
     commutator_decomposition,
     commutator_witness,
     commutator_witness_detailed,
@@ -446,6 +446,32 @@ def test_homotopy_pointwise_roundtrip():
         for i in c.degrees:
             a, b = w.residual.pairs[i]
             assert a * b - b * a == residual.map(i)
+
+
+# -- the chain-map guard ----------------------------------------------------------------
+
+
+def test_builders_and_algebra_refuse_a_family_that_is_not_a_chain_map():
+    # V_0 = k^2 -> V_1 = k, d = [0 1]: phi_0 sends the cocycle e1 to e2
+    c = ChainComplex(Q, 0, [2, 1], [mat(Q, [[0, 1]])])
+    phi = ChainEndomorphism(c, [mat(Q, [[0, 0], [1, 0]]), mat(Q, [[0]])])
+    zero, one = ChainEndomorphism.zero(c), ChainEndomorphism.identity(c)
+    projector = ChainEndomorphism(c, [mat(Q, [[1, 0], [0, 0]]), mat(Q, [[0]])])  # [phi, projector] = phi
+    assert validate_chain_map(projector) == []
+    calls = (
+        lambda: pointwise_commutator_witness(phi),
+        lambda: commutator_witness(phi),
+        lambda: homotopy_commutator_witness(phi),
+        lambda: homotopy_pointwise_witness(phi),
+        lambda: complexes.add(phi, zero),
+        lambda: complexes.subtract(phi, zero),
+        lambda: complexes.compose(phi, one),
+        lambda: complexes.commutator(phi, projector),
+        lambda: complexes.scale(phi, 2),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="not a chain map"):
+            call()
 
 
 # -- analyze --------------------------------------------------------------------------
