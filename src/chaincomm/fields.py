@@ -152,7 +152,7 @@ class PrimeField(Field):
         a = self.normalize(a)
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.modulus - 2, self.modulus)
+        return pow(a, -1, self.modulus)
 
     def elements(self) -> Iterator[int]:
         return iter(range(self.modulus))

@@ -34,7 +34,7 @@ from .matrices import Matrix, _canonical
 
 FORMAT_VERSION = "1"
 
-_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
+_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 MAX_RATIONAL_DIGITS = 4000
 """Longest numerator or denominator, in decimal digits, that a document may
@@ -115,7 +115,7 @@ def _decode_scalar(field: Field, raw: Any, path: str, errors: _Collector) -> Sca
             f"rational entries must be strings like \"-3/2\", got {raw!r}",
         )
         return None
-    match = _RATIONAL_RE.match(raw)
+    match = _RATIONAL_RE.fullmatch(raw)
     if not match:
         errors.add("rational_invalid", path, f"cannot parse rational {raw!r}")
         return None
@@ -486,7 +486,13 @@ def encode_verification(result) -> dict[str, Any]:
     return {
         "ok": result.ok,
         "violations": [
-            {"location": v.location, "identity": v.identity, "left": v.left, "right": v.right}
+            {
+                "location": v.location,
+                "identity": v.identity,
+                "entry": None if v.entry is None else list(v.entry),
+                "left": v.left,
+                "right": v.right,
+            }
             for v in result.violations
         ],
     }

@@ -20,7 +20,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Callable, Mapping
 
-from .complexes import ChainComplex, ChainEndomorphism, Homotopy, validate_chain_map, validate_complex
+from .complexes import ChainComplex, ChainEndomorphism, Homotopy, validate_complex
 from .errors import BlockStructureError
 from .linalg import complement_basis, image_basis, inverse, is_invertible, kernel_basis, solve_linear
 from .matrices import Matrix, block_matrix, hstack, split_blocks
@@ -230,14 +230,18 @@ def extract_blocks(phi: ChainEndomorphism, s: Splitting) -> BlockData:
 
 
 def assemble(blocks: BlockData) -> ChainEndomorphism:
-    """Inverse of :func:`extract_blocks`; the result is always a chain map."""
+    """Inverse of :func:`extract_blocks`; the result is a chain map.
+
+    In split coordinates the differential out of degree i is the identity
+    from the B_{i+1} block of V_i onto the B_{i+1} block of V_{i+1}
+    (:func:`split_complex` asserts this standard form), so a family of block
+    matrices commutes with it exactly when its blocks below the diagonal
+    vanish and block (2, 2) at degree i equals block (0, 0) at degree i + 1.
+    :class:`BlockData` enforces both, and conjugating back by the splitting's
+    bases keeps the commutation, so nothing is re-checked here.
+    """
     s = blocks.splitting
-    c = s.complex
-    phi = ChainEndomorphism(c, [s.from_split(i, blocks.split_map(i)) for i in c.degrees])
-    problems = validate_chain_map(phi)
-    if problems:
-        raise BlockStructureError("assembled endomorphism is not a chain map: " + "; ".join(problems))
-    return phi
+    return ChainEndomorphism(s.complex, [s.from_split(i, blocks.split_map(i)) for i in s.complex.degrees])
 
 
 def assemble_homotopy(s: Splitting, grid: Callable[[int], Mapping[tuple[int, int], Matrix]]) -> Homotopy:

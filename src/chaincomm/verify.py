@@ -5,6 +5,9 @@ matrix arithmetic; they share no code with the constructions in
 :mod:`chaincomm.witnesses` beyond the exact linear-algebra primitives and
 the witness containers of :mod:`chaincomm.complexes`, so a witness that
 passes here is trustworthy even if the construction code were wrong.  The
+builders call :func:`verify_witness` on their own output as their one
+self-check, so every identity a witness must satisfy, including that
+``alpha`` and ``beta`` are chain maps, is written down here alone.  The
 module also hosts exhaustive finite-field searches: pair scans over single
 matrices (a first commutator pair, commutant sets), a chain-level search
 over the space of chain maps, and the bit-exact reproduction of the F_2
@@ -31,10 +34,16 @@ from .matrices import Matrix, enumerate_matrices
 
 @dataclass(frozen=True)
 class Violation:
+    """One failed identity.  When both sides are matrices of one shape and
+    field, ``entry`` is the (row, column) of the first differing entry in
+    row-major order and ``left``/``right`` are the two sides' values there;
+    otherwise ``entry`` is None and ``left``/``right`` describe the sides."""
+
     location: str
     identity: str
     left: str
     right: str
+    entry: tuple[int, int] | None = None
 
 
 @dataclass(frozen=True)
@@ -47,8 +56,13 @@ class VerificationResult:
 
 
 def _record(out: list[Violation], location: str, identity: str, left: Matrix, right: Matrix) -> None:
-    if left != right:
+    if left == right:
+        return
+    if left.shape != right.shape or left.field != right.field:
         out.append(Violation(location, identity, repr(left), repr(right)))
+        return
+    k = next(k for k, (x, y) in enumerate(zip(left.entries, right.entries)) if x != y)
+    out.append(Violation(location, identity, str(left.entries[k]), str(right.entries[k]), divmod(k, left.cols)))
 
 
 def _check_chain_map(name: str, endo: ChainEndomorphism, out: list[Violation]) -> None:

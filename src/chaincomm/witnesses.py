@@ -10,8 +10,10 @@ Given a chain endomorphism phi, this module decides and certifies:
                                 (--theorem 3),
 * homotopic to a pointwise commutator (--theorem 4).
 
-Every construction verifies its own output exactly before returning it; the
-independent re-checker lives in :mod:`chaincomm.verify`.
+Every builder ends by handing its witness to
+:func:`chaincomm.verify.verify_witness`, the independent re-checker, and
+returns only a witness that it accepts; the identities a witness must satisfy
+are written down there once, not again here.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .fields import Field, Scalar
 from .linalg import complement_basis, inverse, is_invertible, sylvester_operator, sylvester_solve
 from .matrices import Matrix, enumerate_matrices, hstack
 from .splitting import BlockData, Splitting, assemble, assemble_homotopy, extract_blocks, split_complex
+from .verify import verify_witness
 
 
 @dataclass(frozen=True)
@@ -309,30 +312,25 @@ def select_separated_pairs(
                 raise AssertionError("scalar scan over Q exhausted its exclusion bound")
             raise SelectionExhausted("consecutive right-factor separation", i)
 
-    selection = PairSelection(tuple(first_pairs), tuple(second_pairs))
-    _assert_selection(first, second, selection)
-    return selection
-
-
-def _assert_selection(first: Sequence[Matrix], second: Sequence[Matrix], sel: PairSelection) -> None:
-    for m, (p, q) in zip(first, sel.first_pairs):
-        if p * q - q * p != m:
-            raise AssertionError("first-family commutator identity lost")
-    for m, (s, t) in zip(second, sel.second_pairs):
-        if s * t - t * s != m:
-            raise AssertionError("second-family commutator identity lost")
-    count = max(len(sel.first_pairs), len(sel.second_pairs)) + 1
-    for i in range(count):
-        if not _separated(sel.first_left(i), sel.second_left(i)):
-            raise AssertionError(f"mixed separation fails at index {i}")
-        if not _separated(sel.first_right(i + 1), sel.first_right(i)):
-            raise AssertionError(f"right-factor separation fails at index {i}")
-        if not _separated(sel.second_left(i), sel.first_left(i + 1)):
-            raise AssertionError(f"cross separation fails at index {i}")
+    return PairSelection(tuple(first_pairs), tuple(second_pairs))
 
 
 # ---------------------------------------------------------------------------
 # per-degree (pointwise) witnesses
+
+
+def _verified(phi: ChainEndomorphism, witness):
+    """witness, once :func:`verify_witness` accepts it for phi; a rejection
+    means the construction is wrong and raises AssertionError naming the
+    first violation."""
+    violations = verify_witness(phi, witness).violations
+    if violations:
+        first = violations[0]
+        raise AssertionError(
+            f"constructed witness fails at {first.location}: {first.identity} "
+            f"(entry {first.entry}: {first.left} != {first.right})"
+        )
+    return witness
 
 
 def _check_traces(phi: ChainEndomorphism, trace: Callable[[ChainEndomorphism, int], Scalar], kind: str) -> None:
@@ -351,11 +349,8 @@ def pointwise_commutator_witness(phi: ChainEndomorphism) -> PointwiseWitness:
     """
     require_chain_map(phi)
     _check_traces(phi, complexes.degree_trace, "degree")
-    pairs = {}
-    for i in phi.complex.degrees:
-        a, b = commutator_decomposition(phi.map(i))
-        pairs[i] = (a, b)
-    return PointwiseWitness(phi.complex, pairs)
+    pairs = {i: commutator_decomposition(phi.map(i)) for i in phi.complex.degrees}
+    return _verified(phi, PointwiseWitness(phi.complex, pairs))
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +383,6 @@ def commutator_witness_detailed(
 
     s = split_complex(c)
     blocks = extract_blocks(phi, s)
-    for i in range(c.lo, c.hi + 2):
-        if not field.is_zero(blocks.boundary_block(i).trace()):
-            raise AssertionError(f"boundary block at degree {i} has nonzero trace despite vanishing traces")
-
     first = [blocks.boundary_block(i) for i in range(c.lo, c.hi + 2)]
     second = [blocks.cohomology_block(i) for i in c.degrees]
     selection = select_separated_pairs(first, second, field)
@@ -422,9 +413,7 @@ def commutator_witness_detailed(
 
     alpha = assemble(BlockData.from_blocks(s, alpha_blocks))
     beta = assemble(BlockData.from_blocks(s, beta_blocks))
-    witness = CommutatorWitness(alpha, beta)
-    if complexes.commutator(alpha, beta) != phi:
-        raise AssertionError("constructed chain maps do not realize phi as their commutator")
+    witness = _verified(phi, CommutatorWitness(alpha, beta))
     return witness, CommutatorConstruction(s, selection, mixed_solutions, corner_solutions, cross_solutions)
 
 
@@ -444,8 +433,8 @@ def homotopy_commutator_witness(phi: ChainEndomorphism) -> HomotopyWitness:
     homotopy at degree i carries the three top-row blocks of phi_i in its
     bottom row and the previous degree's (1, 2) block in its middle-left
     position; subtracting its boundary kills every block except the action
-    on cohomology, which is then factored blockwise as a commutator of
-    block-diagonal chain maps.
+    on cohomology, so the residual is factored blockwise as a commutator of
+    block-diagonal chain maps without being formed.
     """
     require_chain_map(phi)
     _check_traces(phi, complexes.cohomology_trace, "cohomology")
@@ -463,15 +452,6 @@ def homotopy_commutator_witness(phi: ChainEndomorphism) -> HomotopyWitness:
         },
     )
 
-    residual = complexes.subtract(phi, complexes.homotopy_boundary(homotopy))
-    residual_blocks = extract_blocks(residual, s)
-    for i in c.degrees:
-        for pos in ((0, 0), (0, 1), (0, 2), (1, 2), (2, 2)):
-            if not residual_blocks.block(i, *pos).is_zero():
-                raise AssertionError(f"residual block {pos} at degree {i} did not vanish")
-        if residual_blocks.block(i, 1, 1) != blocks.block(i, 1, 1):
-            raise AssertionError(f"residual cohomology block changed at degree {i}")
-
     alpha_blocks = {}
     beta_blocks = {}
     for i in c.degrees:
@@ -480,9 +460,7 @@ def homotopy_commutator_witness(phi: ChainEndomorphism) -> HomotopyWitness:
         beta_blocks[i] = {(1, 1): b}
     alpha = assemble(BlockData.from_blocks(s, alpha_blocks))
     beta = assemble(BlockData.from_blocks(s, beta_blocks))
-    if complexes.commutator(alpha, beta) != residual:
-        raise AssertionError("residual is not the commutator of the constructed factors")
-    return HomotopyWitness(homotopy, CommutatorWitness(alpha, beta))
+    return _verified(phi, HomotopyWitness(homotopy, CommutatorWitness(alpha, beta)))
 
 
 # ---------------------------------------------------------------------------
@@ -557,21 +535,15 @@ def homotopy_pointwise_witness(phi: ChainEndomorphism) -> HomotopyWitness:
     """Find a homotopy from phi to a pointwise commutator (--theorem 4).
 
     Requires every stretch's alternating trace sum to vanish.  The null-
-    homotopic correction with the same degreewise traces as phi is split
-    off first; the remainder is pointwise traceless and is factored degree
-    by degree.
+    homotopic correction tau with the same degreewise traces as phi is split
+    off first; each phi_i - tau_i is then traceless and is factored as a
+    matrix commutator.
     """
     require_chain_map(phi)
     c = phi.complex
-    field = c.field
-    report_traces = {i: complexes.degree_trace(phi, i) for i in c.degrees}
-    tau, sigma = prescribed_trace_nullhomotopy(c, report_traces)
-    residual = complexes.subtract(phi, tau)
-    for i in c.degrees:
-        if not field.is_zero(residual.map(i).trace()):
-            raise AssertionError("residual is not pointwise traceless")
-    pointwise = pointwise_commutator_witness(residual)
-    return HomotopyWitness(sigma, pointwise)
+    tau, sigma = prescribed_trace_nullhomotopy(c, {i: complexes.degree_trace(phi, i) for i in c.degrees})
+    pairs = {i: commutator_decomposition(phi.map(i) - tau.map(i)) for i in c.degrees}
+    return _verified(phi, HomotopyWitness(sigma, PointwiseWitness(c, pairs)))
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,17 @@ def test_rejects_rational_denominator_one_written_as_fraction():
     assert codes_of(err.value) == {"rational_not_reduced"}
 
 
+@pytest.mark.parametrize("entry", ["\u0663/\u0664", "\u0667", "5\n", "-1/2\n", " 5", "+5", "5/"])
+def test_rejects_rationals_that_are_not_ascii_digits_alone(entry):
+    # int() would read Arabic-Indic digits and a trailing newline, so
+    # distinct texts would decode to one certificate
+    raw = load_fixture("q_exact.json")
+    raw["differentials"][0][0][0] = entry
+    with pytest.raises(SchemaError) as err:
+        parse_document(raw)
+    assert codes_of(err.value) == {"rational_invalid"}
+
+
 def test_rejects_json_numbers_over_q():
     raw = load_fixture("q_exact.json")
     raw["differentials"][0][0][0] = 1.5

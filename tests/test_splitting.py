@@ -5,10 +5,16 @@ import random
 import pytest
 
 from chaincomm import jsonio, witnesses
-from chaincomm.complexes import ChainComplex, ChainEndomorphism, induced_cohomology_map, trace_report
+from chaincomm.complexes import (
+    ChainComplex,
+    ChainEndomorphism,
+    induced_cohomology_map,
+    trace_report,
+    validate_chain_map,
+)
 from chaincomm.errors import BlockStructureError
-from chaincomm.fields import GF2, RATIONALS as Q
-from chaincomm.generate import random_chain_map, random_complex, random_endomorphism, random_homotopy
+from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
+from chaincomm.generate import random_chain_map, random_complex, random_endomorphism, random_homotopy, random_matrix
 from chaincomm.matrices import Matrix
 from chaincomm.splitting import BlockData, assemble, extract_blocks, split_complex
 
@@ -141,9 +147,25 @@ def test_cohomology_only_blocks_form_chain_map():
         h = s.cohomology_dim(i)
         blocks[i] = {(1, 1): Matrix.identity(Q, h).scale(3)}
     phi = assemble(BlockData.from_blocks(s, blocks))
-    from chaincomm.complexes import validate_chain_map
-
     assert validate_chain_map(phi) == []
+
+
+@pytest.mark.parametrize("field", [Q, GF2, PrimeField(101)], ids=["Q", "F2", "F101"])
+def test_assembled_upper_triangular_blocks_form_a_chain_map(field):
+    # assemble does not re-check its result: upper-triangular blocks whose
+    # shared boundary blocks agree commute with the standard differential
+    for seed, rng in seeds(25):
+        c = random_complex(rng, field, max_dim=4, length=1 + seed % 5)
+        s = split_complex(c)
+        boundary = {i: random_matrix(rng, field, s.boundary_dim(i), s.boundary_dim(i)) for i in range(c.lo, c.hi + 2)}
+        blocks = {}
+        for i in c.degrees:
+            sizes = s.block_dims(i)
+            blocks[i] = {
+                pos: random_matrix(rng, field, sizes[pos[0]], sizes[pos[1]]) for pos in ((0, 1), (0, 2), (1, 1), (1, 2))
+            }
+            blocks[i][(0, 0)], blocks[i][(2, 2)] = boundary[i], boundary[i + 1]
+        assert validate_chain_map(assemble(BlockData.from_blocks(s, blocks))) == [], seed
 
 
 def test_trace_additivity_over_blocks():

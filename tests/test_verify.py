@@ -11,7 +11,7 @@ from chaincomm.cli import main
 from chaincomm.complexes import ChainComplex, ChainEndomorphism, Homotopy, commutator
 from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
 from chaincomm.generate import random_chain_map, random_complex, random_endomorphism
-from chaincomm.jsonio import parse_document, serialize_document
+from chaincomm.jsonio import encode_verification, parse_document, serialize_document
 from chaincomm.matrices import Matrix, enumerate_matrices
 from chaincomm.verify import (
     brute_force_chain_commutator,
@@ -34,7 +34,7 @@ from chaincomm.witnesses import (
     pointwise_commutator_witness,
 )
 
-from helpers import corner_window, exact_two_term, mat, seeds
+from helpers import corner_window, exact_two_term, mat, seeds, zero_differential_complex
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -88,6 +88,19 @@ def test_verify_commutator_rejects_wrong_complex():
     w = CommutatorWitness(ChainEndomorphism.zero(other), ChainEndomorphism.zero(other))
     result = verify_commutator(ChainEndomorphism.zero(c), w)
     assert not result.ok
+
+
+def test_violation_names_the_first_differing_entry():
+    c = zero_differential_complex(Q, [3])
+    phi = ChainEndomorphism(c, [mat(Q, [[0, 0, 0], [0, 0, Fraction(5, 2)], [7, 0, 0]])])
+    zero = Matrix.zeros(Q, 3, 3)
+    result = verify_pointwise(phi, PointwiseWitness(c, {0: (zero, zero)}))
+    (violation,) = result.violations
+    assert (violation.location, violation.identity) == ("degree 0", "[a_i, b_i] = phi_i")
+    assert (violation.entry, violation.left, violation.right) == ((1, 2), "0", "5/2")
+    assert encode_verification(result)["violations"] == [
+        {"location": "degree 0", "identity": "[a_i, b_i] = phi_i", "entry": [1, 2], "left": "0", "right": "5/2"}
+    ]
 
 
 def test_verify_pointwise():

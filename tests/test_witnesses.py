@@ -1,8 +1,10 @@
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from chaincomm import complexes
+from chaincomm import complexes, witnesses
 from chaincomm.complexes import (
     ChainComplex,
     ChainEndomorphism,
@@ -186,13 +188,24 @@ def test_commutant_rejects_rationals():
 # -- separated pair selection -----------------------------------------------------
 
 
+def assert_separated(sel):
+    """The three separation families of a PairSelection hold at every index:
+    mixed (p_i against s_i), right-factor (q_{i+1} against q_i) and cross
+    (s_i against p_{i+1}); vacuous where a side is missing or empty."""
+
+    def separated(a, b):
+        return a is None or b is None or a.rows == 0 or b.rows == 0 or is_invertible(sylvester_operator(a, b))
+
+    for i in range(max(len(sel.first_pairs), len(sel.second_pairs)) + 1):
+        assert separated(sel.first_left(i), sel.second_left(i)), f"mixed separation fails at index {i}"
+        assert separated(sel.first_right(i + 1), sel.first_right(i)), f"right-factor separation fails at index {i}"
+        assert separated(sel.second_left(i), sel.first_left(i + 1)), f"cross separation fails at index {i}"
+
+
 def test_selection_on_scalar_zero_families():
     sel = select_separated_pairs([Matrix.zeros(Q, 1, 1)] * 2, [Matrix.zeros(Q, 1, 1)] * 2, Q)
-    # all five condition families hold; 1x1 conditions reduce to nonzero scalars
-    for i in range(3):
-        a3 = (sel.first_left(i), sel.second_left(i))
-        if None not in a3:
-            assert is_invertible(sylvester_operator(*a3))
+    # 1x1 conditions reduce to nonzero scalar differences
+    assert_separated(sel)
 
 
 def test_selection_empty_input_is_vacuous():
@@ -233,6 +246,15 @@ def test_selection_random_rational_families():
             assert p * q - q * p == m
         for m, (s, t) in zip(second, sel.second_pairs):
             assert s * t - t * s == m
+        assert_separated(sel)
+
+
+def test_commutator_witness_selection_is_separated_at_every_index():
+    for seed, rng in seeds(12, start=100):
+        c = random_complex(rng, Q, max_dim=4, length=1 + seed % 4)
+        phi = random_endomorphism(rng, c, ensure="t2")
+        _, detail = commutator_witness_detailed(phi)
+        assert_separated(detail.selection)
 
 
 # -- pointwise witnesses (theorem 1) ----------------------------------------------
@@ -472,6 +494,29 @@ def test_builders_and_algebra_refuse_a_family_that_is_not_a_chain_map():
     for call in calls:
         with pytest.raises(ValueError, match="not a chain map"):
             call()
+
+
+def test_builders_raise_when_their_witness_fails_verification(monkeypatch):
+    # with every factorization (p, q) of m replaced by (p, 2q), whose
+    # commutator is 2m, each builder's one self-check must reject its result
+    rng = random.Random(5)
+    c = random_complex(rng, Q, max_dim=4, length=3)
+    phi = random_endomorphism(rng, c, ensure="t2")
+    decompose = witnesses.commutator_decomposition
+
+    def doubled(m):
+        p, q = decompose(m)
+        return p, q.scale(2)
+
+    monkeypatch.setattr(witnesses, "commutator_decomposition", doubled)
+    for builder, identity in (
+        (pointwise_commutator_witness, "[a_i, b_i] = phi_i"),
+        (commutator_witness, "[alpha, beta] = phi"),
+        (homotopy_commutator_witness, "[alpha, beta] = phi"),
+        (homotopy_pointwise_witness, "[a_i, b_i] = phi_i"),
+    ):
+        with pytest.raises(AssertionError, match=r"at degree -?\d+: " + re.escape(identity) + r" \(entry \(\d+, \d+\): "):
+            builder(phi)
 
 
 # -- analyze --------------------------------------------------------------------------
