@@ -95,7 +95,8 @@ def _emit(payload: Any) -> None:
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _load_document(path: str) -> jsonio.Document:
+def _load_document(path: str, command: str) -> jsonio.Document:
+    """The document at ``path``, which must carry an endomorphism for ``command``."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = json.load(handle)
@@ -103,7 +104,10 @@ def _load_document(path: str) -> jsonio.Document:
         raise UsageError(f"cannot read {path}: {exc}")
     except ValueError as exc:  # malformed JSON or UTF-8, or a JSON integer too long to convert
         raise SchemaError([jsonio.SchemaViolation("invalid_json", "$", str(exc))])
-    return jsonio.parse_document(raw)
+    doc = jsonio.parse_document(raw)
+    if doc.endomorphism is None:
+        raise SchemaError([jsonio.SchemaViolation("missing_endomorphism", "endomorphism", f"{command} needs an endomorphism")])
+    return doc
 
 
 _WITNESS_BUILDERS = {
@@ -115,35 +119,29 @@ _WITNESS_BUILDERS = {
 
 
 def _cmd_analyze(args) -> int:
-    doc = _load_document(args.file)
-    if doc.endomorphism is None:
-        raise SchemaError([jsonio.SchemaViolation("missing_endomorphism", "endomorphism", "analyze needs an endomorphism")])
+    doc = _load_document(args.file, "analyze")
     analysis = engine.analyze(doc.endomorphism)
     _emit(jsonio.encode_analysis(analysis))
     return EXIT_OK
 
 
 def _cmd_witness(args) -> int:
-    doc = _load_document(args.file)
-    if doc.endomorphism is None:
-        raise SchemaError([jsonio.SchemaViolation("missing_endomorphism", "endomorphism", "witness needs an endomorphism")])
-    builder = _WITNESS_BUILDERS[args.theorem]
+    doc = _load_document(args.file, "witness")
     try:
-        witness = builder(doc.endomorphism)
+        witness = _WITNESS_BUILDERS[args.theorem](doc.endomorphism)
+        certificate = jsonio.serialize_document(doc.complex, doc.endomorphism, [witness])
     except MathematicalObstruction as exc:
         _emit({"obstruction": exc.describe()})
         return EXIT_OBSTRUCTION
-    except ConstructionLimitation as exc:
+    except ConstructionLimitation as exc:  # including a value too long for any document
         _emit({"limitation": exc.describe()})
         return EXIT_LIMITATION
-    _emit(jsonio.serialize_document(doc.complex, doc.endomorphism, [witness]))
+    _emit(certificate)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    doc = _load_document(args.file)
-    if doc.endomorphism is None:
-        raise SchemaError([jsonio.SchemaViolation("missing_endomorphism", "endomorphism", "verify needs an endomorphism")])
+    doc = _load_document(args.file, "verify")
     if not doc.witnesses:
         _emit({"ok": False, "violations": [], "reason": "document carries no witnesses"})
         return EXIT_VERIFY_FAILED

@@ -12,11 +12,12 @@ containers of the witnesses that certify them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .fields import Field, Scalar
 from .linalg import image_basis, kernel_basis
-from .matrices import Matrix
+from .matrices import Matrix, block_matrix, kron
 
 
 class ChainComplex:
@@ -426,45 +427,22 @@ def homotopy_boundary(s: Homotopy) -> ChainEndomorphism:
 def chain_map_basis(c: ChainComplex) -> tuple[ChainEndomorphism, ...]:
     """A deterministic basis of the space of chain endomorphisms, obtained by
     solving the commutation constraints d . phi = phi . d as a linear system
-    in the matrix entries (stacked row-major, degrees ascending)."""
+    in the matrix entries (stacked row-major, degrees ascending).
+
+    In row-major vectorization d_i phi_i - phi_{i+1} d_i is
+    kron(d_i, I) vec(phi_i) - kron(I, d_i^T) vec(phi_{i+1}), the convention of
+    :func:`chaincomm.linalg.sylvester_operator`."""
     field = c.field
-    sizes = list(c.dims)
-    offsets = [0]
-    for n in sizes:
-        offsets.append(offsets[-1] + n * n)
-    total = offsets[-1]
-
-    rows: list[list[Scalar]] = []
-    zero = field.zero
-    for i in range(c.lo, c.hi):
+    sizes = [n * n for n in c.dims]
+    blocks = {}
+    for j, i in enumerate(range(c.lo, c.hi)):
         d = c.differential(i)
-        n_i = c.dim(i)
-        n_next = c.dim(i + 1)
-        base_i = offsets[i - c.lo]
-        base_next = offsets[i + 1 - c.lo]
-        for r in range(n_next):
-            for col in range(n_i):
-                row = [zero] * total
-                # (d . phi_i)[r, col] contributes +d[r, k] * phi_i[k, col]
-                for k in range(n_i):
-                    coeff = d.entry(r, k)
-                    if coeff != 0:
-                        row[base_i + k * n_i + col] = field.add(row[base_i + k * n_i + col], coeff)
-                # (phi_{i+1} . d)[r, col] contributes -phi_{i+1}[r, k] * d[k, col]
-                for k in range(n_next):
-                    coeff = d.entry(k, col)
-                    if coeff != 0:
-                        idx = base_next + r * n_next + k
-                        row[idx] = field.sub(row[idx], coeff)
-                rows.append(row)
-
-    constraint = Matrix(field, len(rows), total, (e for row in rows for e in row))
-    basis_vectors = kernel_basis(constraint)
-    basis = []
-    for j in range(basis_vectors.cols):
-        maps = []
-        for idx, n in enumerate(sizes):
-            start = offsets[idx]
-            maps.append(Matrix(field, n, n, (basis_vectors.entry(start + t, j) for t in range(n * n))))
-        basis.append(ChainEndomorphism(c, maps))
-    return tuple(basis)
+        blocks[j, j] = kron(d, Matrix.identity(field, d.cols))
+        blocks[j, j + 1] = -kron(Matrix.identity(field, d.rows), d.transpose())
+    row_sizes = [c.dim(i + 1) * c.dim(i) for i in range(c.lo, c.hi)]
+    vectors = kernel_basis(block_matrix(field, row_sizes, sizes, blocks)).transpose()
+    offsets = list(accumulate(sizes, initial=0))
+    return tuple(
+        ChainEndomorphism(c, [Matrix(field, n, n, row[offsets[j] : offsets[j + 1]]) for j, n in enumerate(c.dims)])
+        for row in map(vectors.row, range(vectors.rows))
+    )

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Any
 
+from .fields import render
+
 
 class WitnessError(Exception):
     """Base class for all witness-construction failures."""
@@ -29,14 +31,14 @@ class TraceObstruction(MathematicalObstruction):
         self.degree = degree
         self.kind = kind  # "degree" or "cohomology"
         self.value = value
-        super().__init__(f"nonzero {kind} trace {value} at degree {degree}")
+        super().__init__(f"nonzero {kind} trace {render(value)} at degree {degree}")
 
     def describe(self) -> dict[str, Any]:
         return {
             "error": "TraceObstruction",
             "degree": self.degree,
             "kind": self.kind,
-            "value": str(self.value),
+            "value": render(self.value),
             "message": str(self),
         }
 
@@ -48,13 +50,13 @@ class StretchObstruction(MathematicalObstruction):
         self.start = start
         self.end = end
         self.value = value
-        super().__init__(f"nonzero alternating trace sum {value} over stretch [{start}, {end}]")
+        super().__init__(f"nonzero alternating trace sum {render(value)} over stretch [{start}, {end}]")
 
     def describe(self) -> dict[str, Any]:
         return {
             "error": "StretchObstruction",
             "stretch": [self.start, self.end],
-            "value": str(self.value),
+            "value": render(self.value),
             "message": str(self),
         }
 
@@ -83,6 +85,11 @@ class SelectionExhausted(ConstructionLimitation):
             "index": self.index,
             "message": str(self),
         }
+
+
+class ValueTooLong(ConstructionLimitation):
+    """A constructed value has a numerator or denominator of more digits than
+    a document may carry."""
 
 
 class FiniteFieldUnsupported(ConstructionLimitation):

@@ -50,6 +50,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
+MAX_RATIONAL_DIGITS = 4000
+"""Longest numerator or denominator, in decimal digits, that a document may
+carry; it stays below the interpreter's default limit of 4300 digits for
+converting between ``str`` and ``int``."""
+
+_DIGIT_LIMIT = 10**MAX_RATIONAL_DIGITS
+
+
+def exceeds_digit_cap(value: Scalar) -> bool:
+    """Whether the numerator or denominator of ``value`` has more than
+    MAX_RATIONAL_DIGITS decimal digits; judged from the bit length, then by
+    an integer comparison with 10**MAX_RATIONAL_DIGITS, never by ``str``."""
+    return any(
+        n.bit_length() >= _DIGIT_LIMIT.bit_length() and abs(n) >= _DIGIT_LIMIT
+        for n in (value.numerator, value.denominator)
+    )
+
+
+def render(value: Scalar) -> str:
+    """``str(value)`` for a report, or, for a value over the digit cap (which
+    ``str`` may refuse to convert), a short note naming its size in bits."""
+    if not exceeds_digit_cap(value):
+        return str(value)
+    num, den = value.numerator.bit_length(), value.denominator.bit_length()
+    return f"<too long to print: {num}-bit numerator, {den}-bit denominator>"
+
+
 class Field:
     """Common interface of :class:`Rationals` and :class:`PrimeField`."""
 

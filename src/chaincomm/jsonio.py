@@ -29,17 +29,13 @@ from .complexes import (
     validate_chain_map,
     validate_complex,
 )
-from .fields import PRIMALITY_BOUND, Field, PrimeField, Rationals, Scalar
+from .errors import ValueTooLong
+from .fields import MAX_RATIONAL_DIGITS, PRIMALITY_BOUND, Field, PrimeField, Rationals, Scalar, exceeds_digit_cap, render
 from .matrices import Matrix, _canonical
 
 FORMAT_VERSION = "1"
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-MAX_RATIONAL_DIGITS = 4000
-"""Longest numerator or denominator, in decimal digits, that a document may
-carry; it stays below the interpreter's default limit of 4300 digits for
-converting a string to an ``int``."""
 
 MAX_TOTAL_DIMENSION = 10_000
 """Largest sum of ``dims`` a document may declare.  Zero matrices off and at
@@ -90,9 +86,14 @@ class _Collector:
 
 
 def encode_scalar(field: Field, value: Scalar) -> str | int:
+    """The JSON form of a scalar; raises ValueTooLong for a rational that no
+    document may carry, so nothing is written that parsing would reject."""
     if field.finite:
         return int(field.normalize(value))
-    return str(field.normalize(value))
+    value = field.normalize(value)
+    if exceeds_digit_cap(value):
+        raise ValueTooLong(f"value {render(value)} has more than the {MAX_RATIONAL_DIGITS} digits a document may carry")
+    return str(value)
 
 
 def _decode_scalar(field: Field, raw: Any, path: str, errors: _Collector) -> Scalar | None:
@@ -460,7 +461,7 @@ def encode_analysis(analysis) -> dict[str, Any]:
 
 def _encode_trace(value: Scalar) -> str | int:
     if isinstance(value, Fraction):
-        return str(value)
+        return render(value)
     return int(value)
 
 

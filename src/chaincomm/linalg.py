@@ -26,22 +26,19 @@ class RrefResult:
         return len(self.pivots)
 
 
-def _eliminate(m: Matrix, transform: bool) -> tuple[list[list], list[list] | None, tuple[int, ...]]:
+def _eliminate(m: Matrix, width: int | None = None) -> tuple[list[list], tuple[int, ...]]:
     """Gauss-Jordan elimination of ``m`` as row lists, in the field's own
     arithmetic: raw residues over F_p, ``Fraction`` over Q.
 
-    Returns the reduced rows, the transform rows (None unless ``transform``)
-    and the pivot columns.  Reduced form and pivots are unique; every row
-    operation only touches columns from the pivot onward, where the pivot row
-    can be nonzero.
+    Pivots are sought only among the first ``width`` columns (all of them by
+    default); the columns after those are carried along by the same row
+    operations.  Returns the reduced rows and the pivot columns.  Reduced
+    form and pivots are unique; every row operation only touches columns from
+    the pivot onward, where the pivot row can be nonzero.
     """
     field = m.field
     n, c, e = m.rows, m.cols, m.entries
     rows = [list(e[i * c : (i + 1) * c]) for i in range(n)]
-    trans = None
-    if transform:
-        zero, one = field.zero, field.one
-        trans = [[one if i == j else zero for j in range(n)] for i in range(n)]
     if field.finite:
         p = field.size
 
@@ -66,7 +63,7 @@ def _eliminate(m: Matrix, transform: bool) -> tuple[list[list], list[list] | Non
             return [a - f * b if b else a for a, b in zip(vec, piv)]
 
     pivots: list[int] = []
-    for col in range(c):
+    for col in range(c if width is None else width):
         top = len(pivots)
         if top == n:
             break
@@ -75,36 +72,32 @@ def _eliminate(m: Matrix, transform: bool) -> tuple[list[list], list[list] | Non
             continue
         if pivot != top:
             rows[top], rows[pivot] = rows[pivot], rows[top]
-            if trans is not None:
-                trans[top], trans[pivot] = trans[pivot], trans[top]
         lead = rows[top][col]
         if lead != 1:
-            inv = invert(lead)
-            rows[top][col:] = scaled(rows[top][col:], inv)
-            if trans is not None:
-                trans[top] = scaled(trans[top], inv)
+            rows[top][col:] = scaled(rows[top][col:], invert(lead))
         tail = rows[top][col:]
         for r in range(n):
             factor = rows[r][col]
             if r == top or not factor:
                 continue
             rows[r][col:] = reduced_by(rows[r][col:], factor, tail)
-            if trans is not None:
-                trans[r] = reduced_by(trans[r], factor, trans[top])
         pivots.append(col)
-    return rows, trans, tuple(pivots)
+    return rows, tuple(pivots)
 
 
 def rref(m: Matrix) -> RrefResult:
-    """Gauss-Jordan elimination.  transform * m == reduced, transform invertible."""
-    rows, trans, pivots = _eliminate(m, transform=True)
-    reduced = _canonical(m.field, m.rows, m.cols, tuple(chain.from_iterable(rows)))
-    transform = _canonical(m.field, m.rows, m.rows, tuple(chain.from_iterable(trans)))
+    """Gauss-Jordan elimination of ``[m | I]`` with pivots in m's columns
+    only, so the I block ends as the transform: transform * m == reduced,
+    transform invertible."""
+    field, n, c = m.field, m.rows, m.cols
+    rows, pivots = _eliminate(hstack([m, Matrix.identity(field, n)]), c)
+    reduced = _canonical(field, n, c, tuple(chain.from_iterable(row[:c] for row in rows)))
+    transform = _canonical(field, n, n, tuple(chain.from_iterable(row[c:] for row in rows)))
     return RrefResult(reduced, transform, pivots)
 
 
 def rank(m: Matrix) -> int:
-    return len(_eliminate(m, transform=False)[2])
+    return len(_eliminate(m)[1])
 
 
 def is_invertible(m: Matrix) -> bool:
@@ -121,10 +114,11 @@ def inverse(m: Matrix) -> Matrix:
     return result.transform
 
 
-def kernel_basis(m: Matrix) -> Matrix:
-    """Columns form a deterministic basis of ker(m); count = cols - rank."""
+def kernel_and_pivots(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
+    """A deterministic basis of ker(m) (count = cols - rank) and the pivot
+    columns of m, from one elimination."""
     field = m.field
-    rows, _, pivots = _eliminate(m, transform=False)
+    rows, pivots = _eliminate(m)
     pivot_cols = set(pivots)
     free_cols = [col for col in range(m.cols) if col not in pivot_cols]
     basis = [[field.zero] * len(free_cols) for _ in range(m.cols)]
@@ -132,29 +126,50 @@ def kernel_basis(m: Matrix) -> Matrix:
         basis[f][j] = field.one
         for r, col in enumerate(pivots):
             basis[col][j] = field.neg(rows[r][f])
-    return _canonical(field, m.cols, len(free_cols), tuple(chain.from_iterable(basis)))
+    return _canonical(field, m.cols, len(free_cols), tuple(chain.from_iterable(basis))), pivots
+
+
+def kernel_basis(m: Matrix) -> Matrix:
+    """Columns form a deterministic basis of ker(m); count = cols - rank."""
+    return kernel_and_pivots(m)[0]
 
 
 def image_basis(m: Matrix) -> Matrix:
     """The pivot columns of m: a deterministic basis of the column space."""
-    return m.take_columns(_eliminate(m, transform=False)[2])
+    return m.take_columns(_eliminate(m)[1])
+
+
+def _greedy_complement(inside: Matrix, ambient_basis: Matrix) -> tuple[list[list], list[int]]:
+    """One elimination of ``[inside | ambient_basis]``: its reduced rows and
+    the ambient columns that greedily extend ``inside``.
+
+    A column is a pivot exactly when it is independent of the columns before
+    it, so ``inside`` is independent exactly when its columns are the first
+    pivots, and the ambient pivots are the greedy choice."""
+    if inside.rows != ambient_basis.rows:
+        raise ValueError("row count mismatch")
+    k = inside.cols
+    rows, pivots = _eliminate(hstack([inside, ambient_basis]))
+    if pivots[:k] != tuple(range(k)):
+        raise ValueError("inside columns are linearly dependent")
+    return rows, [col - k for col in pivots[k:]]
 
 
 def complement_basis(inside: Matrix, ambient_basis: Matrix) -> Matrix:
     """Greedily extend the independent columns of ``inside`` to a basis of
-    span(ambient_basis), choosing ambient columns by ascending index.
+    span(ambient_basis), choosing ambient columns by ascending index."""
+    return ambient_basis.take_columns(_greedy_complement(inside, ambient_basis)[1])
 
-    One elimination of ``[inside | ambient_basis]`` decides it: a column is a
-    pivot exactly when it is independent of the columns before it, so
-    ``inside`` is independent exactly when its columns are the first pivots,
-    and the ambient pivots are the greedy choice."""
-    if inside.rows != ambient_basis.rows:
-        raise ValueError("row count mismatch")
-    k = inside.cols
-    pivots = _eliminate(hstack([inside, ambient_basis]), transform=False)[2]
-    if pivots[:k] != tuple(range(k)):
-        raise ValueError("inside columns are linearly dependent")
-    return ambient_basis.take_columns([col - k for col in pivots[k:]])
+
+def extend_to_basis(inside: Matrix) -> tuple[Matrix, Matrix]:
+    """(t, t^-1) for t = [inside | complement_basis(inside, I)], from one
+    elimination: t's columns are the pivot columns of ``[inside | I]``, so the
+    row operations E reducing it satisfy E t = I, and the I block ends as E."""
+    field, n, k = inside.field, inside.rows, inside.cols
+    identity = Matrix.identity(field, n)
+    rows, chosen = _greedy_complement(inside, identity)
+    t_inv = _canonical(field, n, n, tuple(chain.from_iterable(row[k:] for row in rows)))
+    return hstack([inside, identity.take_columns(chosen)]), t_inv
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
@@ -167,7 +182,7 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
         raise ValueError("row count mismatch between system and right-hand side")
     field = a.field
     n = a.cols
-    rows, _, pivots = _eliminate(hstack([a, b]), transform=False)
+    rows, pivots = _eliminate(hstack([a, b]))
     if pivots and pivots[-1] >= n:
         return None
     x = [[field.zero] * b.cols for _ in range(n)]

@@ -11,8 +11,9 @@ corner.  Chain endomorphisms then become block upper-triangular with the
 same boundary block shared by adjacent degrees; that block data drives all
 witness constructions.
 
-All basis choices are deterministic (greedy pivot complements, zero free
-variables in preimage solves), so block data is reproducible run to run.
+All basis choices are deterministic (pivot columns, greedy pivot
+complements, unit-vector preimages), so block data is reproducible run to
+run.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Mapping
 
 from .complexes import ChainComplex, ChainEndomorphism, Homotopy, validate_complex
 from .errors import BlockStructureError
-from .linalg import complement_basis, image_basis, inverse, is_invertible, kernel_basis, solve_linear
+from .linalg import complement_basis, inverse, is_invertible, kernel_and_pivots
 from .matrices import Matrix, block_matrix, hstack, split_blocks
 
 _UPPER_POSITIONS = {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)}
@@ -187,8 +188,10 @@ def split_complex(c: ChainComplex) -> Splitting:
 
     Construction per degree: boundary basis = pivot columns of the incoming
     differential; extend to a basis of the cocycles (the new columns lift
-    cohomology); extend to a full basis by preimages of the chosen boundary
-    basis one degree up.  The conjugated differentials are asserted to equal
+    cohomology); extend to a full basis by the unit vectors at the pivot
+    columns of the outgoing differential, which it maps onto the boundary
+    basis one degree up.  One elimination of each differential gives its
+    kernel and its pivot columns.  The conjugated differentials are asserted to equal
     the standard corner matrix exactly.
     """
     problems = validate_complex(c)
@@ -196,21 +199,18 @@ def split_complex(c: ChainComplex) -> Splitting:
         raise ValueError("cannot split an invalid complex: " + "; ".join(problems))
     field = c.field
 
-    boundary_bases = {i: image_basis(c.differential(i - 1)) for i in range(c.lo, c.hi + 2)}
+    pivots = {c.lo - 1: ()}  # the differential into degree lo has no columns
     block_dims: dict[int, tuple[int, int, int]] = {}
     basis: dict[int, Matrix] = {}
     for i in c.degrees:
-        boundaries = boundary_bases[i]
-        cocycles = kernel_basis(c.differential(i))
+        cocycles, pivots[i] = kernel_and_pivots(c.differential(i))
+        boundaries = c.differential(i - 1).take_columns(pivots[i - 1])
         lifts = complement_basis(boundaries, cocycles)
-        next_boundaries = boundary_bases[i + 1]
-        preimages = solve_linear(c.differential(i), next_boundaries)
-        if preimages is None:
-            raise BlockStructureError(f"no preimage of the boundary basis at degree {i}")
+        preimages = Matrix.identity(field, c.dim(i)).take_columns(pivots[i])
         p = hstack([boundaries, lifts, preimages])
         if not is_invertible(p):
             raise BlockStructureError(f"chosen basis at degree {i} is not invertible")
-        block_dims[i] = (boundaries.cols, lifts.cols, next_boundaries.cols)
+        block_dims[i] = (boundaries.cols, lifts.cols, preimages.cols)
         basis[i] = p
 
     s = Splitting(c, block_dims, basis)

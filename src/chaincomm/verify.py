@@ -27,7 +27,7 @@ from .complexes import (
     chain_map_basis,
     commutator,
 )
-from .fields import PrimeField
+from .fields import PrimeField, render
 from .linalg import solve_linear, sylvester_operator, sylvester_solve, is_invertible
 from .matrices import Matrix, enumerate_matrices
 
@@ -62,7 +62,7 @@ def _record(out: list[Violation], location: str, identity: str, left: Matrix, ri
         out.append(Violation(location, identity, repr(left), repr(right)))
         return
     k = next(k for k, (x, y) in enumerate(zip(left.entries, right.entries)) if x != y)
-    out.append(Violation(location, identity, str(left.entries[k]), str(right.entries[k]), divmod(k, left.cols)))
+    out.append(Violation(location, identity, render(left.entries[k]), render(right.entries[k]), divmod(k, left.cols)))
 
 
 def _check_chain_map(name: str, endo: ChainEndomorphism, out: list[Violation]) -> None:
@@ -341,15 +341,17 @@ def brute_force_chain_commutator(phi: ChainEndomorphism) -> CommutatorWitness | 
         entries = [e for i in c.degrees for e in endo.map(i).entries]
         return Matrix(field, len(entries), 1, entries)
 
+    def combination(coeffs) -> ChainEndomorphism:
+        maps = ChainEndomorphism.zero(c).maps
+        for coeff, vec in zip(coeffs, basis):
+            if coeff != 0:
+                maps = [a + b.scale(coeff) for a, b in zip(maps, vec.maps)]
+        return ChainEndomorphism(c, maps)
+
     target = flatten(phi)
     elements = tuple(field.elements())
     for coeffs in product(elements, repeat=dim):
-        alpha = ChainEndomorphism.zero(c)
-        for coeff, vec in zip(coeffs, basis):
-            if coeff != 0:
-                alpha = ChainEndomorphism(
-                    c, [a + b.scale(coeff) for a, b in zip(alpha.maps, vec.maps)]
-                )
+        alpha = combination(coeffs)
         images = [flatten(commutator(alpha, vec)) for vec in basis]
         columns = Matrix(
             field,
@@ -360,11 +362,7 @@ def brute_force_chain_commutator(phi: ChainEndomorphism) -> CommutatorWitness | 
         solution = solve_linear(columns, target)
         if solution is None:
             continue
-        beta = ChainEndomorphism.zero(c)
-        for j, vec in enumerate(basis):
-            coeff = solution.entry(j, 0)
-            if coeff != 0:
-                beta = ChainEndomorphism(c, [a + b.scale(coeff) for a, b in zip(beta.maps, vec.maps)])
+        beta = combination(solution.entries)
         witness = CommutatorWitness(alpha, beta)
         if commutator(alpha, beta) != phi:
             raise AssertionError("solved beta does not verify")

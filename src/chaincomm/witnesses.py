@@ -41,8 +41,8 @@ from .errors import (
     TraceObstruction,
 )
 from .fields import Field, Scalar
-from .linalg import complement_basis, inverse, is_invertible, sylvester_operator, sylvester_solve
-from .matrices import Matrix, enumerate_matrices, hstack
+from .linalg import extend_to_basis, inverse, is_invertible, sylvester_operator, sylvester_solve
+from .matrices import Matrix, block_matrix, enumerate_matrices, hstack
 from .splitting import BlockData, Splitting, assemble, assemble_homotopy, extract_blocks, split_complex
 from .verify import verify_witness
 
@@ -143,29 +143,18 @@ def zero_diagonal_basis(m: Matrix) -> Matrix:
         raise ValueError("nonzero scalar matrices have no zero-diagonal form")
 
     v = _noncentral_vector(m)
-    w = m * v
-    rest = complement_basis(hstack([v, w]), Matrix.identity(field, n))
-    t = hstack([v, w, rest])
-    conj = inverse(t) * m * t
+    t, t_inv = extend_to_basis(hstack([v, m * v]))
+    conj = t_inv * m * t
     trailing = conj.submatrix(1, n, 1, n)
     if trailing.is_scalar() and not trailing.is_zero():
         # add v to the first complement vector (column 2)
-        columns = [t.column_at(j) for j in range(n)]
-        columns[2] = columns[2] + v
-        t = hstack(columns)
+        t = t + hstack([Matrix.zeros(field, n, 2), v, Matrix.zeros(field, n, n - 3)])
         conj = inverse(t) * m * t
         trailing = conj.submatrix(1, n, 1, n)
         if trailing.is_scalar() and not trailing.is_zero():
             raise AssertionError("trailing block still scalar after basis tweak")
-    s = zero_diagonal_basis(trailing)
-    lifted = hstack(
-        [Matrix(field, n, 1, (field.one, *(field.zero,) * (n - 1)))]
-        + [
-            Matrix(field, n, 1, (field.zero, *(s.entry(r, j) for r in range(n - 1))))
-            for j in range(n - 1)
-        ]
-    )
-    return t * lifted
+    corner = {(0, 0): Matrix.identity(field, 1), (1, 1): zero_diagonal_basis(trailing)}
+    return t * block_matrix(field, [1, n - 1], [1, n - 1], corner)
 
 
 def _exhaustive_decomposition(m: Matrix) -> tuple[Matrix, Matrix]:
@@ -283,34 +272,26 @@ def select_separated_pairs(
     def first_left(i: int) -> Matrix | None:
         return first_pairs[i][0] if 0 <= i < len(first_pairs) else None
 
-    def rows_of(m: Matrix | None) -> int:
-        return m.rows if m is not None else 0
+    def first_shift(stage: str, i: int, m: Matrix, bound: int, separated: Callable[[Matrix], bool]) -> Matrix:
+        for scalar in _scalar_candidates(field, bound):
+            shifted = _shift(m, scalar)
+            if separated(shifted):
+                return shifted
+        if not field.finite:
+            raise AssertionError("scalar scan over Q exhausted its exclusion bound")
+        raise SelectionExhausted(stage, i)
 
-    for i in range(len(second_pairs)):
-        s, t = second_pairs[i]
-        bound = s.rows * (rows_of(first_left(i)) + rows_of(first_left(i + 1)))
-        for lam in _scalar_candidates(field, bound):
-            shifted = _shift(s, lam)
-            if _separated(first_left(i), shifted) and _separated(shifted, first_left(i + 1)):
-                second_pairs[i] = (shifted, t)
-                break
-        else:
-            if not field.finite:
-                raise AssertionError("scalar scan over Q exhausted its exclusion bound")
-            raise SelectionExhausted("adjacent spectral separation", i)
+    for i, (s, t) in enumerate(second_pairs):
+        left, right = first_left(i), first_left(i + 1)
+        bound = s.rows * sum(x.rows for x in (left, right) if x is not None)
+        s = first_shift("adjacent spectral separation", i, s, bound, lambda x: _separated(left, x) and _separated(x, right))
+        second_pairs[i] = (s, t)
 
     for i in range(len(first_pairs) - 1):
-        p_next, q_next = first_pairs[i + 1]
-        q_prev = first_pairs[i][1]
-        for mu in _scalar_candidates(field, q_next.rows * q_prev.rows):
-            shifted = _shift(q_next, mu)
-            if _separated(shifted, q_prev):
-                first_pairs[i + 1] = (p_next, shifted)
-                break
-        else:
-            if not field.finite:
-                raise AssertionError("scalar scan over Q exhausted its exclusion bound")
-            raise SelectionExhausted("consecutive right-factor separation", i)
+        (p_next, q_next), q_prev = first_pairs[i + 1], first_pairs[i][1]
+        bound = q_next.rows * q_prev.rows
+        q_next = first_shift("consecutive right-factor separation", i, q_next, bound, lambda x: _separated(x, q_prev))
+        first_pairs[i + 1] = (p_next, q_next)
 
     return PairSelection(tuple(first_pairs), tuple(second_pairs))
 
@@ -516,15 +497,8 @@ def prescribed_trace_nullhomotopy(
             return Matrix.zeros(field, 0, 0)
         return Matrix(field, b, b, (value if r == 0 and col == 0 else 0 for r in range(b) for col in range(b)))
 
-    tau_blocks = {
-        i: {(0, 0): boundary_action(i), (2, 2): boundary_action(i + 1)} for i in c.degrees
-    }
-    tau = assemble(BlockData.from_blocks(s, tau_blocks))
-
     sigma = assemble_homotopy(s, lambda i: {(2, 0): boundary_action(i)})
-
-    if complexes.homotopy_boundary(sigma) != tau:
-        raise AssertionError("homotopy boundary does not reproduce tau")
+    tau = complexes.homotopy_boundary(sigma)
     for i in c.degrees:
         if tau.map(i).trace() != target(i):
             raise AssertionError(f"tau has wrong trace at degree {i}")

@@ -8,8 +8,8 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from chaincomm.complexes import ChainComplex, ChainEndomorphism, cohomology
-from chaincomm.fields import GF2, RATIONALS, Field, PrimeField
-from chaincomm.linalg import complement_basis, solve_linear
+from chaincomm.fields import GF2, RATIONALS, Field, PrimeField, Scalar
+from chaincomm.linalg import complement_basis, image_basis, kernel_basis, solve_linear
 from chaincomm.matrices import Matrix, hstack
 
 Q = RATIONALS
@@ -62,9 +62,10 @@ def seeds(n: int, start: int = 0):
 
 # -- reference implementations ------------------------------------------------
 # The field-generic elimination and greedy complement the library used before
-# its field-specialised kernel, and the solve-based induced cohomology map it
-# used before reading cohomology off the splitting, kept as the semantics the
-# fast paths must match.
+# its field-specialised kernel, the solve-based induced cohomology map it used
+# before reading cohomology off the splitting, the solve-based splitting bases
+# and the hand-indexed chain-map constraints it used before reading them off
+# pivots and Kronecker blocks, kept as the semantics the fast paths must match.
 
 
 def reference_rref(m: Matrix):
@@ -146,6 +147,67 @@ def reference_induced_cohomology_map(phi: ChainEndomorphism, degree: int) -> Mat
     if coords is None:
         raise ValueError("endomorphism does not preserve cocycles; not a chain map?")
     return coords.submatrix(boundaries.cols, boundaries.cols + h, 0, h)
+
+
+def reference_split_bases(c: ChainComplex) -> dict[int, Matrix]:
+    """Per degree, [boundaries | lifts | preimages]: boundaries the image
+    basis of the incoming differential, lifts their greedy complement in the
+    cocycles, preimages of the next boundaries by a solve with free variables
+    set to zero."""
+    boundary_bases = {i: image_basis(c.differential(i - 1)) for i in range(c.lo, c.hi + 2)}
+    bases = {}
+    for i in c.degrees:
+        lifts = complement_basis(boundary_bases[i], kernel_basis(c.differential(i)))
+        preimages = solve_linear(c.differential(i), boundary_bases[i + 1])
+        assert preimages is not None
+        bases[i] = hstack([boundary_bases[i], lifts, preimages])
+    return bases
+
+
+def reference_chain_map_basis(c: ChainComplex) -> tuple[ChainEndomorphism, ...]:
+    """The kernel of the commutation constraints d . phi = phi . d, written
+    entry by entry (stacked row-major, degrees ascending)."""
+    field = c.field
+    sizes = list(c.dims)
+    offsets = [0]
+    for n in sizes:
+        offsets.append(offsets[-1] + n * n)
+    total = offsets[-1]
+
+    rows: list[list[Scalar]] = []
+    zero = field.zero
+    for i in range(c.lo, c.hi):
+        d = c.differential(i)
+        n_i = c.dim(i)
+        n_next = c.dim(i + 1)
+        base_i = offsets[i - c.lo]
+        base_next = offsets[i + 1 - c.lo]
+        for r in range(n_next):
+            for col in range(n_i):
+                row = [zero] * total
+                # (d . phi_i)[r, col] contributes +d[r, k] * phi_i[k, col]
+                for k in range(n_i):
+                    coeff = d.entry(r, k)
+                    if coeff != 0:
+                        row[base_i + k * n_i + col] = field.add(row[base_i + k * n_i + col], coeff)
+                # (phi_{i+1} . d)[r, col] contributes -phi_{i+1}[r, k] * d[k, col]
+                for k in range(n_next):
+                    coeff = d.entry(k, col)
+                    if coeff != 0:
+                        idx = base_next + r * n_next + k
+                        row[idx] = field.sub(row[idx], coeff)
+                rows.append(row)
+
+    constraint = Matrix(field, len(rows), total, (e for row in rows for e in row))
+    basis_vectors = kernel_basis(constraint)
+    basis = []
+    for j in range(basis_vectors.cols):
+        maps = []
+        for idx, n in enumerate(sizes):
+            start = offsets[idx]
+            maps.append(Matrix(field, n, n, (basis_vectors.entry(start + t, j) for t in range(n * n))))
+        basis.append(ChainEndomorphism(c, maps))
+    return tuple(basis)
 
 
 # -- kernel property-test support ---------------------------------------------

@@ -6,8 +6,10 @@ import time
 
 import pytest
 
+from chaincomm import cli
 from chaincomm.cli import main
-from chaincomm.fields import PRIMALITY_BOUND
+from chaincomm.complexes import PointwiseWitness
+from chaincomm.fields import PRIMALITY_BOUND, RATIONALS as Q
 
 from helpers import mat
 
@@ -98,6 +100,51 @@ def test_witness_finite_field_limitation_exit_3(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "witness", path, "--theorem", "2")
     assert code == 3
     assert json.loads(out)["limitation"]["error"] == "FiniteFieldUnsupported"
+
+
+def _two_dim_document(endomorphism, witnesses=None):
+    doc = {"format_version": "1", "field": {"kind": "Q"}, "lo": 0, "hi": 0, "dims": [2], "differentials": []}
+    doc["endomorphism"] = endomorphism
+    if witnesses is not None:
+        doc["witnesses"] = witnesses
+    return doc
+
+
+def test_values_too_long_to_print_are_reported_by_size(capsys, tmp_path):
+    # each entry has 2200 digits; their sum, the trace, has a 4399-digit denominator
+    p1, p2 = 10**2199 + 7, 10**2199 + 9
+    path = write_json(tmp_path, "inst.json", _two_dim_document([[[f"1/{p1}", "0"], ["0", f"1/{p2}"]]]))
+    code, out, _ = run_cli(capsys, "analyze", path)
+    assert code == 0
+    assert json.loads(out)["degree_traces"]["0"] == "<too long to print: 7306-bit numerator, 14610-bit denominator>"
+    for theorem in ("1", "2", "3", "4"):
+        code, out, _ = run_cli(capsys, "witness", path, "--theorem", theorem)
+        assert code == 2, theorem
+        assert json.loads(out)["obstruction"]["value"].startswith("<too long to print: "), theorem
+
+
+def test_verify_reports_a_violation_too_long_to_print(capsys, tmp_path):
+    x, y = 10**2500 + 1, 10**2500 + 3
+    pair = [[[str(x), "0"], ["0", "0"]], [["0", str(y)], ["0", "0"]]]  # [a, b] = x y e_01
+    zero = [[["0", "0"], ["0", "0"]]]
+    path = write_json(tmp_path, "inst.json", _two_dim_document(zero, [{"type": "pointwise", "pairs": [pair]}]))
+    code, out, _ = run_cli(capsys, "verify", path)
+    assert code == 1
+    [violation] = json.loads(out)["witnesses"][0]["violations"]
+    assert (violation["location"], violation["entry"], violation["right"]) == ("degree 0", [0, 1], "0")
+    assert violation["left"] == f"<too long to print: {(x * y).bit_length()}-bit numerator, 1-bit denominator>"
+
+
+def test_witness_refuses_a_certificate_its_parser_would_reject(capsys, tmp_path, monkeypatch):
+    def builder(phi):
+        big = mat(Q, [[10**4000, 0], [0, 0]])  # 4001 digits
+        return PointwiseWitness(phi.complex, {0: (big, big)})
+
+    monkeypatch.setitem(cli._WITNESS_BUILDERS, 1, builder)
+    path = write_json(tmp_path, "inst.json", _two_dim_document([[["0", "0"], ["0", "0"]]]))
+    code, out, _ = run_cli(capsys, "witness", path, "--theorem", "1")
+    assert code == 3
+    assert json.loads(out)["limitation"]["error"] == "ValueTooLong"
 
 
 def test_counterexample_example2(capsys):

@@ -22,7 +22,7 @@ from chaincomm.complexes import (
     validate_chain_map,
     validate_complex,
 )
-from chaincomm.fields import GF2, RATIONALS as Q
+from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
 from chaincomm.generate import random_chain_map, random_complex, random_homotopy, random_matrix
 from chaincomm.linalg import complement_basis, image_basis
 from chaincomm.matrices import Matrix
@@ -33,6 +33,7 @@ from helpers import (
     corner_window,
     exact_two_term,
     mat,
+    reference_chain_map_basis,
     reference_induced_cohomology_map,
     seeds,
     zero_differential_complex,
@@ -378,3 +379,10 @@ def test_chain_map_basis_matches_split_parameterization():
             for i in c.degrees
         )
         assert len(chain_map_basis(c)) == expected
+
+
+@pytest.mark.parametrize("field", [Q, GF2, PrimeField(3), PrimeField(101)], ids=["Q", "F2", "F3", "F101"])
+def test_chain_map_basis_matches_the_entrywise_reference(field):
+    for seed, rng in seeds(40):
+        c = random_complex(rng, field, max_dim=3, length=rng.randint(1, 4))
+        assert chain_map_basis(c) == reference_chain_map_basis(c), seed

@@ -4,7 +4,17 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chaincomm.fields import GF2, PRIMALITY_BOUND, RATIONALS, PrimeField, Rationals, is_prime
+from chaincomm.fields import (
+    GF2,
+    MAX_RATIONAL_DIGITS,
+    PRIMALITY_BOUND,
+    RATIONALS,
+    PrimeField,
+    Rationals,
+    exceeds_digit_cap,
+    is_prime,
+    render,
+)
 
 Q = RATIONALS
 F5 = PrimeField(5)
@@ -116,3 +126,14 @@ def test_prime_field_axioms(a, b, c):
     assert F5.add(a, F5.neg(a)) == F5.zero
     if a != 0:
         assert F5.mul(a, F5.invert(a)) == F5.one
+
+
+def test_digit_cap_is_judged_without_printing():
+    cap = 10**MAX_RATIONAL_DIGITS  # the least integer with one digit too many
+    widest = 2 ** (cap.bit_length() - 1)  # as many bits as cap, but 4000 digits
+    for fits in (Fraction(cap - 1), Fraction(-(cap - 1)), Fraction(1, cap - 1), Fraction(widest), 2**61 - 1):
+        assert not exceeds_digit_cap(fits)
+    for too_long in (Fraction(cap), Fraction(-cap), Fraction(1, cap), Fraction(cap + 1, 3)):
+        assert exceeds_digit_cap(too_long)
+    assert render(Fraction(-3, 2)) == "-3/2" and render(5) == "5"
+    assert render(Fraction(-1, cap)) == f"<too long to print: 1-bit numerator, {cap.bit_length()}-bit denominator>"

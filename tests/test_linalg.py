@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
 from chaincomm.linalg import (
     complement_basis,
+    extend_to_basis,
     image_basis,
     inverse,
     is_invertible,
@@ -285,6 +286,31 @@ def test_complement_basis_matches_greedy_reference(case):
     result = complement_basis(inside, ambient)
     assert result == expected
     assert_canonical(result)
+
+
+def test_extend_to_basis_examples():
+    t, t_inv = extend_to_basis(mat(Q, [[1], [2], [0]]))
+    assert t == mat(Q, [[1, 1, 0], [2, 0, 0], [0, 0, 1]])  # e_1 lies in span(v, e_0)
+    assert t_inv * t == Matrix.identity(Q, 3)
+    with pytest.raises(ValueError):
+        extend_to_basis(mat(Q, [[1, 2], [2, 4], [0, 0]]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(complement_cases())
+def test_extend_to_basis_equals_complement_then_inverse(case):
+    inside, _ = case
+    identity = Matrix.identity(inside.field, inside.rows)
+    try:
+        t = hstack([inside, complement_basis(inside, identity)])
+    except ValueError:
+        with pytest.raises(ValueError):
+            extend_to_basis(inside)
+        return
+    result = extend_to_basis(inside)
+    assert result == (t, inverse(t))
+    assert_canonical(result[0])
+    assert_canonical(result[1])
 
 
 @st.composite

@@ -18,7 +18,15 @@ from chaincomm.generate import random_chain_map, random_complex, random_endomorp
 from chaincomm.matrices import Matrix
 from chaincomm.splitting import BlockData, assemble, extract_blocks, split_complex
 
-from helpers import alternating_reflection, corner_window, exact_two_term, mat, seeds, zero_differential_complex
+from helpers import (
+    alternating_reflection,
+    corner_window,
+    exact_two_term,
+    mat,
+    reference_split_bases,
+    seeds,
+    zero_differential_complex,
+)
 
 
 def test_split_zero_differentials():
@@ -57,6 +65,15 @@ def test_split_standard_form_on_random_complexes():
         for i in c.degrees:
             b, h, b_next = s.block_dims(i)
             assert b + h + b_next == c.dim(i)
+
+
+@pytest.mark.parametrize("field", [Q, GF2, PrimeField(101)], ids=["Q", "F2", "F101"])
+def test_split_bases_match_the_solve_based_reference(field):
+    # preimages are read off the pivots of the differential, not solved for
+    for seed, rng in seeds(40):
+        c = random_complex(rng, field, max_dim=4, length=4)
+        s = split_complex.__wrapped__(c)
+        assert {i: s.basis(i) for i in c.degrees} == reference_split_bases(c), seed
 
 
 def test_split_rejects_invalid_complex():
