@@ -120,7 +120,8 @@ def _decode_scalar(field: Field, raw: Any, path: str, errors: _Collector) -> Sca
     if not match:
         errors.add("rational_invalid", path, f"cannot parse rational {raw!r}")
         return None
-    digits = max(len(match.group(1).lstrip("-")), len(match.group(2) or ""))
+    num_text, den_text = match.groups()
+    digits = max(len(num_text.lstrip("-")), len(den_text or ""))
     if digits > MAX_RATIONAL_DIGITS:
         errors.add(
             "rational_too_large",
@@ -128,14 +129,21 @@ def _decode_scalar(field: Field, raw: Any, path: str, errors: _Collector) -> Sca
             f"numerator and denominator may have at most {MAX_RATIONAL_DIGITS} digits, got {digits}",
         )
         return None
-    num = int(match.group(1))
-    if match.group(2) is None:
-        return Fraction(num)
-    den = int(match.group(2))
-    if den == 0:
+    if den_text is not None and not den_text.strip("0"):
         errors.add("rational_invalid", path, "zero denominator")
         return None
-    value = Fraction(num, den)
+    # one spelling per rational: no leading zeros and no "-0"
+    magnitude = num_text.lstrip("-").lstrip("0") or "0"
+    canonical = ("-" if num_text.startswith("-") and magnitude != "0" else "") + magnitude
+    if den_text is not None:
+        canonical += "/" + den_text.lstrip("0")
+    if raw != canonical:
+        errors.add("rational_invalid", path, f"{raw!r} has leading zeros or a signed zero; write {canonical!r}")
+        return None
+    if den_text is None:
+        return Fraction(int(num_text))
+    den = int(den_text)
+    value = Fraction(int(num_text), den)
     # in lowest terms exactly when Fraction did not reduce it; "n/1" is not
     if den == 1 or value.denominator != den:
         errors.add(

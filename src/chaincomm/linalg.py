@@ -161,15 +161,16 @@ def complement_basis(inside: Matrix, ambient_basis: Matrix) -> Matrix:
     return ambient_basis.take_columns(_greedy_complement(inside, ambient_basis)[1])
 
 
-def extend_to_basis(inside: Matrix) -> tuple[Matrix, Matrix]:
-    """(t, t^-1) for t = [inside | complement_basis(inside, I)], from one
-    elimination: t's columns are the pivot columns of ``[inside | I]``, so the
-    row operations E reducing it satisfy E t = I, and the I block ends as E."""
-    field, n, k = inside.field, inside.rows, inside.cols
+def extend_to_basis(inside: Matrix, within: Matrix | None = None) -> tuple[Matrix, Matrix]:
+    """(t, t^-1) for t = [inside | greedy columns of ``within`` | greedy unit
+    vectors], from one elimination of ``[inside | within | I]`` whose pivot
+    columns are t's: its row operations E satisfy E t = I, and I ends as E."""
+    field, n = inside.field, inside.rows
     identity = Matrix.identity(field, n)
-    rows, chosen = _greedy_complement(inside, identity)
-    t_inv = _canonical(field, n, n, tuple(chain.from_iterable(row[k:] for row in rows)))
-    return hstack([inside, identity.take_columns(chosen)]), t_inv
+    ambient = identity if within is None else hstack([within, identity])
+    rows, chosen = _greedy_complement(inside, ambient)
+    t_inv = _canonical(field, n, n, tuple(chain.from_iterable(row[-n:] for row in rows)))
+    return hstack([inside, ambient.take_columns(chosen)]), t_inv
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:

@@ -19,7 +19,7 @@ from math import lcm
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .fields import Field, Scalar
+from .fields import Field, Scalar, render
 
 
 class Matrix:
@@ -203,7 +203,7 @@ class Matrix:
         return (self.rows, self.cols, self.entries)
 
     def __repr__(self) -> str:
-        body = "; ".join(", ".join(str(e) for e in self.row(i)) for i in range(self.rows))
+        body = "; ".join(", ".join(map(render, self.row(i))) for i in range(self.rows))
         return f"Matrix({self.field.kind} {self.rows}x{self.cols} [{body}])"
 
 

@@ -11,9 +11,9 @@ corner.  Chain endomorphisms then become block upper-triangular with the
 same boundary block shared by adjacent degrees; that block data drives all
 witness constructions.
 
-All basis choices are deterministic (pivot columns, greedy pivot
-complements, unit-vector preimages), so block data is reproducible run to
-run.
+Each degree's basis and its inverse come from one elimination that extends
+the boundaries greedily, first by cocycles, then by unit vectors; every
+choice is deterministic, so block data is reproducible run to run.
 """
 
 from __future__ import annotations
@@ -23,25 +23,27 @@ from typing import Callable, Mapping
 
 from .complexes import ChainComplex, ChainEndomorphism, Homotopy, validate_complex
 from .errors import BlockStructureError
-from .linalg import complement_basis, inverse, is_invertible, kernel_and_pivots
-from .matrices import Matrix, block_matrix, hstack, split_blocks
+from .linalg import extend_to_basis, is_invertible, kernel_and_pivots
+from .matrices import Matrix, block_matrix, split_blocks
 
 _UPPER_POSITIONS = {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)}
 
 
 class Splitting:
-    """Per-degree change of basis realizing the standard form."""
+    """Per-degree change of basis realizing the standard form, with the
+    inverses :func:`split_complex` reads off the eliminations choosing it."""
 
     def __init__(
         self,
         complex: ChainComplex,
         block_dims: Mapping[int, tuple[int, int, int]],
         basis: Mapping[int, Matrix],
+        inverse: Mapping[int, Matrix],
     ):
         self.complex = complex
         self._block_dims = dict(block_dims)
         self._basis = dict(basis)
-        self._inverse = {i: inverse(m) for i, m in self._basis.items()}
+        self._inverse = dict(inverse)
 
     def block_dims(self, degree: int) -> tuple[int, int, int]:
         """(boundary, cohomology, next boundary) dimensions at one degree."""
@@ -187,33 +189,31 @@ def split_complex(c: ChainComplex) -> Splitting:
     ``split_complex.__wrapped__`` is the uncached construction.
 
     Construction per degree: boundary basis = pivot columns of the incoming
-    differential; extend to a basis of the cocycles (the new columns lift
-    cohomology); extend to a full basis by the unit vectors at the pivot
-    columns of the outgoing differential, which it maps onto the boundary
-    basis one degree up.  One elimination of each differential gives its
-    kernel and its pivot columns.  The conjugated differentials are asserted to equal
-    the standard corner matrix exactly.
+    differential; one elimination extends it greedily by cocycles (lifts of
+    cohomology), then by unit vectors, and yields the inverse.  Those unit
+    vectors sit at the pivot columns of the outgoing differential d, since
+    e_j is independent of ker d + span(e_<j) iff d e_j is independent of
+    d e_<j; so d maps them onto the boundary basis one degree up.  The
+    conjugated differentials are asserted to equal the standard corner
+    matrix exactly, through those inverses.
     """
     problems = validate_complex(c)
     if problems:
         raise ValueError("cannot split an invalid complex: " + "; ".join(problems))
-    field = c.field
 
     pivots = {c.lo - 1: ()}  # the differential into degree lo has no columns
     block_dims: dict[int, tuple[int, int, int]] = {}
     basis: dict[int, Matrix] = {}
+    inverse: dict[int, Matrix] = {}
     for i in c.degrees:
         cocycles, pivots[i] = kernel_and_pivots(c.differential(i))
         boundaries = c.differential(i - 1).take_columns(pivots[i - 1])
-        lifts = complement_basis(boundaries, cocycles)
-        preimages = Matrix.identity(field, c.dim(i)).take_columns(pivots[i])
-        p = hstack([boundaries, lifts, preimages])
-        if not is_invertible(p):
+        basis[i], inverse[i] = extend_to_basis(boundaries, cocycles)
+        if not is_invertible(basis[i]):
             raise BlockStructureError(f"chosen basis at degree {i} is not invertible")
-        block_dims[i] = (boundaries.cols, lifts.cols, preimages.cols)
-        basis[i] = p
+        block_dims[i] = (boundaries.cols, cocycles.cols - boundaries.cols, len(pivots[i]))
 
-    s = Splitting(c, block_dims, basis)
+    s = Splitting(c, block_dims, basis, inverse)
     for i in range(c.lo - 1, c.hi + 1):
         conjugated = s.inverse_basis(i + 1) * c.differential(i) * s.basis(i)
         if conjugated != s.standard_differential(i):

@@ -314,11 +314,10 @@ def _verified(phi: ChainEndomorphism, witness):
     return witness
 
 
-def _check_traces(phi: ChainEndomorphism, trace: Callable[[ChainEndomorphism, int], Scalar], kind: str) -> None:
-    field = phi.complex.field
-    for i in phi.complex.degrees:
-        value = trace(phi, i)
-        if not field.is_zero(value):
+def _check_traces(c: ChainComplex, trace: Callable[[int], Scalar], kind: str) -> None:
+    for i in c.degrees:
+        value = trace(i)
+        if not c.field.is_zero(value):
             raise TraceObstruction(i, kind, value)
 
 
@@ -329,7 +328,7 @@ def pointwise_commutator_witness(phi: ChainEndomorphism) -> PointwiseWitness:
     first degree where it does not.
     """
     require_chain_map(phi)
-    _check_traces(phi, complexes.degree_trace, "degree")
+    _check_traces(phi.complex, lambda i: complexes.degree_trace(phi, i), "degree")
     pairs = {i: commutator_decomposition(phi.map(i)) for i in phi.complex.degrees}
     return _verified(phi, PointwiseWitness(phi.complex, pairs))
 
@@ -359,11 +358,10 @@ def commutator_witness_detailed(
             "no claim is made about existence over finite fields"
         )
     require_chain_map(phi)
-    _check_traces(phi, complexes.degree_trace, "degree")
-    _check_traces(phi, complexes.cohomology_trace, "cohomology")
-
+    _check_traces(c, lambda i: complexes.degree_trace(phi, i), "degree")
     s = split_complex(c)
     blocks = extract_blocks(phi, s)
+    _check_traces(c, lambda i: blocks.cohomology_block(i).trace(), "cohomology")
     first = [blocks.boundary_block(i) for i in range(c.lo, c.hi + 2)]
     second = [blocks.cohomology_block(i) for i in c.degrees]
     selection = select_separated_pairs(first, second, field)
@@ -418,10 +416,10 @@ def homotopy_commutator_witness(phi: ChainEndomorphism) -> HomotopyWitness:
     block-diagonal chain maps without being formed.
     """
     require_chain_map(phi)
-    _check_traces(phi, complexes.cohomology_trace, "cohomology")
     c = phi.complex
     s = split_complex(c)
     blocks = extract_blocks(phi, s)
+    _check_traces(c, lambda i: blocks.cohomology_block(i).trace(), "cohomology")
 
     homotopy = assemble_homotopy(
         s,

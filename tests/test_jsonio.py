@@ -172,7 +172,7 @@ def test_modulus_bound():
 
 def test_rejects_oversized_rationals():
     raw = load_fixture("q_exact.json")
-    for too_long in ("7" * (MAX_RATIONAL_DIGITS + 1), "-1/" + "3" * (MAX_RATIONAL_DIGITS + 1)):
+    for too_long in ("7" * (MAX_RATIONAL_DIGITS + 1), "-1/" + "3" * (MAX_RATIONAL_DIGITS + 1), "0" * MAX_RATIONAL_DIGITS + "1"):
         raw["differentials"][0][0][0] = too_long
         with pytest.raises(SchemaError) as err:
             parse_document(raw)
@@ -192,7 +192,7 @@ def test_rejects_oversized_dimension_total_before_allocating():
 
 def test_decodes_each_rational_in_lowest_terms():
     raw = load_fixture("q_exact.json")
-    for entry, value in (("-3/2", Fraction(-3, 2)), ("7", Fraction(7)), ("-0", Fraction(0)), ("0", Fraction(0))):
+    for entry, value in (("-3/2", Fraction(-3, 2)), ("7", Fraction(7)), ("10/3", Fraction(10, 3)), ("0", Fraction(0))):
         raw["differentials"][0][0][0] = entry
         m = parse_document(raw).complex.differential(0)
         assert m.entry(0, 0) == value and type(m.entry(0, 0)) is Fraction
@@ -203,6 +203,12 @@ def test_decodes_each_rational_in_lowest_terms():
             parse_document(raw)
         assert codes_of(err.value) == {"rational_not_reduced"}
         assert f"write {lowest!r}" in str(err.value)
+    for entry, canonical in (("007", "7"), ("00", "0"), ("1/02", "1/2"), ("-007/3", "-7/3"), ("-0", "0"), ("-00/5", "0/5")):
+        raw["differentials"][0][0][0] = entry
+        with pytest.raises(SchemaError) as err:
+            parse_document(raw)
+        assert codes_of(err.value) == {"rational_invalid"}
+        assert f"write {canonical!r}" in str(err.value)
 
 
 def test_rejects_bad_window_and_dims():
@@ -259,6 +265,33 @@ def test_rejects_unknown_witness_type():
     with pytest.raises(SchemaError) as err:
         parse_document(raw)
     assert codes_of(err.value) == {"witness_invalid"}
+
+
+ZERO_PAIR = [[["0"]], [["0"]]]
+
+
+@pytest.mark.parametrize(
+    "changes, code, path",
+    [
+        ({"differentials": [[["1/0"]]]}, "rational_invalid", "differentials[0][0][0]"),
+        ({"field": {"kind": "Q", "p": 5}}, "field_invalid", "field"),
+        ({"differentials": "none"}, "bad_type", "differentials"),
+        ({"witnesses": {}}, "bad_type", "witnesses"),
+        ({"witnesses": ["pointwise"]}, "witness_invalid", "witnesses[0]"),
+        ({"witnesses": [{"type": "pointwise", "pairs": [ZERO_PAIR]}]}, "witness_invalid", "witnesses[0].pairs"),
+        (
+            {"witnesses": [{"type": "pointwise", "pairs": [ZERO_PAIR[:1], ZERO_PAIR]}]},
+            "witness_invalid",
+            "witnesses[0].pairs[0]",
+        ),
+        (None, "bad_document", "$"),
+    ],
+)
+def test_schema_violation_names_its_code_and_path(changes, code, path):
+    raw = [] if changes is None else {**load_fixture("q_exact.json"), **changes}
+    with pytest.raises(SchemaError) as err:
+        parse_document(raw)
+    assert [(v.code, v.path) for v in err.value.violations] == [(code, path)]
 
 
 def test_rejects_unknown_format_version():

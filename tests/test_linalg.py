@@ -299,18 +299,28 @@ def test_extend_to_basis_examples():
 @settings(max_examples=300, deadline=None)
 @given(complement_cases())
 def test_extend_to_basis_equals_complement_then_inverse(case):
-    inside, _ = case
-    identity = Matrix.identity(inside.field, inside.rows)
-    try:
-        t = hstack([inside, complement_basis(inside, identity)])
-    except ValueError:
-        with pytest.raises(ValueError):
-            extend_to_basis(inside)
-        return
-    result = extend_to_basis(inside)
-    assert result == (t, inverse(t))
-    assert_canonical(result[0])
-    assert_canonical(result[1])
+    inside, ambient = case
+    field, n = inside.field, inside.rows
+    for within in (None, ambient):
+        candidates = Matrix.zeros(field, n, 0) if within is None else within
+        try:
+            extended = hstack([inside, complement_basis(inside, candidates)])
+            t = hstack([extended, complement_basis(extended, Matrix.identity(field, n))])
+        except ValueError:
+            with pytest.raises(ValueError):
+                extend_to_basis(inside, within)
+            continue
+        result = extend_to_basis(inside, within)
+        assert result == (t, inverse(t))
+        assert_canonical(result[0])
+        assert_canonical(result[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS).flatmap(matrices))
+def test_greedy_unit_complement_of_a_kernel_is_the_pivot_columns(d):
+    identity = Matrix.identity(d.field, d.cols)
+    assert complement_basis(kernel_basis(d), identity) == identity.take_columns(rref(d).pivots)
 
 
 @st.composite

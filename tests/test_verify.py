@@ -14,6 +14,7 @@ from chaincomm.generate import random_chain_map, random_complex, random_endomorp
 from chaincomm.jsonio import encode_verification, parse_document, serialize_document
 from chaincomm.matrices import Matrix, enumerate_matrices
 from chaincomm.verify import (
+    _record,
     brute_force_chain_commutator,
     brute_force_commutator,
     commutator_image,
@@ -101,6 +102,16 @@ def test_violation_names_the_first_differing_entry():
     assert encode_verification(result)["violations"] == [
         {"location": "degree 0", "identity": "[a_i, b_i] = phi_i", "entry": [1, 2], "left": "0", "right": "5/2"}
     ]
+
+
+def test_shape_mismatch_reports_an_over_long_entry_by_its_size():
+    out = []
+    huge = Fraction(10**5000)
+    _record(out, "degree 0", "x", Matrix(Q, 1, 1, [huge]), Matrix(Q, 1, 2, [0, 0]))
+    (violation,) = out
+    assert violation.entry is None
+    assert violation.left == f"Matrix(Q 1x1 [<too long to print: {huge.numerator.bit_length()}-bit numerator, 1-bit denominator>])"
+    assert violation.right == "Matrix(Q 1x2 [0, 0])"
 
 
 def test_verify_pointwise():
