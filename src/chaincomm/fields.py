@@ -2,8 +2,11 @@
 
 Scalars are plain Python values: ``fractions.Fraction`` over the rationals
 and canonical integers in ``range(p)`` over F_p.  The field object supplies
-the arithmetic, so everything downstream stays field-agnostic and exact.
-No floating point is used anywhere.
+scalar arithmetic and ``normalize``, the one check every entry passes where
+it enters the library (``bool`` is refused over both fields).  Matrices do
+not store scalars: ``matrices`` keeps integers over one denominator and
+needs from a field only its reduction, ``% p`` or lowest terms.  No floating
+point is used anywhere.
 """
 
 from __future__ import annotations
@@ -139,7 +142,7 @@ class Rationals(Field):
     def normalize(self, value) -> Fraction:
         if isinstance(value, Fraction):
             return value
-        if isinstance(value, int):
+        if isinstance(value, int) and not isinstance(value, bool):
             return Fraction(value)
         raise TypeError(f"not a rational scalar: {value!r}")
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Any, Sequence
 
 from .complexes import (
@@ -31,11 +32,12 @@ from .complexes import (
 )
 from .errors import ValueTooLong
 from .fields import MAX_RATIONAL_DIGITS, PRIMALITY_BOUND, Field, PrimeField, Rationals, Scalar, exceeds_digit_cap, render
-from .matrices import Matrix, _canonical
+from .matrices import Matrix
 
 FORMAT_VERSION = "1"
 
 _RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_CANONICAL_RE = re.compile(r"(?:0|-?[1-9][0-9]*)(?:/[1-9][0-9]*)?")
 
 MAX_TOTAL_DIMENSION = 10_000
 """Largest sum of ``dims`` a document may declare.  Zero matrices off and at
@@ -90,13 +92,52 @@ def encode_scalar(field: Field, value: Scalar) -> str | int:
     document may carry, so nothing is written that parsing would reject."""
     if field.finite:
         return int(field.normalize(value))
-    value = field.normalize(value)
-    if exceeds_digit_cap(value):
-        raise ValueTooLong(f"value {render(value)} has more than the {MAX_RATIONAL_DIGITS} digits a document may carry")
-    return str(value)
+    return _encode_ratio(*field.normalize(value).as_integer_ratio())
 
 
-def _decode_scalar(field: Field, raw: Any, path: str, errors: _Collector) -> Scalar | None:
+def _encode_ratio(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for a pair in lowest terms, the digit cap
+    judged on bit lengths before ``str`` is called."""
+    if exceeds_digit_cap(num) or exceeds_digit_cap(den):
+        value = render(Fraction(num, den))
+        raise ValueTooLong(f"value {value} has more than the {MAX_RATIONAL_DIGITS} digits a document may carry")
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _well_spelled(raw: str, path: str, errors: _Collector) -> bool:
+    """Whether a rational's text passes, in order, the ASCII pattern, the
+    digit cap, the nonzero denominator and the one canonical spelling;
+    records the first check that fails."""
+    match = _RATIONAL_RE.fullmatch(raw)
+    if not match:
+        errors.add("rational_invalid", path, f"cannot parse rational {raw!r}")
+        return False
+    num_text, den_text = match.groups()
+    digits = max(len(num_text.lstrip("-")), len(den_text or ""))
+    if digits > MAX_RATIONAL_DIGITS:
+        errors.add(
+            "rational_too_large",
+            path,
+            f"numerator and denominator may have at most {MAX_RATIONAL_DIGITS} digits, got {digits}",
+        )
+        return False
+    if den_text is not None and not den_text.strip("0"):
+        errors.add("rational_invalid", path, "zero denominator")
+        return False
+    # one spelling per rational: no leading zeros and no "-0"
+    magnitude = num_text.lstrip("-").lstrip("0") or "0"
+    canonical = ("-" if num_text.startswith("-") and magnitude != "0" else "") + magnitude
+    if den_text is not None:
+        canonical += "/" + den_text.lstrip("0")
+    if raw != canonical:
+        errors.add("rational_invalid", path, f"{raw!r} has leading zeros or a signed zero; write {canonical!r}")
+        return False
+    return True
+
+
+def _decode_scalar(field: Field, raw: Any, path: str, errors: _Collector) -> int | tuple[int, int] | None:
+    """A residue over F_p; over Q a (numerator, denominator) pair in lowest
+    terms with a positive denominator.  None after recording a violation."""
     if field.finite:
         if isinstance(raw, bool) or not isinstance(raw, int):
             errors.add("scalar_not_integer", path, f"F_{field.size} entries must be integers, got {raw!r}")
@@ -116,43 +157,22 @@ def _decode_scalar(field: Field, raw: Any, path: str, errors: _Collector) -> Sca
             f"rational entries must be strings like \"-3/2\", got {raw!r}",
         )
         return None
-    match = _RATIONAL_RE.fullmatch(raw)
-    if not match:
-        errors.add("rational_invalid", path, f"cannot parse rational {raw!r}")
-        return None
-    num_text, den_text = match.groups()
-    digits = max(len(num_text.lstrip("-")), len(den_text or ""))
-    if digits > MAX_RATIONAL_DIGITS:
-        errors.add(
-            "rational_too_large",
-            path,
-            f"numerator and denominator may have at most {MAX_RATIONAL_DIGITS} digits, got {digits}",
-        )
-        return None
-    if den_text is not None and not den_text.strip("0"):
-        errors.add("rational_invalid", path, "zero denominator")
-        return None
-    # one spelling per rational: no leading zeros and no "-0"
-    magnitude = num_text.lstrip("-").lstrip("0") or "0"
-    canonical = ("-" if num_text.startswith("-") and magnitude != "0" else "") + magnitude
-    if den_text is not None:
-        canonical += "/" + den_text.lstrip("0")
-    if raw != canonical:
-        errors.add("rational_invalid", path, f"{raw!r} has leading zeros or a signed zero; write {canonical!r}")
-        return None
-    if den_text is None:
-        return Fraction(int(num_text))
+    # a short canonical spelling passes the checks of _well_spelled at once
+    if len(raw) > MAX_RATIONAL_DIGITS or not _CANONICAL_RE.fullmatch(raw):
+        if not _well_spelled(raw, path, errors):
+            return None
+    num_text, _, den_text = raw.partition("/")
+    num = int(num_text)
+    if not den_text:
+        return (num, 1)
     den = int(den_text)
-    value = Fraction(int(num_text), den)
-    # in lowest terms exactly when Fraction did not reduce it; "n/1" is not
-    if den == 1 or value.denominator != den:
-        errors.add(
-            "rational_not_reduced",
-            path,
-            f"{raw!r} is not in lowest terms; write {str(value)!r}",
-        )
+    g = gcd(num, den)
+    # "n/1" is not in lowest terms either: it is written "n"
+    if den == 1 or g != 1:
+        lowest = _encode_ratio(num // g, den // g)
+        errors.add("rational_not_reduced", path, f"{raw!r} is not in lowest terms; write {lowest!r}")
         return None
-    return value
+    return (num, den)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +180,10 @@ def _decode_scalar(field: Field, raw: Any, path: str, errors: _Collector) -> Sca
 
 
 def encode_matrix(m: Matrix) -> list[list[str | int]]:
-    return [[encode_scalar(m.field, e) for e in m.row(i)] for i in range(m.rows)]
+    if m.field.finite:
+        return m.to_rows()
+    cells = [_encode_ratio(num, den) for num, den in m.ratios()]
+    return [cells[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
 
 
 def _decode_matrix(
@@ -172,7 +195,7 @@ def _decode_matrix(
     if len(raw) != rows:
         errors.add("shape_mismatch", path, f"expected {rows} rows, got {len(raw)}")
         return None
-    entries: list[Scalar] = []
+    entries: list = []
     ok = True
     for i, row in enumerate(raw):
         if not isinstance(row, list) or len(row) != cols:
@@ -187,7 +210,9 @@ def _decode_matrix(
                 entries.append(value)
     if not ok:
         return None
-    return _canonical(field, rows, cols, tuple(entries))
+    if field.finite:
+        return Matrix.from_canonical(field, rows, cols, entries)
+    return Matrix.from_ratios(field, rows, cols, entries)
 
 
 def _decode_matrix_list(

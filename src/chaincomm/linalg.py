@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import chain
 
-from .matrices import Matrix, _canonical, hstack, kron
+from .matrices import Matrix, hstack, kron
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ def rref(m: Matrix) -> RrefResult:
     transform invertible."""
     field, n, c = m.field, m.rows, m.cols
     rows, pivots = _eliminate(hstack([m, Matrix.identity(field, n)]), c)
-    reduced = _canonical(field, n, c, tuple(chain.from_iterable(row[:c] for row in rows)))
-    transform = _canonical(field, n, n, tuple(chain.from_iterable(row[c:] for row in rows)))
+    reduced = Matrix.from_canonical(field, n, c, chain.from_iterable(row[:c] for row in rows))
+    transform = Matrix.from_canonical(field, n, n, chain.from_iterable(row[c:] for row in rows))
     return RrefResult(reduced, transform, pivots)
 
 
@@ -126,7 +126,7 @@ def kernel_and_pivots(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
         basis[f][j] = field.one
         for r, col in enumerate(pivots):
             basis[col][j] = field.neg(rows[r][f])
-    return _canonical(field, m.cols, len(free_cols), tuple(chain.from_iterable(basis))), pivots
+    return Matrix.from_canonical(field, m.cols, len(free_cols), chain.from_iterable(basis)), pivots
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -169,7 +169,7 @@ def extend_to_basis(inside: Matrix, within: Matrix | None = None) -> tuple[Matri
     identity = Matrix.identity(field, n)
     ambient = identity if within is None else hstack([within, identity])
     rows, chosen = _greedy_complement(inside, ambient)
-    t_inv = _canonical(field, n, n, tuple(chain.from_iterable(row[-n:] for row in rows)))
+    t_inv = Matrix.from_canonical(field, n, n, chain.from_iterable(row[-n:] for row in rows))
     return hstack([inside, ambient.take_columns(chosen)]), t_inv
 
 
@@ -189,7 +189,7 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     x = [[field.zero] * b.cols for _ in range(n)]
     for r, col in enumerate(pivots):
         x[col] = rows[r][n:]
-    return _canonical(field, n, b.cols, tuple(chain.from_iterable(x)))
+    return Matrix.from_canonical(field, n, b.cols, chain.from_iterable(x))
 
 
 def sylvester_operator(a: Matrix, b: Matrix) -> Matrix:
@@ -210,8 +210,7 @@ def sylvester_solve(a: Matrix, b: Matrix, c: Matrix) -> Matrix | None:
     if c.shape != (a.rows, b.rows):
         raise ValueError(f"right-hand side must be {a.rows}x{b.rows}, got {c.shape}")
     operator = sylvester_operator(a, b)
-    rhs = _canonical(c.field, c.rows * c.cols, 1, c.entries)  # row-major vectorization
-    vec = solve_linear(operator, rhs)
+    vec = solve_linear(operator, c.reshaped(c.rows * c.cols, 1))  # row-major vectorization
     if vec is None:
         return None
-    return _canonical(c.field, c.rows, c.cols, vec.entries)
+    return vec.reshaped(c.rows, c.cols)

@@ -1,21 +1,30 @@
 """Immutable exact dense matrices.
 
-Entries live in a :class:`~chaincomm.fields.Field` and are kept in canonical
-form, so equality is structural and matrices are hashable (they appear in
-sets during exhaustive finite-field searches).  Zero-row and zero-column
-matrices are first-class: they occur at the ends of every bounded complex,
-and the 0x0 matrix counts as invertible.
+A matrix stores one row-major tuple of integers and one positive
+denominator.  Over F_p the integers are residues in ``range(p)`` and the
+denominator is 1.  Over Q they are the numerators over d, the least common
+multiple of the entries' denominators, so gcd(d, every numerator) == 1; an
+all-zero matrix has d == 1.  The form is canonical, so equality is structural
+and matrices are hashable (they appear in sets during exhaustive finite-field
+searches).  Zero-row and zero-column matrices are first-class: they occur at
+the ends of every bounded complex, and the 0x0 matrix counts as invertible.
 
-The public constructor normalises and validates every entry.  Results of
-matrix operations are computed canonical (F_p: ``int`` in ``range(p)``; Q:
-``Fraction``) and wrapped by :func:`_canonical` without a second pass.
+Products, sums, differences, negation, scaling, slicing, stacking and
+Kronecker products run on the integers alone, one kernel for both fields;
+the fields differ only in the final reduction, ``% p`` over F_p and division
+by one content gcd over Q.  ``entry``, ``entries``, ``row`` and ``to_rows``
+build field scalars on demand: ``int`` over F_p, ``Fraction`` over Q.
+
+The public constructor normalises and validates every entry;
+``Matrix.from_canonical`` and ``Matrix.from_ratios`` take entries that are
+already canonical and check nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress, product
-from math import lcm
+from math import gcd, lcm
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -23,9 +32,10 @@ from .fields import Field, Scalar, render
 
 
 class Matrix:
-    """A rows x cols matrix with exact entries, stored row-major."""
+    """A rows x cols matrix with exact entries, stored row-major as integers
+    over one denominator."""
 
-    __slots__ = ("field", "rows", "cols", "entries")
+    __slots__ = ("field", "rows", "cols", "_ints", "_den")
 
     def __init__(self, field: Field, rows: int, cols: int, entries: Iterable[Scalar]):
         if rows < 0 or cols < 0:
@@ -33,10 +43,7 @@ class Matrix:
         data = tuple(field.normalize(e) for e in entries)
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", data)
+        _store(self, field, rows, cols, *_integers(field, data))
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -54,17 +61,30 @@ class Matrix:
         return cls(field, nrows, ncols, (e for r in rows for e in r))
 
     @classmethod
+    def from_canonical(cls, field: Field, rows: int, cols: int, entries: Iterable[Scalar]) -> "Matrix":
+        """A matrix from ``rows * cols`` entries already in the field's
+        canonical form (residues in ``range(p)``, or ``Fraction``s); unlike
+        ``Matrix(...)`` it neither normalises nor checks them."""
+        return _wrap(field, rows, cols, *_integers(field, tuple(entries)))
+
+    @classmethod
+    def from_ratios(cls, field: Field, rows: int, cols: int, ratios: Sequence[tuple[int, int]]) -> "Matrix":
+        """A matrix over Q from ``rows * cols`` (numerator, denominator) pairs
+        in lowest terms with positive denominators, building no ``Fraction``;
+        nothing is checked."""
+        return _wrap(field, rows, cols, *_over_lcm(ratios))
+
+    @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        return _canonical(field, rows, cols, (field.zero,) * (rows * cols))
+        return _wrap(field, rows, cols, (0,) * (rows * cols), 1)
 
     @classmethod
     def identity(cls, field: Field, n: int) -> "Matrix":
         if n < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        zero, one = field.zero, field.one
-        return _canonical(field, n, n, tuple(one if i == j else zero for i in range(n) for j in range(n)))
+        return _wrap(field, n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)), 1)
 
     @classmethod
     def column(cls, field: Field, values: Sequence[Scalar]) -> "Matrix":
@@ -77,22 +97,45 @@ class Matrix:
 
     # -- access ------------------------------------------------------------
 
+    def _scalars(self, ints: Sequence[int]) -> tuple[Scalar, ...]:
+        """The field scalars of some of this matrix's integers."""
+        if self.field.finite:
+            return tuple(ints)
+        den = self._den
+        if den == 1:
+            return tuple(map(Fraction, ints))
+        return tuple(Fraction(x, den) for x in ints)
+
+    @property
+    def entries(self) -> tuple[Scalar, ...]:
+        """All entries row-major, as field scalars."""
+        return self._scalars(self._ints)
+
     def entry(self, i: int, j: int) -> Scalar:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError((i, j))
-        return self.entries[i * self.cols + j]
+        x = self._ints[i * self.cols + j]
+        return x if self.field.finite else Fraction(x, self._den)
 
     def row(self, i: int) -> tuple[Scalar, ...]:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return self._scalars(self._ints[i * self.cols : (i + 1) * self.cols])
 
     def to_rows(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def _row_tuples(self) -> list[tuple[Scalar, ...]]:
-        c, e = self.cols, self.entries
+    def ratios(self) -> Iterator[tuple[int, int]]:
+        """Every entry row-major as a (numerator, denominator) pair in lowest
+        terms, building no ``Fraction``; the denominator is 1 over F_p."""
+        den = self._den
+        for x in self._ints:
+            g = gcd(x, den)
+            yield (x // g, den // g)
+
+    def _row_tuples(self) -> list[tuple[int, ...]]:
+        c, e = self.cols, self._ints
         return [e[i * c : (i + 1) * c] for i in range(self.rows)]
 
-    def _column_tuples(self) -> list[tuple[Scalar, ...]]:
+    def _column_tuples(self) -> list[tuple[int, ...]]:
         if self.rows == 0:
             return [()] * self.cols
         return list(zip(*self._row_tuples()))
@@ -100,27 +143,34 @@ class Matrix:
     def column_at(self, j: int) -> "Matrix":
         if not 0 <= j < self.cols:
             raise IndexError(j)
-        return _canonical(self.field, self.rows, 1, self.entries[j :: self.cols])
+        return _lowest(self.field, self.rows, 1, self._ints[j :: self.cols], self._den)
 
     def take_columns(self, indices: Sequence[int]) -> "Matrix":
-        c, e = self.cols, self.entries
+        c, e = self.cols, self._ints
         for j in indices:
             if not 0 <= j < c:
                 raise IndexError(j)
-        return _canonical(
-            self.field, self.rows, len(indices), tuple(e[i * c + j] for i in range(self.rows) for j in indices)
+        return _lowest(
+            self.field, self.rows, len(indices), tuple(e[i * c + j] for i in range(self.rows) for j in indices), self._den
         )
 
     def submatrix(self, row0: int, row1: int, col0: int, col1: int) -> "Matrix":
         if not (0 <= row0 <= row1 <= self.rows and 0 <= col0 <= col1 <= self.cols):
             raise IndexError((row0, row1, col0, col1))
-        c, e = self.cols, self.entries
-        return _canonical(
+        c, e = self.cols, self._ints
+        return _lowest(
             self.field,
             row1 - row0,
             col1 - col0,
             tuple(chain.from_iterable(e[i * c + col0 : i * c + col1] for i in range(row0, row1))),
+            self._den,
         )
+
+    def reshaped(self, rows: int, cols: int) -> "Matrix":
+        """The same row-major entries read as a rows x cols matrix."""
+        if rows < 0 or cols < 0 or rows * cols != self.rows * self.cols:
+            raise ValueError(f"cannot reshape {self.shape} to {(rows, cols)}")
+        return _wrap(self.field, rows, cols, self._ints, self._den)
 
     # -- algebra -----------------------------------------------------------
 
@@ -129,28 +179,37 @@ class Matrix:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not any(self._ints)
 
     def is_scalar(self) -> bool:
         """True when the matrix is c * identity (vacuously for 0x0)."""
         if not self.is_square:
             return False
-        n = self.rows
-        if n == 0:
+        if self.rows == 0:
             return True
-        c = self.entry(0, 0)
-        return all(self.entry(i, j) == (c if i == j else self.field.zero) for i in range(n) for j in range(n))
+        step, ints = self.rows + 1, self._ints
+        c = ints[0]
+        # the diagonal positions are the multiples of n + 1 below n * n
+        return all(x == (c if k % step == 0 else 0) for k, x in enumerate(ints))
 
     def __add__(self, other: "Matrix") -> "Matrix":
-        self._check_same_shape(other)
-        return _reduced(self.field, self.rows, self.cols, map(add, self.entries, other.entries))
+        return self._entrywise(add, other)
 
     def __sub__(self, other: "Matrix") -> "Matrix":
+        return self._entrywise(sub, other)
+
+    def _entrywise(self, op, other: "Matrix") -> "Matrix":
+        """op on the integers of both matrices over their common denominator."""
         self._check_same_shape(other)
-        return _reduced(self.field, self.rows, self.cols, map(sub, self.entries, other.entries))
+        den = lcm(self._den, other._den)
+        a, b = _rescaled(self, den), _rescaled(other, den)
+        return _reduced(self.field, self.rows, self.cols, map(op, a, b), den)
 
     def __neg__(self) -> "Matrix":
-        return _reduced(self.field, self.rows, self.cols, map(neg, self.entries))
+        negated = map(neg, self._ints)
+        if self.field.finite:
+            return _reduced(self.field, self.rows, self.cols, negated, 1)
+        return _wrap(self.field, self.rows, self.cols, tuple(negated), self._den)
 
     def __mul__(self, other: "Matrix") -> "Matrix":
         if not isinstance(other, Matrix):
@@ -159,19 +218,22 @@ class Matrix:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        return _product(self, other)
+        dots = _integer_dots(self._row_tuples(), other._column_tuples())
+        return _reduced(self.field, self.rows, other.cols, chain.from_iterable(dots), self._den * other._den)
 
     def scale(self, scalar: Scalar) -> "Matrix":
         c = self.field.normalize(scalar)
-        return _reduced(self.field, self.rows, self.cols, (c * a for a in self.entries))
+        num, den = (c, 1) if self.field.finite else c.as_integer_ratio()
+        return _reduced(self.field, self.rows, self.cols, (num * x for x in self._ints), den * self._den)
 
     def transpose(self) -> "Matrix":
-        return _canonical(self.field, self.cols, self.rows, tuple(chain.from_iterable(self._column_tuples())))
+        return _wrap(self.field, self.cols, self.rows, tuple(chain.from_iterable(self._column_tuples())), self._den)
 
     def trace(self) -> Scalar:
         if not self.is_square:
             raise ValueError("trace of a non-square matrix")
-        return self.field.normalize(sum((self.entry(i, i) for i in range(self.rows)), start=0))
+        total = sum(self._ints[:: self.cols + 1])
+        return total % self.field.size if self.field.finite else Fraction(total, self._den)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -192,11 +254,12 @@ class Matrix:
             isinstance(other, Matrix)
             and self.field == other.field
             and self.shape == other.shape
-            and self.entries == other.entries
+            and self._den == other._den
+            and self._ints == other._ints
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.rows, self.cols, self.entries))
+        return hash((self.field, self.rows, self.cols, self._den, self._ints))
 
     def sort_key(self) -> tuple:
         """Total order on same-field matrices, for deterministic output."""
@@ -207,25 +270,63 @@ class Matrix:
         return f"Matrix({self.field.kind} {self.rows}x{self.cols} [{body}])"
 
 
-def _canonical(field: Field, rows: int, cols: int, entries: tuple) -> Matrix:
-    """A matrix over ``field`` from a tuple of ``rows * cols`` entries that are
-    already canonical; unlike ``Matrix(...)`` it neither normalises nor checks."""
-    m = object.__new__(Matrix)
-    object.__setattr__(m, "field", field)
-    object.__setattr__(m, "rows", rows)
-    object.__setattr__(m, "cols", cols)
-    object.__setattr__(m, "entries", entries)
+def _store(m: Matrix, field: Field, rows: int, cols: int, ints: tuple[int, ...], den: int) -> Matrix:
+    setattr_ = object.__setattr__
+    setattr_(m, "field", field)
+    setattr_(m, "rows", rows)
+    setattr_(m, "cols", cols)
+    setattr_(m, "_ints", ints)
+    setattr_(m, "_den", den)
     return m
 
 
-def _reduced(field: Field, rows: int, cols: int, raw: Iterable[Scalar]) -> Matrix:
-    """A matrix over ``field`` from the raw results of ring operations on
-    canonical entries: reduced ``% p`` over F_p; over Q sums, differences and
-    products of ``Fraction``s are already canonical."""
+def _wrap(field: Field, rows: int, cols: int, ints: tuple[int, ...], den: int) -> Matrix:
+    """A matrix from integers and a denominator already in the stored form."""
+    return _store(object.__new__(Matrix), field, rows, cols, ints, den)
+
+
+def _over_lcm(ratios: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """Lowest-terms (numerator, denominator) pairs as numerators over d, the
+    lcm of the denominators.  Already in lowest terms: for each prime q of d,
+    the entry whose denominator carries q's full power in d has a numerator
+    prime to q and a factor d // denominator prime to q."""
+    den = lcm(*(q for _, q in ratios))
+    if den == 1:
+        return tuple(n for n, _ in ratios), 1
+    return tuple(n if q == den else n * (den // q) for n, q in ratios), den
+
+
+def _integers(field: Field, scalars: tuple[Scalar, ...]) -> tuple[tuple[int, ...], int]:
+    """The stored form of canonical field scalars."""
+    if field.finite:
+        return scalars, 1
+    return _over_lcm([x.as_integer_ratio() for x in scalars])
+
+
+def _lowest(field: Field, rows: int, cols: int, ints: tuple[int, ...], den: int) -> Matrix:
+    """ints / den in the stored form, from canonical residues over F_p (where
+    den is 1) or any integers over Q: both divided by their gcd."""
+    if den != 1:
+        g = gcd(den, *ints)
+        if g != 1:
+            ints = tuple(x // g for x in ints)
+            den //= g
+    return _wrap(field, rows, cols, ints, den)
+
+
+def _reduced(field: Field, rows: int, cols: int, raw: Iterable[int], den: int) -> Matrix:
+    """The matrix raw / den from the integer results of ring operations on
+    stored forms: ``% p`` over F_p, lowest terms over Q."""
     if field.finite:
         p = field.size
-        return _canonical(field, rows, cols, tuple(x % p for x in raw))
-    return _canonical(field, rows, cols, tuple(raw))
+        return _wrap(field, rows, cols, tuple(x % p for x in raw), 1)
+    return _lowest(field, rows, cols, tuple(raw), den)
+
+
+def _rescaled(m: Matrix, den: int) -> tuple[int, ...]:
+    """m's integers over ``den``, a multiple of its denominator."""
+    factor = den // m._den
+    return m._ints if factor == 1 else tuple(x * factor for x in m._ints)
 
 
 def _integer_dots(left_rows: Sequence[Sequence[int]], right_cols: Sequence[Sequence[int]]) -> Iterator[list[int]]:
@@ -234,35 +335,6 @@ def _integer_dots(left_rows: Sequence[Sequence[int]], right_cols: Sequence[Seque
     for row in left_rows:
         values = [x for x in row if x]
         yield [sum(map(mul, values, compress(col, row))) for col in right_cols]
-
-
-def _scaled_to_integers(vectors: Sequence[Sequence[Fraction]]) -> tuple[list[list[int]], list[int]]:
-    """Each rational vector v as integers w and a denominator d, v == w / d,
-    with d the least common multiple of the denominators of v."""
-    integer_vectors, denominators = [], []
-    for v in vectors:
-        ratios = [x.as_integer_ratio() for x in v]
-        d = lcm(*(q for _, q in ratios))
-        integer_vectors.append([n * (d // q) for n, q in ratios])
-        denominators.append(d)
-    return integer_vectors, denominators
-
-
-def _product(a: Matrix, b: Matrix) -> Matrix:
-    """a * b for matrices of one field with matching inner dimension."""
-    field = a.field
-    if field.finite:
-        dots = _integer_dots(a._row_tuples(), b._column_tuples())
-        return _reduced(field, a.rows, b.cols, chain.from_iterable(dots))
-    left, left_dens = _scaled_to_integers(a._row_tuples())
-    right, right_dens = _scaled_to_integers(b._column_tuples())
-    zero = Fraction(0)
-    data = tuple(
-        Fraction(acc, dl * dr) if acc else zero
-        for accs, dl in zip(_integer_dots(left, right), left_dens)
-        for acc, dr in zip(accs, right_dens)
-    )
-    return _canonical(field, a.rows, b.cols, data)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -275,6 +347,7 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
         a.rows * b.rows,
         a.cols * b.cols,
         (x * y for ra in a._row_tuples() for rb in b_rows for x in ra for y in rb),
+        a._den * b._den,
     )
 
 
@@ -286,9 +359,11 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     field = mats[0].field
     if any(m.rows != rows or m.field != field for m in mats):
         raise ValueError("row count or field mismatch in hstack")
-    pieces = [m._row_tuples() for m in mats]
-    data = tuple(chain.from_iterable(piece[i] for i in range(rows) for piece in pieces))
-    return _canonical(field, rows, sum(m.cols for m in mats), data)
+    # over the lcm of the denominators, as in _over_lcm, no reduction is needed
+    den = lcm(*[m._den for m in mats])
+    pieces = [(_rescaled(m, den), m.cols) for m in mats]
+    data = tuple(chain.from_iterable(ints[i * c : (i + 1) * c] for i in range(rows) for ints, c in pieces))
+    return _wrap(field, rows, sum(m.cols for m in mats), data, den)
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -298,7 +373,9 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     field = mats[0].field
     if any(m.cols != cols or m.field != field for m in mats):
         raise ValueError("column count or field mismatch in vstack")
-    return _canonical(field, sum(m.rows for m in mats), cols, tuple(chain.from_iterable(m.entries for m in mats)))
+    den = lcm(*[m._den for m in mats])
+    data = tuple(chain.from_iterable(_rescaled(m, den) for m in mats))
+    return _wrap(field, sum(m.rows for m in mats), cols, data, den)
 
 
 def block_matrix(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import strategies as st
 
@@ -237,12 +238,70 @@ def matrices(draw, field: Field, rows: int | None = None, cols: int | None = Non
 
 
 def assert_canonical(m: Matrix) -> None:
-    """Entries are in the field's canonical form, and m equals and hashes like
-    the same matrix built through the normalising public constructor."""
+    """The stored form is canonical: integers over a denominator d >= 1 with
+    gcd(d, integers) == 1, d == 1 for the zero matrix and over F_p, residues
+    in range(p) over F_p.  Entries are in the field's canonical form, and m
+    equals and hashes like the same matrix built through the normalising
+    public constructor."""
+    ints, den = m._ints, m._den
+    assert type(den) is int and den >= 1
+    assert len(ints) == m.rows * m.cols and all(type(x) is int for x in ints)
+    assert gcd(den, *ints) == 1
+    if not any(ints):
+        assert den == 1
     if m.field.finite:
+        assert den == 1
+        assert all(0 <= x < m.field.size for x in ints)
         assert all(type(e) is int and 0 <= e < m.field.size for e in m.entries)
     else:
         assert all(type(e) is Fraction for e in m.entries)
     assert len(m.entries) == m.rows * m.cols
     public = Matrix(m.field, m.rows, m.cols, m.entries)
     assert m == public and hash(m) == hash(public)
+
+
+# -- entrywise Fraction reference for the matrix kernel --------------------------
+# A reference matrix is a list of rows of Fractions, so every operation below
+# runs one Fraction operation per entry, with no shared denominator.
+
+
+def wide_rationals():
+    """Rationals with numerators up to about 100 digits, mixed signs, and
+    denominators up to about 10**30 (random ones are mostly coprime, so a
+    matrix's common denominator gets wide)."""
+    numerators = st.one_of(st.sampled_from([0, 1, -1]), st.integers(min_value=-(10**100), max_value=10**100))
+    denominators = st.one_of(st.sampled_from([1, 2, 3, 6]), st.integers(min_value=1, max_value=10**30))
+    return st.builds(Fraction, numerators, denominators)
+
+
+def reference_matrix(rows: list[list[Fraction]], cols: int) -> Matrix:
+    return Matrix(RATIONALS, len(rows), cols, (x for row in rows for x in row))
+
+
+def reference_product(a: list[list[Fraction]], b: list[list[Fraction]], inner: int, cols: int) -> list[list[Fraction]]:
+    return [[sum((row[t] * b[t][j] for t in range(inner)), Fraction(0)) for j in range(cols)] for row in a]
+
+
+def reference_entrywise(op, *mats: list[list[Fraction]]) -> list[list[Fraction]]:
+    return [[op(*xs) for xs in zip(*rows)] for rows in zip(*mats)]
+
+
+def reference_kron(a: list[list[Fraction]], b: list[list[Fraction]]) -> list[list[Fraction]]:
+    return [[x * y for x in ra for y in rb] for ra in a for rb in b]
+
+
+def reference_submatrix(a: list[list[Fraction]], rows, cols) -> list[list[Fraction]]:
+    return [[a[i][j] for j in cols] for i in rows]
+
+
+def reference_transpose(a: list[list[Fraction]], cols: int) -> list[list[Fraction]]:
+    return [[row[j] for row in a] for j in range(cols)]
+
+
+def reference_trace(a: list[list[Fraction]]) -> Fraction:
+    return sum((a[i][i] for i in range(len(a))), Fraction(0))
+
+
+def reference_is_scalar(a: list[list[Fraction]]) -> bool:
+    n = len(a)
+    return all(a[i][j] == (a[0][0] if i == j else 0) for i in range(n) for j in range(n))

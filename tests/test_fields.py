@@ -15,6 +15,7 @@ from chaincomm.fields import (
     is_prime,
     render,
 )
+from chaincomm.matrices import Matrix
 
 Q = RATIONALS
 F5 = PrimeField(5)
@@ -76,6 +77,16 @@ def test_normalization_is_canonical():
         Q.normalize(0.5)
     with pytest.raises(TypeError):
         F5.normalize(True)
+
+
+@pytest.mark.parametrize("field", [Q, GF2, PrimeField(101)], ids=["Q", "F2", "F101"])
+def test_bool_entries_are_refused_over_every_field(field):
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            field.normalize(flag)
+    with pytest.raises(TypeError):
+        Matrix(field, 1, 2, [True, False])
+    assert Matrix(field, 1, 2, [1, 0]).entries == (field.one, field.zero)
 
 
 def test_field_equality():

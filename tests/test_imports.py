@@ -35,3 +35,32 @@ def test_no_module_imports_a_name_it_never_uses():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         unused = _imported_names(tree) - _used_names(tree)
         assert not unused, f"{path.name} imports {sorted(unused)} without using them"
+
+
+def test_only_matrices_reads_the_stored_form():
+    # a Matrix is integers over one denominator; every other module goes
+    # through its public methods, so that form can change in one place
+    from chaincomm.matrices import Matrix
+
+    private_slots = {name for name in Matrix.__slots__ if name.startswith("_")}
+    assert private_slots
+    package = pathlib.Path(chaincomm.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        if path.name == "matrices.py":
+            continue
+        found = []
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in private_slots:
+                found.append(f"reads .{node.attr}")
+            elif isinstance(node, ast.Constant) and node.value in private_slots:
+                found.append(f"names {node.value!r}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "matrices":
+                found += [f"imports {a.name}" for a in node.names if a.name.startswith("_")]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "matrices"
+                and node.attr.startswith("_")
+            ):
+                found.append(f"reads matrices.{node.attr}")
+        assert not found, f"{path.name} reaches into the matrix representation: {found}"

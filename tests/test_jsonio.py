@@ -72,13 +72,21 @@ def test_domain_roundtrip_with_witnesses():
 
 @given(st.fractions(min_value=-100, max_value=100, max_denominator=50))
 def test_scalar_encoding_roundtrip_rationals(value):
-    from chaincomm.jsonio import _decode_scalar, _Collector
-
     encoded = encode_scalar(Q, Fraction(value))
-    errors = _Collector()
-    decoded = _decode_scalar(Q, encoded, "x", errors)
-    assert not errors.violations
+    raw = load_fixture("q_exact.json")
+    raw["differentials"][0][0][0] = encoded  # parse errors would raise
+    decoded = parse_document(raw).complex.differential(0).entry(0, 0)
     assert decoded == value
+
+
+@given(st.text(alphabet="-/0123456789", max_size=8))
+def test_the_canonical_pattern_is_exactly_the_spelling_checks(text):
+    # _decode_scalar skips _well_spelled for short texts the pattern matches
+    from chaincomm.jsonio import _CANONICAL_RE, _Collector, _well_spelled
+
+    errors = _Collector()
+    assert bool(_CANONICAL_RE.fullmatch(text)) == _well_spelled(text, "x", errors)
+    assert len(errors.violations) == (0 if _CANONICAL_RE.fullmatch(text) else 1)
 
 
 @given(st.integers(min_value=0, max_value=4))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import add, neg, sub
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,22 @@ from hypothesis import strategies as st
 from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
 from chaincomm.matrices import Matrix, block_matrix, enumerate_matrices, hstack, kron, split_blocks, vstack
 
-from helpers import KERNEL_FIELDS, assert_canonical, mat, matrices, scalars
+from helpers import (
+    KERNEL_FIELDS,
+    assert_canonical,
+    mat,
+    matrices,
+    reference_entrywise,
+    reference_is_scalar,
+    reference_kron,
+    reference_matrix,
+    reference_product,
+    reference_submatrix,
+    reference_trace,
+    reference_transpose,
+    scalars,
+    wide_rationals,
+)
 
 F3 = PrimeField(3)
 
@@ -182,3 +198,94 @@ def test_structural_results_are_canonical(case, data):
     sub = m.submatrix(r0, r1, c0, c1)
     assert sub == Matrix(f, r1 - r0, c1 - c0, (m.entry(i, j) for i in range(r0, r1) for j in range(c0, c1)))
     assert_canonical(sub)
+
+
+# -- integers over one denominator, against entrywise Fraction arithmetic ------
+
+
+@st.composite
+def wide_operands(draw):
+    """Reference rows of wide rationals: a and b of one shape, c multipliable
+    on the right of a, a square s, and a scalar."""
+    n, k, m = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+
+    def rows(r, c):
+        return [draw(st.lists(wide_rationals(), min_size=c, max_size=c)) for _ in range(r)]
+
+    square = rows(*(draw(st.integers(min_value=0, max_value=3)),) * 2)
+    if square and draw(st.booleans()):  # a scalar matrix
+        x = square[0][0]
+        square = [[x if i == j else Fraction(0) for j in range(len(square))] for i in range(len(square))]
+    return (n, k, m), rows(n, k), rows(n, k), rows(k, m), square, draw(wide_rationals())
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_operands(), st.data())
+def test_wide_rational_operations_match_fractions(case, data):
+    (n, k, m), ra, rb, rc, rs, scalar = case
+    a, b, c, s = reference_matrix(ra, k), reference_matrix(rb, k), reference_matrix(rc, m), reference_matrix(rs, len(rs))
+    assert a.to_rows() == ra and list(a.entries) == [x for row in ra for x in row]
+    expected = {
+        "product": (a * c, reference_product(ra, rc, k, m), m),
+        "sum": (a + b, reference_entrywise(add, ra, rb), k),
+        "difference": (a - b, reference_entrywise(sub, ra, rb), k),
+        "negation": (-a, reference_entrywise(neg, ra), k),
+        "scale": (a.scale(scalar), reference_entrywise(lambda x: scalar * x, ra), k),
+        "transpose": (a.transpose(), reference_transpose(ra, k), n),
+        "kron": (kron(a, c), reference_kron(ra, rc), k * m),
+        "hstack": (hstack([a, b]), [x + y for x, y in zip(ra, rb)], 2 * k),
+        "vstack": (vstack([a, b, a]), ra + rb + ra, k),
+    }
+    r0, r1 = sorted(data.draw(st.tuples(*[st.integers(min_value=0, max_value=n)] * 2)))
+    c0, c1 = sorted(data.draw(st.tuples(*[st.integers(min_value=0, max_value=k)] * 2)))
+    expected["submatrix"] = (a.submatrix(r0, r1, c0, c1), reference_submatrix(ra, range(r0, r1), range(c0, c1)), c1 - c0)
+    if k:
+        cols = data.draw(st.lists(st.integers(min_value=0, max_value=k - 1), max_size=4))
+        expected["take_columns"] = (a.take_columns(cols), reference_submatrix(ra, range(n), cols), len(cols))
+        j = data.draw(st.integers(min_value=0, max_value=k - 1))
+        expected["column_at"] = (a.column_at(j), reference_submatrix(ra, range(n), [j]), 1)
+        row_sizes = [r0, n - r0]
+        col_sizes = [c0, k - c0]
+        blocks = split_blocks(a, row_sizes, col_sizes)
+        expected["block_matrix"] = (block_matrix(Q, row_sizes, col_sizes, blocks), ra, k)
+        expected["split_blocks"] = (blocks[(1, 1)], reference_submatrix(ra, range(r0, n), range(c0, k)), k - c0)
+    for name, (result, reference, cols) in expected.items():
+        assert_canonical(result)
+        assert result == reference_matrix(reference, cols), name
+        assert result.to_rows() == reference, name
+    assert s.trace() == reference_trace(rs)
+    assert s.is_scalar() == reference_is_scalar(rs)
+    assert a.is_zero() == all(x == 0 for row in ra for x in row)
+    assert (a - a).is_zero() and (a - a) == Matrix.zeros(Q, n, k)
+
+
+def test_slicing_drops_a_denominator_factor():
+    m = Matrix(Q, 1, 2, [Fraction(1, 2), 1])
+    taken = m.take_columns([1])
+    assert taken == Matrix(Q, 1, 1, [1]) and hash(taken) == hash(Matrix(Q, 1, 1, [1]))
+    assert m.column_at(1) == taken and m.submatrix(0, 1, 1, 2) == taken
+    assert_canonical(taken)
+
+
+def test_a_sum_cancels_a_denominator():
+    half = Matrix(Q, 1, 1, [Fraction(1, 2)])
+    assert half + half == Matrix(Q, 1, 1, [1])
+    assert_canonical(half + half)
+    assert half.scale(2) == Matrix(Q, 1, 1, [1])
+
+
+def test_zero_matrices_have_denominator_one():
+    m = Matrix(Q, 2, 2, [Fraction(1, 3), Fraction(2, 5), 0, Fraction(-7, 15)])
+    for zero in (m - m, m.scale(0), m * Matrix.zeros(Q, 2, 3), Matrix(Q, 1, 2, [0, 0]), Matrix.zeros(Q, 0, 4)):
+        assert zero.is_zero()
+        assert zero._den == 1
+        assert_canonical(zero)
+
+
+def test_stored_form_keeps_the_wire_text():
+    m = Matrix(Q, 1, 3, [Fraction(-3, 2), 7, Fraction(5, 6)])
+    assert list(m.ratios()) == [(-3, 2), (7, 1), (5, 6)]
+    assert list(Matrix(F3, 1, 2, [5, -1]).ratios()) == [(2, 1), (2, 1)]
+    assert Matrix.from_ratios(Q, 1, 3, list(m.ratios())) == m
+    assert Matrix.from_canonical(Q, 1, 3, m.entries) == m
+    assert m.reshaped(3, 1) == m.transpose()
