@@ -17,7 +17,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Any, Sequence
 
 from .complexes import (
@@ -36,13 +36,22 @@ from .matrices import Matrix
 
 FORMAT_VERSION = "1"
 
-_RATIONAL_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-_CANONICAL_RE = re.compile(r"(?:0|-?[1-9][0-9]*)(?:/[1-9][0-9]*)?")
+_RATIONAL_RE = re.compile(r"(-?([0-9]+))(?:/([0-9]+))?")
 
 MAX_TOTAL_DIMENSION = 10_000
 """Largest sum of ``dims`` a document may declare.  Zero matrices off and at
 the ends of the window are allocated from ``dims`` alone, before any entry is
 read, so without a cap a few bytes of JSON could ask for gigabytes."""
+
+MAX_DENOMINATOR_DIGITS = 2 * MAX_RATIONAL_DIGITS
+"""Longest lcm, in decimal digits, of the denominators of one Q matrix: room
+for two entries whose denominators are at the digit cap and coprime.  A
+matrix stores every entry over that lcm, so without a cap a matrix of many
+unrelated denominators would hold integers as long as all of them together
+in each of its entries."""
+
+_DENOMINATOR_LIMIT = 10**MAX_DENOMINATOR_DIGITS
+_LCM_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -104,37 +113,6 @@ def _encode_ratio(num: int, den: int) -> str:
     return str(num) if den == 1 else f"{num}/{den}"
 
 
-def _well_spelled(raw: str, path: str, errors: _Collector) -> bool:
-    """Whether a rational's text passes, in order, the ASCII pattern, the
-    digit cap, the nonzero denominator and the one canonical spelling;
-    records the first check that fails."""
-    match = _RATIONAL_RE.fullmatch(raw)
-    if not match:
-        errors.add("rational_invalid", path, f"cannot parse rational {raw!r}")
-        return False
-    num_text, den_text = match.groups()
-    digits = max(len(num_text.lstrip("-")), len(den_text or ""))
-    if digits > MAX_RATIONAL_DIGITS:
-        errors.add(
-            "rational_too_large",
-            path,
-            f"numerator and denominator may have at most {MAX_RATIONAL_DIGITS} digits, got {digits}",
-        )
-        return False
-    if den_text is not None and not den_text.strip("0"):
-        errors.add("rational_invalid", path, "zero denominator")
-        return False
-    # one spelling per rational: no leading zeros and no "-0"
-    magnitude = num_text.lstrip("-").lstrip("0") or "0"
-    canonical = ("-" if num_text.startswith("-") and magnitude != "0" else "") + magnitude
-    if den_text is not None:
-        canonical += "/" + den_text.lstrip("0")
-    if raw != canonical:
-        errors.add("rational_invalid", path, f"{raw!r} has leading zeros or a signed zero; write {canonical!r}")
-        return False
-    return True
-
-
 def _decode_scalar(field: Field, raw: Any, path: str, errors: _Collector) -> int | tuple[int, int] | None:
     """A residue over F_p; over Q a (numerator, denominator) pair in lowest
     terms with a positive denominator.  None after recording a violation."""
@@ -157,11 +135,31 @@ def _decode_scalar(field: Field, raw: Any, path: str, errors: _Collector) -> int
             f"rational entries must be strings like \"-3/2\", got {raw!r}",
         )
         return None
-    # a short canonical spelling passes the checks of _well_spelled at once
-    if len(raw) > MAX_RATIONAL_DIGITS or not _CANONICAL_RE.fullmatch(raw):
-        if not _well_spelled(raw, path, errors):
-            return None
-    num_text, _, den_text = raw.partition("/")
+    match = _RATIONAL_RE.fullmatch(raw)
+    if not match:
+        errors.add("rational_invalid", path, f"cannot parse rational {raw!r}")
+        return None
+    num_text, magnitude, den_text = match.groups()
+    if len(magnitude) > MAX_RATIONAL_DIGITS or len(den_text or "") > MAX_RATIONAL_DIGITS:
+        digits = max(len(magnitude), len(den_text or ""))
+        errors.add(
+            "rational_too_large",
+            path,
+            f"numerator and denominator may have at most {MAX_RATIONAL_DIGITS} digits, got {digits}",
+        )
+        return None
+    if den_text is not None and not den_text.strip("0"):
+        errors.add("rational_invalid", path, "zero denominator")
+        return None
+    # one spelling per rational: no leading zeros and no "-0"
+    if (magnitude[0] == "0" and num_text != "0") or (den_text is not None and den_text[0] == "0"):
+        canonical = magnitude.lstrip("0") or "0"
+        if num_text[0] == "-" and canonical != "0":
+            canonical = "-" + canonical
+        if den_text is not None:
+            canonical += "/" + den_text.lstrip("0")
+        errors.add("rational_invalid", path, f"{raw!r} has leading zeros or a signed zero; write {canonical!r}")
+        return None
     num = int(num_text)
     if not den_text:
         return (num, 1)
@@ -182,6 +180,10 @@ def _decode_scalar(field: Field, raw: Any, path: str, errors: _Collector) -> int
 def encode_matrix(m: Matrix) -> list[list[str | int]]:
     if m.field.finite:
         return m.to_rows()
+    if m.denominator >= _DENOMINATOR_LIMIT:
+        raise ValueTooLong(
+            f"the lcm of a matrix's denominators has more than the {MAX_DENOMINATOR_DIGITS} digits a document may carry"
+        )
     cells = [_encode_ratio(num, den) for num, den in m.ratios()]
     return [cells[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
 
@@ -212,7 +214,21 @@ def _decode_matrix(
         return None
     if field.finite:
         return Matrix.from_canonical(field, rows, cols, entries)
-    return Matrix.from_ratios(field, rows, cols, entries)
+    # the matrix stores every entry over the lcm of the denominators, so the
+    # lcm is bounded before the matrix is built, taken a block at a time so
+    # that refusing a matrix costs time linear in its size
+    dens = [q for _, q in entries]
+    den = 1
+    for k in range(0, len(dens), _LCM_BLOCK):
+        den = lcm(den, *dens[k : k + _LCM_BLOCK])
+        if den >= _DENOMINATOR_LIMIT:
+            errors.add(
+                "denominator_too_large",
+                path,
+                f"the lcm of the entries' denominators has more than {MAX_DENOMINATOR_DIGITS} digits",
+            )
+            return None
+    return Matrix.from_ratios(field, rows, cols, entries, den)
 
 
 def _decode_matrix_list(

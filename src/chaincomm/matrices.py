@@ -68,11 +68,11 @@ class Matrix:
         return _wrap(field, rows, cols, *_integers(field, tuple(entries)))
 
     @classmethod
-    def from_ratios(cls, field: Field, rows: int, cols: int, ratios: Sequence[tuple[int, int]]) -> "Matrix":
+    def from_ratios(cls, field: Field, rows: int, cols: int, ratios: Sequence[tuple[int, int]], den: int) -> "Matrix":
         """A matrix over Q from ``rows * cols`` (numerator, denominator) pairs
-        in lowest terms with positive denominators, building no ``Fraction``;
-        nothing is checked."""
-        return _wrap(field, rows, cols, *_over_lcm(ratios))
+        in lowest terms with positive denominators and ``den``, the lcm of
+        those denominators, building no ``Fraction``; nothing is checked."""
+        return _wrap(field, rows, cols, _over(ratios, den), den)
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
@@ -122,6 +122,11 @@ class Matrix:
 
     def to_rows(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
+
+    @property
+    def denominator(self) -> int:
+        """The lcm of the entries' denominators: 1 over F_p and for zero."""
+        return self._den
 
     def ratios(self) -> Iterator[tuple[int, int]]:
         """Every entry row-major as a (numerator, denominator) pair in lowest
@@ -285,22 +290,23 @@ def _wrap(field: Field, rows: int, cols: int, ints: tuple[int, ...], den: int) -
     return _store(object.__new__(Matrix), field, rows, cols, ints, den)
 
 
-def _over_lcm(ratios: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
-    """Lowest-terms (numerator, denominator) pairs as numerators over d, the
-    lcm of the denominators.  Already in lowest terms: for each prime q of d,
-    the entry whose denominator carries q's full power in d has a numerator
-    prime to q and a factor d // denominator prime to q."""
-    den = lcm(*(q for _, q in ratios))
+def _over(ratios: Sequence[tuple[int, int]], den: int) -> tuple[int, ...]:
+    """Lowest-terms (numerator, denominator) pairs as numerators over den, the
+    lcm of the denominators.  Already in lowest terms: for each prime q of
+    den, the entry whose denominator carries q's full power in den has a
+    numerator prime to q and a factor den // denominator prime to q."""
     if den == 1:
-        return tuple(n for n, _ in ratios), 1
-    return tuple(n if q == den else n * (den // q) for n, q in ratios), den
+        return tuple(n for n, _ in ratios)
+    return tuple(n if q == den else n * (den // q) for n, q in ratios)
 
 
 def _integers(field: Field, scalars: tuple[Scalar, ...]) -> tuple[tuple[int, ...], int]:
     """The stored form of canonical field scalars."""
     if field.finite:
         return scalars, 1
-    return _over_lcm([x.as_integer_ratio() for x in scalars])
+    ratios = [x.as_integer_ratio() for x in scalars]
+    den = lcm(*(q for _, q in ratios))
+    return _over(ratios, den), den
 
 
 def _lowest(field: Field, rows: int, cols: int, ints: tuple[int, ...], den: int) -> Matrix:
@@ -359,7 +365,7 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     field = mats[0].field
     if any(m.rows != rows or m.field != field for m in mats):
         raise ValueError("row count or field mismatch in hstack")
-    # over the lcm of the denominators, as in _over_lcm, no reduction is needed
+    # over the lcm of the denominators, as in _over, no reduction is needed
     den = lcm(*[m._den for m in mats])
     pieces = [(_rescaled(m, den), m.cols) for m in mats]
     data = tuple(chain.from_iterable(ints[i * c : (i + 1) * c] for i in range(rows) for ints, c in pieces))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from hypothesis import strategies as st
 
@@ -255,6 +255,7 @@ def assert_canonical(m: Matrix) -> None:
         assert all(type(e) is int and 0 <= e < m.field.size for e in m.entries)
     else:
         assert all(type(e) is Fraction for e in m.entries)
+        assert m.denominator == lcm(*(e.denominator for e in m.entries))
     assert len(m.entries) == m.rows * m.cols
     public = Matrix(m.field, m.rows, m.cols, m.entries)
     assert m == public and hash(m) == hash(public)

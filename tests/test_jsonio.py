@@ -7,12 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaincomm.complexes import ChainEndomorphism
+from chaincomm.errors import ValueTooLong
 from chaincomm.fields import GF2, PRIMALITY_BOUND, RATIONALS as Q, PrimeField
 from chaincomm.generate import random_complex, random_endomorphism
 from chaincomm.jsonio import (
     MAX_RATIONAL_DIGITS,
     MAX_TOTAL_DIMENSION,
     SchemaError,
+    encode_matrix,
     encode_scalar,
     parse_document,
     serialize_document,
@@ -77,16 +79,6 @@ def test_scalar_encoding_roundtrip_rationals(value):
     raw["differentials"][0][0][0] = encoded  # parse errors would raise
     decoded = parse_document(raw).complex.differential(0).entry(0, 0)
     assert decoded == value
-
-
-@given(st.text(alphabet="-/0123456789", max_size=8))
-def test_the_canonical_pattern_is_exactly_the_spelling_checks(text):
-    # _decode_scalar skips _well_spelled for short texts the pattern matches
-    from chaincomm.jsonio import _CANONICAL_RE, _Collector, _well_spelled
-
-    errors = _Collector()
-    assert bool(_CANONICAL_RE.fullmatch(text)) == _well_spelled(text, "x", errors)
-    assert len(errors.violations) == (0 if _CANONICAL_RE.fullmatch(text) else 1)
 
 
 @given(st.integers(min_value=0, max_value=4))
@@ -187,6 +179,22 @@ def test_rejects_oversized_rationals():
         assert codes_of(err.value) == {"rational_too_large"}
     raw["differentials"][0][0][0] = "7" * MAX_RATIONAL_DIGITS
     assert parse_document(raw).complex.differential(0).entry(0, 0) == int("7" * MAX_RATIONAL_DIGITS)
+
+
+def test_rejects_a_common_denominator_over_its_cap():
+    # a Q matrix stores every entry over the lcm of its denominators, so that
+    # lcm is capped: two coprime denominators at the digit cap pass, three do not
+    big = 10 ** (MAX_RATIONAL_DIGITS - 1)
+    raw = {"format_version": "1", "field": {"kind": "Q"}, "lo": 0, "hi": 1, "dims": [3, 1]}
+    raw["differentials"] = [[["1/3", f"1/{big}", f"1/{big + 1}"]]]
+    assert parse_document(raw).complex.differential(0).entry(0, 0) == Fraction(1, 3)
+    raw["differentials"] = [[[f"1/{big - 1}", f"1/{big}", f"1/{big + 1}"]]]
+    with pytest.raises(SchemaError) as err:
+        parse_document(raw)
+    assert [(v.code, v.path) for v in err.value.violations] == [("denominator_too_large", "differentials[0]")]
+    # and nothing is written that parsing would refuse
+    with pytest.raises(ValueTooLong):
+        encode_matrix(Matrix(Q, 1, 3, [Fraction(1, big - 1), Fraction(1, big), Fraction(1, big + 1)]))
 
 
 def test_rejects_oversized_dimension_total_before_allocating():

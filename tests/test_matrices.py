@@ -286,6 +286,6 @@ def test_stored_form_keeps_the_wire_text():
     m = Matrix(Q, 1, 3, [Fraction(-3, 2), 7, Fraction(5, 6)])
     assert list(m.ratios()) == [(-3, 2), (7, 1), (5, 6)]
     assert list(Matrix(F3, 1, 2, [5, -1]).ratios()) == [(2, 1), (2, 1)]
-    assert Matrix.from_ratios(Q, 1, 3, list(m.ratios())) == m
+    assert Matrix.from_ratios(Q, 1, 3, list(m.ratios()), m.denominator) == m
     assert Matrix.from_canonical(Q, 1, 3, m.entries) == m
     assert m.reshaped(3, 1) == m.transpose()
