@@ -102,7 +102,7 @@ def _load_document(path: str, command: str) -> jsonio.Document:
             raw = json.load(handle)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
-    except ValueError as exc:  # malformed JSON or UTF-8, or a JSON integer too long to convert
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too long an integer, too deep nesting
         raise SchemaError([jsonio.SchemaViolation("invalid_json", "$", str(exc))])
     doc = jsonio.parse_document(raw)
     if doc.endomorphism is None:

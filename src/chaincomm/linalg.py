@@ -1,16 +1,16 @@
 """Exact dense linear algebra: row reduction, kernels, images, Sylvester solves.
 
-Everything returns exact results over Q or F_p; all choices (pivot order,
-free-variable values, complement selection) are deterministic so that every
-downstream construction is reproducible run to run.
+Each routine is one ``matrices.row_reduce`` followed by slicing, stacking
+and row gathers, so this module does no scalar arithmetic.  All choices
+(pivot order, free-variable values, complement selection) are deterministic
+so that every downstream construction is reproducible run to run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
-from .matrices import Matrix, hstack, kron
+from .matrices import Matrix, hstack, kron, row_reduce, vstack
 
 
 @dataclass(frozen=True)
@@ -26,78 +26,17 @@ class RrefResult:
         return len(self.pivots)
 
 
-def _eliminate(m: Matrix, width: int | None = None) -> tuple[list[list], tuple[int, ...]]:
-    """Gauss-Jordan elimination of ``m`` as row lists, in the field's own
-    arithmetic: raw residues over F_p, ``Fraction`` over Q.
-
-    Pivots are sought only among the first ``width`` columns (all of them by
-    default); the columns after those are carried along by the same row
-    operations.  Returns the reduced rows and the pivot columns.  Reduced
-    form and pivots are unique; every row operation only touches columns from
-    the pivot onward, where the pivot row can be nonzero.
-    """
-    field = m.field
-    n, c, e = m.rows, m.cols, m.entries
-    rows = [list(e[i * c : (i + 1) * c]) for i in range(n)]
-    if field.finite:
-        p = field.size
-
-        def invert(x):
-            return pow(x, -1, p)
-
-        def scaled(vec, s):
-            return [x * s % p for x in vec]
-
-        def reduced_by(vec, f, piv):
-            return [(a - f * b) % p for a, b in zip(vec, piv)]
-
-    else:
-
-        def invert(x):
-            return 1 / x
-
-        def scaled(vec, s):
-            return [x * s if x else x for x in vec]
-
-        def reduced_by(vec, f, piv):
-            return [a - f * b if b else a for a, b in zip(vec, piv)]
-
-    pivots: list[int] = []
-    for col in range(c if width is None else width):
-        top = len(pivots)
-        if top == n:
-            break
-        pivot = next((r for r in range(top, n) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        if pivot != top:
-            rows[top], rows[pivot] = rows[pivot], rows[top]
-        lead = rows[top][col]
-        if lead != 1:
-            rows[top][col:] = scaled(rows[top][col:], invert(lead))
-        tail = rows[top][col:]
-        for r in range(n):
-            factor = rows[r][col]
-            if r == top or not factor:
-                continue
-            rows[r][col:] = reduced_by(rows[r][col:], factor, tail)
-        pivots.append(col)
-    return rows, tuple(pivots)
-
-
 def rref(m: Matrix) -> RrefResult:
     """Gauss-Jordan elimination of ``[m | I]`` with pivots in m's columns
     only, so the I block ends as the transform: transform * m == reduced,
     transform invertible."""
-    field, n, c = m.field, m.rows, m.cols
-    rows, pivots = _eliminate(hstack([m, Matrix.identity(field, n)]), c)
-    reduced = Matrix.from_canonical(field, n, c, chain.from_iterable(row[:c] for row in rows))
-    transform = Matrix.from_canonical(field, n, n, chain.from_iterable(row[c:] for row in rows))
-    return RrefResult(reduced, transform, pivots)
+    n, c = m.rows, m.cols
+    both, pivots = row_reduce(hstack([m, Matrix.identity(m.field, n)]), c)
+    return RrefResult(both.submatrix(0, n, 0, c), both.submatrix(0, n, c, c + n), pivots)
 
 
 def rank(m: Matrix) -> int:
-    return len(_eliminate(m)[1])
+    return len(row_reduce(m)[1])
 
 
 def is_invertible(m: Matrix) -> bool:
@@ -114,19 +53,23 @@ def inverse(m: Matrix) -> Matrix:
     return result.transform
 
 
+def _at_pivots(pivots: tuple[int, ...], top: Matrix, n: int) -> Matrix:
+    """n rows: row r of ``top`` at position ``pivots[r]``, zero rows at the
+    other positions, placed by one row gather."""
+    source = dict(zip(pivots, range(len(pivots))))
+    padded = vstack([top, Matrix.zeros(top.field, 1, top.cols)])
+    return padded.take_rows([source.get(i, len(pivots)) for i in range(n)])
+
+
 def kernel_and_pivots(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
     """A deterministic basis of ker(m) (count = cols - rank) and the pivot
-    columns of m, from one elimination."""
-    field = m.field
-    rows, pivots = _eliminate(m)
-    pivot_cols = set(pivots)
-    free_cols = [col for col in range(m.cols) if col not in pivot_cols]
-    basis = [[field.zero] * len(free_cols) for _ in range(m.cols)]
-    for j, f in enumerate(free_cols):
-        basis[f][j] = field.one
-        for r, col in enumerate(pivots):
-            basis[col][j] = field.neg(rows[r][f])
-    return Matrix.from_canonical(field, m.cols, len(free_cols), chain.from_iterable(basis)), pivots
+    columns of m, from one elimination: the free columns of I - E, where E
+    holds the reduced rows at their pivot positions."""
+    c = m.cols
+    reduced, pivots = row_reduce(m)
+    placed = _at_pivots(pivots, reduced.submatrix(0, len(pivots), 0, c), c)
+    free = [col for col in range(c) if col not in pivots]
+    return (Matrix.identity(m.field, c) - placed).take_columns(free), pivots
 
 
 def kernel_basis(m: Matrix) -> Matrix:
@@ -136,11 +79,11 @@ def kernel_basis(m: Matrix) -> Matrix:
 
 def image_basis(m: Matrix) -> Matrix:
     """The pivot columns of m: a deterministic basis of the column space."""
-    return m.take_columns(_eliminate(m)[1])
+    return m.take_columns(row_reduce(m)[1])
 
 
-def _greedy_complement(inside: Matrix, ambient_basis: Matrix) -> tuple[list[list], list[int]]:
-    """One elimination of ``[inside | ambient_basis]``: its reduced rows and
+def _greedy_complement(inside: Matrix, ambient_basis: Matrix) -> tuple[Matrix, list[int]]:
+    """One elimination of ``[inside | ambient_basis]``: its reduced form and
     the ambient columns that greedily extend ``inside``.
 
     A column is a pivot exactly when it is independent of the columns before
@@ -149,10 +92,10 @@ def _greedy_complement(inside: Matrix, ambient_basis: Matrix) -> tuple[list[list
     if inside.rows != ambient_basis.rows:
         raise ValueError("row count mismatch")
     k = inside.cols
-    rows, pivots = _eliminate(hstack([inside, ambient_basis]))
+    reduced, pivots = row_reduce(hstack([inside, ambient_basis]))
     if pivots[:k] != tuple(range(k)):
         raise ValueError("inside columns are linearly dependent")
-    return rows, [col - k for col in pivots[k:]]
+    return reduced, [col - k for col in pivots[k:]]
 
 
 def complement_basis(inside: Matrix, ambient_basis: Matrix) -> Matrix:
@@ -165,11 +108,11 @@ def extend_to_basis(inside: Matrix, within: Matrix | None = None) -> tuple[Matri
     """(t, t^-1) for t = [inside | greedy columns of ``within`` | greedy unit
     vectors], from one elimination of ``[inside | within | I]`` whose pivot
     columns are t's: its row operations E satisfy E t = I, and I ends as E."""
-    field, n = inside.field, inside.rows
-    identity = Matrix.identity(field, n)
+    n = inside.rows
+    identity = Matrix.identity(inside.field, n)
     ambient = identity if within is None else hstack([within, identity])
-    rows, chosen = _greedy_complement(inside, ambient)
-    t_inv = Matrix.from_canonical(field, n, n, chain.from_iterable(row[-n:] for row in rows))
+    reduced, chosen = _greedy_complement(inside, ambient)
+    t_inv = reduced.submatrix(0, n, reduced.cols - n, reduced.cols)
     return hstack([inside, ambient.take_columns(chosen)]), t_inv
 
 
@@ -181,15 +124,11 @@ def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:
     """
     if a.rows != b.rows:
         raise ValueError("row count mismatch between system and right-hand side")
-    field = a.field
     n = a.cols
-    rows, pivots = _eliminate(hstack([a, b]))
+    reduced, pivots = row_reduce(hstack([a, b]))
     if pivots and pivots[-1] >= n:
         return None
-    x = [[field.zero] * b.cols for _ in range(n)]
-    for r, col in enumerate(pivots):
-        x[col] = rows[r][n:]
-    return Matrix.from_canonical(field, n, b.cols, chain.from_iterable(x))
+    return _at_pivots(pivots, reduced.submatrix(0, len(pivots), n, n + b.cols), n)
 
 
 def sylvester_operator(a: Matrix, b: Matrix) -> Matrix:

@@ -9,21 +9,22 @@ and matrices are hashable (they appear in sets during exhaustive finite-field
 searches).  Zero-row and zero-column matrices are first-class: they occur at
 the ends of every bounded complex, and the 0x0 matrix counts as invertible.
 
-Products, sums, differences, negation, scaling, slicing, stacking and
-Kronecker products run on the integers alone, one kernel for both fields;
-the fields differ only in the final reduction, ``% p`` over F_p and division
-by one content gcd over Q.  ``entry``, ``entries``, ``row`` and ``to_rows``
-build field scalars on demand: ``int`` over F_p, ``Fraction`` over Q.
+Products, sums, differences, negation, scaling, slicing, stacking,
+Kronecker products and row reduction (``row_reduce``, the library's only
+elimination) run on the integers alone, one kernel for both fields; the
+fields differ only in reducing ``% p`` or by gcds over Q.  ``entry``,
+``entries``, ``row`` and ``to_rows`` build field scalars on demand: ``int``
+over F_p, ``Fraction`` over Q.
 
 The public constructor normalises and validates every entry;
-``Matrix.from_canonical`` and ``Matrix.from_ratios`` take entries that are
-already canonical and check nothing.
+``Matrix.from_canonical`` (F_p residues) and ``Matrix.from_ratios`` (Q
+pairs) take entries that are already canonical and check nothing.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, compress, product
+from itertools import accumulate, chain, compress, product
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -43,7 +44,12 @@ class Matrix:
         data = tuple(field.normalize(e) for e in entries)
         if len(data) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(data)}")
-        _store(self, field, rows, cols, *_integers(field, data))
+        if field.finite:
+            _store(self, field, rows, cols, data, 1)
+        else:
+            ratios = [x.as_integer_ratio() for x in data]
+            den = lcm(*(q for _, q in ratios))
+            _store(self, field, rows, cols, _over(ratios, den), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -61,11 +67,13 @@ class Matrix:
         return cls(field, nrows, ncols, (e for r in rows for e in r))
 
     @classmethod
-    def from_canonical(cls, field: Field, rows: int, cols: int, entries: Iterable[Scalar]) -> "Matrix":
-        """A matrix from ``rows * cols`` entries already in the field's
-        canonical form (residues in ``range(p)``, or ``Fraction``s); unlike
-        ``Matrix(...)`` it neither normalises nor checks them."""
-        return _wrap(field, rows, cols, *_integers(field, tuple(entries)))
+    def from_canonical(cls, field: Field, rows: int, cols: int, entries: Iterable[int]) -> "Matrix":
+        """A matrix over F_p from ``rows * cols`` residues in ``range(p)``;
+        unlike ``Matrix(...)`` it neither normalises nor checks them.  Over Q
+        use ``from_ratios``."""
+        if not field.finite:
+            raise TypeError("from_canonical takes F_p residues; use from_ratios over Q")
+        return _wrap(field, rows, cols, tuple(entries), 1)
 
     @classmethod
     def from_ratios(cls, field: Field, rows: int, cols: int, ratios: Sequence[tuple[int, int]], den: int) -> "Matrix":
@@ -146,9 +154,7 @@ class Matrix:
         return list(zip(*self._row_tuples()))
 
     def column_at(self, j: int) -> "Matrix":
-        if not 0 <= j < self.cols:
-            raise IndexError(j)
-        return _lowest(self.field, self.rows, 1, self._ints[j :: self.cols], self._den)
+        return self.take_columns([j])
 
     def take_columns(self, indices: Sequence[int]) -> "Matrix":
         c, e = self.cols, self._ints
@@ -158,6 +164,14 @@ class Matrix:
         return _lowest(
             self.field, self.rows, len(indices), tuple(e[i * c + j] for i in range(self.rows) for j in indices), self._den
         )
+
+    def take_rows(self, indices: Sequence[int]) -> "Matrix":
+        """The rows at ``indices``, in that order; an index may repeat."""
+        if not all(0 <= i < self.rows for i in indices):
+            raise IndexError(indices)
+        rows = self._row_tuples()
+        gathered = tuple(chain.from_iterable(rows[i] for i in indices))
+        return _lowest(self.field, len(indices), self.cols, gathered, self._den)
 
     def submatrix(self, row0: int, row1: int, col0: int, col1: int) -> "Matrix":
         if not (0 <= row0 <= row1 <= self.rows and 0 <= col0 <= col1 <= self.cols):
@@ -300,24 +314,19 @@ def _over(ratios: Sequence[tuple[int, int]], den: int) -> tuple[int, ...]:
     return tuple(n if q == den else n * (den // q) for n, q in ratios)
 
 
-def _integers(field: Field, scalars: tuple[Scalar, ...]) -> tuple[tuple[int, ...], int]:
-    """The stored form of canonical field scalars."""
-    if field.finite:
-        return scalars, 1
-    ratios = [x.as_integer_ratio() for x in scalars]
-    den = lcm(*(q for _, q in ratios))
-    return _over(ratios, den), den
-
-
 def _lowest(field: Field, rows: int, cols: int, ints: tuple[int, ...], den: int) -> Matrix:
     """ints / den in the stored form, from canonical residues over F_p (where
-    den is 1) or any integers over Q: both divided by their gcd."""
+    den is 1) or any integers over Q."""
     if den != 1:
-        g = gcd(den, *ints)
-        if g != 1:
-            ints = tuple(x // g for x in ints)
-            den //= g
-    return _wrap(field, rows, cols, ints, den)
+        ints, den = _lowest_terms(ints, den)
+    return _wrap(field, rows, cols, tuple(ints), den)
+
+
+def _lowest_terms(ints: Sequence[int], den: int) -> tuple[Sequence[int], int]:
+    """ints and den divided by their gcd, negated with it when den < 0, so
+    that the denominator comes out positive."""
+    g = gcd(den, *ints) if den > 0 else -gcd(den, *ints)
+    return (ints, den) if g == 1 else ([x // g for x in ints], den // g)
 
 
 def _reduced(field: Field, rows: int, cols: int, raw: Iterable[int], den: int) -> Matrix:
@@ -341,6 +350,60 @@ def _integer_dots(left_rows: Sequence[Sequence[int]], right_cols: Sequence[Seque
     for row in left_rows:
         values = [x for x in row if x]
         yield [sum(map(mul, values, compress(col, row))) for col in right_cols]
+
+
+def row_reduce(m: Matrix, width: int | None = None) -> tuple[Matrix, tuple[int, ...]]:
+    """Gauss-Jordan elimination: the reduced row echelon form of ``m`` and its
+    pivot columns, sought among the first ``width`` columns (all by default);
+    the later columns are carried along by the same row operations.  Each row
+    is integers over its own denominator, so every row stays exact, those
+    below the rank included; the rows are packed once at the end."""
+    n = m.rows
+    rows = [list(r) for r in m._row_tuples()]
+    dens = [m._den] * n
+    pivots: list[int] = []
+    for col in range(m.cols if width is None else width):
+        top = len(pivots)
+        if top == n:
+            break
+        pivot = next((r for r in range(top, n) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        dens[top], dens[pivot] = dens[pivot], dens[top]
+        if m.field.finite:
+            _clear_residues(rows, top, col, m.field.size)
+        else:
+            _clear_rationals(rows, dens, top, col)
+        pivots.append(col)
+    den = lcm(*dens)
+    ints = chain.from_iterable(row if d == den else [x * (den // d) for x in row] for row, d in zip(rows, dens))
+    return _lowest(m.field, n, m.cols, tuple(ints), den), tuple(pivots)
+
+
+def _clear_residues(rows: list[list[int]], top: int, col: int, p: int) -> None:
+    """Scale row ``top`` to pivot 1, then clear column ``col`` from the other
+    rows ``% p``, from ``col`` on: the pivot row is zero before it."""
+    lead = rows[top][col]
+    if lead != 1:
+        s = pow(lead, -1, p)
+        rows[top][col:] = [x * s % p for x in rows[top][col:]]
+    tail = rows[top][col:]
+    for r, row in enumerate(rows):
+        f = row[col]
+        if f and r != top:
+            row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
+
+
+def _clear_rationals(rows: list[list[int]], dens: list[int], top: int, col: int) -> None:
+    """Put row ``top`` over its pivot in lowest terms, so the pivot b equals
+    the denominator, then turn each other row with factor f in column ``col``
+    into b*row - f*pivot_row over den*b, in lowest terms."""
+    pivot_row, b = rows[top], dens[top] = _lowest_terms(rows[top], rows[top][col])
+    for r, row in enumerate(rows):
+        f = row[col]
+        if f and r != top:
+            rows[r], dens[r] = _lowest_terms([b * x - f * y for x, y in zip(row, pivot_row)], dens[r] * b)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -411,12 +474,8 @@ def split_blocks(m: Matrix, row_sizes: Sequence[int], col_sizes: Sequence[int]) 
     """Cut a matrix into the block grid given by the size partitions."""
     if sum(row_sizes) != m.rows or sum(col_sizes) != m.cols:
         raise ValueError("block sizes do not partition the matrix")
-    row_offsets = [0]
-    for s in row_sizes:
-        row_offsets.append(row_offsets[-1] + s)
-    col_offsets = [0]
-    for s in col_sizes:
-        col_offsets.append(col_offsets[-1] + s)
+    row_offsets = list(accumulate(row_sizes, initial=0))
+    col_offsets = list(accumulate(col_sizes, initial=0))
     return {
         (r, c): m.submatrix(row_offsets[r], row_offsets[r + 1], col_offsets[c], col_offsets[c + 1])
         for r in range(len(row_sizes))

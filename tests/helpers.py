@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 
 from hypothesis import strategies as st
@@ -132,6 +133,43 @@ def reference_complement_basis(inside: Matrix, ambient_basis: Matrix) -> Matrix:
     return ambient_basis.take_columns(chosen)
 
 
+def reference_kernel(m: Matrix) -> Matrix:
+    """One basis vector per free column of reference_rref: 1 there, zero at
+    the other free columns, minus that column of the reduced form at the
+    pivots."""
+    reduced, _, pivots = reference_rref(m)
+    free = [col for col in range(m.cols) if col not in pivots]
+    basis = [[0] * len(free) for _ in range(m.cols)]
+    for j, f in enumerate(free):
+        basis[f][j] = 1
+        for r, col in enumerate(pivots):
+            basis[col][j] = -reduced.entry(r, f)
+    return Matrix(m.field, m.cols, len(free), chain.from_iterable(basis))
+
+
+def reference_solution(a: Matrix, b: Matrix) -> Matrix | None:
+    """The solution of a*x = b with free variables zero, read off
+    reference_rref's transform, or None when b leaves the column space."""
+    _, transform, pivots = reference_rref(a)
+    c = transform * b
+    if any(c.entry(r, j) != 0 for r in range(len(pivots), a.rows) for j in range(b.cols)):
+        return None
+    x = [[0] * b.cols for _ in range(a.cols)]
+    for r, col in enumerate(pivots):
+        x[col] = list(c.row(r))
+    return Matrix(a.field, a.cols, b.cols, chain.from_iterable(x))
+
+
+def reference_extension(inside: Matrix, within: Matrix | None) -> tuple[Matrix, Matrix]:
+    """(t, t^-1) for t = inside, then greedy columns of ``within``, then
+    greedy unit vectors."""
+    field, n = inside.field, inside.rows
+    candidates = Matrix.zeros(field, n, 0) if within is None else within
+    extended = hstack([inside, reference_complement_basis(inside, candidates)])
+    t = hstack([extended, reference_complement_basis(extended, Matrix.identity(field, n))])
+    return t, reference_rref(t)[1]
+
+
 def reference_induced_cohomology_map(phi: ChainEndomorphism, degree: int) -> Matrix:
     """The induced map on cohomology computed without a splitting: lift
     cohomology by the greedy complement of the boundaries in the cocycles,
@@ -226,12 +264,16 @@ def scalars(field: Field):
 
 
 @st.composite
-def matrices(draw, field: Field, rows: int | None = None, cols: int | None = None, max_dim: int = 5) -> Matrix:
-    """A matrix over ``field``; with two or more rows, the last row may repeat
-    the first, which makes the rows dependent."""
+def matrices(
+    draw, field: Field, rows: int | None = None, cols: int | None = None, max_dim: int = 5, elements=None
+) -> Matrix:
+    """A matrix over ``field`` with entries from ``elements`` (default
+    ``scalars(field)``); with two or more rows, the last row may repeat the
+    first, which makes the rows dependent."""
     r = draw(st.integers(min_value=0, max_value=max_dim)) if rows is None else rows
     c = draw(st.integers(min_value=0, max_value=max_dim)) if cols is None else cols
-    data = [draw(st.lists(scalars(field), min_size=c, max_size=c)) for _ in range(r)]
+    elements = scalars(field) if elements is None else elements
+    data = [draw(st.lists(elements, min_size=c, max_size=c)) for _ in range(r)]
     if r >= 2 and draw(st.booleans()):
         data[-1] = list(data[0])
     return Matrix(field, r, c, (e for row in data for e in row))

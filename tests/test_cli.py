@@ -283,6 +283,17 @@ def test_oversized_numbers_exit_65_with_a_diagnostic(capsys, tmp_path):
     assert [v["code"] for v in json.loads(out)["schema_violations"]] == ["invalid_json"]
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["witness", "--theorem", "1"], ["verify"]])
+def test_deeply_nested_json_exits_65(capsys, tmp_path, command):
+    for name, text in (("arrays.json", "[" * 200_000), ("objects.json", '{"a":' * 200_000)):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, command[0], str(path), *command[1:])
+        assert code == 65
+        assert [v["code"] for v in json.loads(out)["schema_violations"]] == ["invalid_json"]
+        assert "Traceback" not in err
+
+
 def test_analyze_with_a_61_bit_modulus_is_prompt(capsys, tmp_path):
     payload = json.loads((FIXTURES / "f2_window.json").read_text(encoding="utf-8"))
     payload["field"] = {"kind": "Fp", "p": 2**61 - 1}

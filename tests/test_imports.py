@@ -64,3 +64,21 @@ def test_only_matrices_reads_the_stored_form():
             ):
                 found.append(f"reads matrices.{node.attr}")
         assert not found, f"{path.name} reaches into the matrix representation: {found}"
+
+
+def test_linalg_does_no_scalar_arithmetic():
+    # row reduction runs on the stored integers inside matrices; linalg only
+    # slices, stacks and gathers the matrices it gets back
+    attributes = {"entries", "entry", "row", "finite", "size", "neg", "zero", "one", "mul", "sub", "div", "invert"}
+    path = pathlib.Path(chaincomm.__file__).parent / "linalg.py"
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name) and node.id == "Fraction":
+            found.append("names Fraction")
+        elif isinstance(node, ast.Attribute) and node.attr in attributes | {"Fraction"}:
+            found.append(f"reads .{node.attr}")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] in ("fields", "fractions"):
+            found.append(f"imports from {node.module}")
+        elif isinstance(node, ast.Import) and any(a.name.split(".")[-1] in ("fields", "fractions") for a in node.names):
+            found.append("imports fields or fractions")
+    assert not found, f"linalg.py does scalar arithmetic: {found}"

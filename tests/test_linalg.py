@@ -27,8 +27,12 @@ from helpers import (
     matrices,
     reference_complement_basis,
     reference_rank,
+    reference_extension,
+    reference_kernel,
     reference_rref,
+    reference_solution,
     seeds,
+    wide_rationals,
 )
 
 F3 = PrimeField(3)
@@ -347,4 +351,45 @@ def test_solve_linear_matches_transform_reference(case):
     result = solve_linear(a, b)
     assert result == expected
     if result is not None:
+        assert_canonical(result)
+
+
+# -- the Q kernel on wide rationals --------------------------------------------
+
+
+def test_rref_keeps_the_scale_of_rows_below_the_rank():
+    r = rref(Matrix(Q, 2, 1, [0, Fraction(1, 2)]))
+    assert r.reduced == mat(Q, [[1], [0]]) and r.pivots == (0,)
+    assert r.transform == mat(Q, [[0, 2], [1, 0]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_q_kernel_on_wide_rationals_matches_references(data):
+    m = data.draw(matrices(Q, max_dim=4, elements=wide_rationals()))
+    r = rref(m)
+    assert (r.reduced, r.transform, r.pivots) == reference_rref(m)
+    kernel = kernel_basis(m)
+    assert kernel == reference_kernel(m)
+    results = [r.reduced, r.transform, kernel]
+
+    b = data.draw(matrices(Q, rows=m.rows, max_dim=2, elements=wide_rationals()))
+    solution = solve_linear(m, b)
+    assert solution == reference_solution(m, b)
+    if solution is not None:
+        results.append(solution)
+
+    indices = data.draw(st.lists(st.integers(min_value=0, max_value=m.cols - 1), max_size=3)) if m.cols else []
+    inside = m.take_columns(indices)
+    for within in (None, m):
+        try:
+            expected = reference_extension(inside, within)
+        except ValueError:
+            with pytest.raises(ValueError):
+                extend_to_basis(inside, within)
+            continue
+        extended = extend_to_basis(inside, within)
+        assert extended == expected
+        results += extended
+    for result in results:
         assert_canonical(result)

@@ -287,5 +287,7 @@ def test_stored_form_keeps_the_wire_text():
     assert list(m.ratios()) == [(-3, 2), (7, 1), (5, 6)]
     assert list(Matrix(F3, 1, 2, [5, -1]).ratios()) == [(2, 1), (2, 1)]
     assert Matrix.from_ratios(Q, 1, 3, list(m.ratios()), m.denominator) == m
-    assert Matrix.from_canonical(Q, 1, 3, m.entries) == m
+    assert Matrix.from_canonical(F3, 1, 2, [2, 2]) == Matrix(F3, 1, 2, [5, -1])
+    with pytest.raises(TypeError):
+        Matrix.from_canonical(Q, 1, 3, m.entries)
     assert m.reshaped(3, 1) == m.transpose()
