@@ -1,7 +1,8 @@
 """Exact dense linear algebra: row reduction, kernels, images, Sylvester solves.
 
-Each routine is one ``matrices.row_reduce`` followed by slicing, stacking
-and row gathers, so this module does no scalar arithmetic.  All choices
+Each routine is one ``matrices.row_reduce`` (or, where only the pivots
+count, ``matrices.pivot_columns``) followed by slicing, stacking and row
+gathers, so this module does no scalar arithmetic.  All choices
 (pivot order, free-variable values, complement selection) are deterministic
 so that every downstream construction is reproducible run to run.
 """
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import Matrix, hstack, kron, row_reduce, vstack
+from .matrices import Matrix, hstack, kron, pivot_columns, row_reduce, vstack
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ def rref(m: Matrix) -> RrefResult:
 
 
 def rank(m: Matrix) -> int:
-    return len(row_reduce(m)[1])
+    return len(pivot_columns(m))
 
 
 def is_invertible(m: Matrix) -> bool:
@@ -79,7 +80,7 @@ def kernel_basis(m: Matrix) -> Matrix:
 
 def image_basis(m: Matrix) -> Matrix:
     """The pivot columns of m: a deterministic basis of the column space."""
-    return m.take_columns(row_reduce(m)[1])
+    return m.take_columns(pivot_columns(m))
 
 
 def _greedy_complement(inside: Matrix, ambient_basis: Matrix) -> tuple[Matrix, list[int]]:

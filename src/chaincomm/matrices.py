@@ -10,11 +10,14 @@ searches).  Zero-row and zero-column matrices are first-class: they occur at
 the ends of every bounded complex, and the 0x0 matrix counts as invertible.
 
 Products, sums, differences, negation, scaling, slicing, stacking,
-Kronecker products and row reduction (``row_reduce``, the library's only
-elimination) run on the integers alone, one kernel for both fields; the
-fields differ only in reducing ``% p`` or by gcds over Q.  ``entry``,
-``entries``, ``row`` and ``to_rows`` build field scalars on demand: ``int``
-over F_p, ``Fraction`` over Q.
+Kronecker products, row reduction (``row_reduce``, the library's only
+elimination, and ``pivot_columns``, its pivots alone) and the zero-diagonal
+similarity behind commutator factorization (``zero_diagonal_form``, which
+gives the basis, its inverse and the reduced matrix from one pass) run on
+the integers alone, one kernel for both fields; the fields differ only in
+reducing ``% p`` or by gcds over Q.  ``entry``, ``entries``, ``row`` and
+``to_rows`` build field scalars on demand: ``int`` over F_p, ``Fraction``
+over Q.
 
 The public constructor normalises and validates every entry;
 ``Matrix.from_canonical`` (F_p residues) and ``Matrix.from_ratios`` (Q
@@ -355,14 +358,26 @@ def _integer_dots(left_rows: Sequence[Sequence[int]], right_cols: Sequence[Seque
 def row_reduce(m: Matrix, width: int | None = None) -> tuple[Matrix, tuple[int, ...]]:
     """Gauss-Jordan elimination: the reduced row echelon form of ``m`` and its
     pivot columns, sought among the first ``width`` columns (all by default);
-    the later columns are carried along by the same row operations.  Each row
-    is integers over its own denominator, so every row stays exact, those
-    below the rank included; the rows are packed once at the end."""
+    the later columns are carried along by the same row operations."""
+    rows, dens, pivots = _eliminate(m, m.cols if width is None else width)
+    return _packed(m.field, rows, dens, m.cols), pivots
+
+
+def pivot_columns(m: Matrix) -> tuple[int, ...]:
+    """The pivot columns of ``m``'s reduced row echelon form, which is never
+    packed into a matrix."""
+    return _eliminate(m, m.cols)[2]
+
+
+def _eliminate(m: Matrix, width: int) -> tuple[list[list[int]], list[int], tuple[int, ...]]:
+    """The elimination behind ``row_reduce``: the reduced rows, each integers
+    over its own denominator, so every row stays exact, those below the rank
+    included; and the pivot columns, sought among the first ``width``."""
     n = m.rows
     rows = [list(r) for r in m._row_tuples()]
     dens = [m._den] * n
     pivots: list[int] = []
-    for col in range(m.cols if width is None else width):
+    for col in range(width):
         top = len(pivots)
         if top == n:
             break
@@ -376,9 +391,15 @@ def row_reduce(m: Matrix, width: int | None = None) -> tuple[Matrix, tuple[int, 
         else:
             _clear_rationals(rows, dens, top, col)
         pivots.append(col)
+    return rows, dens, tuple(pivots)
+
+
+def _packed(field: Field, rows: list[list[int]], dens: list[int], cols: int) -> Matrix:
+    """The matrix whose row i is ``rows[i]`` over ``dens[i]``: every row over
+    the lcm of the denominators, then lowest terms."""
     den = lcm(*dens)
     ints = chain.from_iterable(row if d == den else [x * (den // d) for x in row] for row, d in zip(rows, dens))
-    return _lowest(m.field, n, m.cols, tuple(ints), den), tuple(pivots)
+    return _lowest(field, len(rows), cols, tuple(ints), den)
 
 
 def _clear_residues(rows: list[list[int]], top: int, col: int, p: int) -> None:
@@ -404,6 +425,154 @@ def _clear_rationals(rows: list[list[int]], dens: list[int], top: int, col: int)
         f = row[col]
         if f and r != top:
             rows[r], dens[r] = _lowest_terms([b * x - f * y for x, y in zip(row, pivot_row)], dens[r] * b)
+
+
+def zero_diagonal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
+    """(B, B^-1, B^-1 m B) for an invertible B that conjugates ``m`` to zero
+    diagonal; m must be square, traceless, and zero or non-scalar.
+
+    The classical recursion (Fillmore 1969) as a loop of similarity steps on
+    the three matrices' rows, each integers over its own denominator as in
+    ``row_reduce``.  Step j works on the trailing block T = R[j:, j:] of the
+    reduced matrix R.  It picks v with T v outside span(v): e_a for the first
+    column a with an off-diagonal nonzero, else e_j + e_b for the first b with
+    T_bb != T_jj.  It conjugates by t = [v, T v, the other unit vectors in
+    order], leaving out e_a and e_s, s the last index other than a at which
+    T v is nonzero (else e_j and e_b): t is the greedy extension of [v, T v]
+    to a basis, and makes R[j, j] zero.  t multiplies columns j.. of R and B;
+    t^-1, a 2x2 solve on the two left-out rows and a rank-two update of the
+    others, multiplies rows j.. of R and B^-1.  When the next trailing block
+    is a nonzero scalar (possible only in positive characteristic), adding v
+    to t's third column, two elementary steps, makes it non-scalar.
+    """
+    field, n = m.field, m.rows
+    if not m.is_square:
+        raise ValueError("square matrix required")
+    if not field.is_zero(m.trace()):
+        raise ValueError("nonzero trace")
+    p = field.size if field.finite else 0
+    reduced, r_dens = [list(r) for r in m._row_tuples()], [m._den] * n
+    basis, b_dens = [[int(i == k) for k in range(n)] for i in range(n)], [1] * n
+    basis_inv, i_dens = [list(r) for r in basis], [1] * n
+    for j in range(n - 1):
+        choice = _noncentral(reduced, r_dens, j)
+        if choice is None and reduced[j][j]:
+            if j == 0:
+                raise ValueError("nonzero scalar matrices have no zero-diagonal form")
+            # the tweak of step j - 1: column j + 1 += column j - 1, row j - 1 -= row j + 1
+            for rows, dens in ((reduced, r_dens), (basis, b_dens)):
+                for i, row in enumerate(rows):
+                    row[j + 1] += row[j - 1]
+                    if p:
+                        row[j + 1] %= p
+                    else:
+                        rows[i], dens[i] = _lowest_terms(row, dens[i])
+            for rows, dens in ((reduced, r_dens), (basis_inv, i_dens)):
+                first, third = (rows[j - 1], dens[j - 1]), (rows[j + 1], dens[j + 1])
+                rows[j - 1], dens[j - 1] = _combination(1, first, -1, third, 1, p)
+            choice = _noncentral(reduced, r_dens, j)
+            if choice is None:
+                raise AssertionError("trailing block still scalar after basis tweak")
+        if choice is None:
+            break
+        support, left_out = choice
+        # w = T v as numerators over one denominator
+        raw = [sum(reduced[i][l] for l in support) for i in range(j, n)]
+        if p:
+            wd, wn = 1, [x % p for x in raw]
+        else:
+            wd = lcm(*(d for x, d in zip(raw, r_dens[j:]) if x))
+            wn = [x * (wd // d) for x, d in zip(raw, r_dens[j:])]
+        rest = [c for c in range(j, n) if c not in left_out]
+        for rows, dens in ((reduced, r_dens), (basis, b_dens)):
+            _multiply_columns(rows, dens, j, support, wn, wd, rest, p)
+        for rows, dens in ((reduced, r_dens), (basis_inv, i_dens)):
+            _divide_rows(rows, dens, j, support, left_out, wn, wd, rest, p)
+    return _packed(field, basis, b_dens, n), _packed(field, basis_inv, i_dens, n), _packed(field, reduced, r_dens, n)
+
+
+def _noncentral(rows: list[list[int]], dens: list[int], j: int) -> tuple[tuple[int, ...], tuple[int, int]] | None:
+    """For the trailing block from (j, j): the support of v and the two unit
+    vectors t leaves out, or None when the block is scalar."""
+    n = len(rows)
+    for a in range(j, n):
+        off = [i for i in range(j, n) if i != a and rows[i][a]]
+        if off:
+            return (a,), (a, off[-1])
+    for b in range(j + 1, n):
+        # the block is diagonal, so the first unequal pair starts at j
+        if rows[b][b] * dens[j] != rows[j][j] * dens[b]:
+            return (j, b), (j, b)
+    return None
+
+
+def _multiply_columns(
+    rows: list[list[int]],
+    dens: list[int],
+    j: int,
+    support: tuple[int, ...],
+    wn: list[int],
+    wd: int,
+    rest: list[int],
+    p: int,
+) -> None:
+    """Columns j.. of every row times t = [v, w, e_c for c in rest], where
+    v has ones on ``support`` and w = wn / wd."""
+    for i, row in enumerate(rows):
+        head = row[support[0]] + row[support[1]] if len(support) == 2 else row[support[0]]
+        tail = sum(map(mul, row[j:], wn))
+        if p:
+            rows[i] = row[:j] + [head % p, tail % p] + [row[c] for c in rest]
+        else:
+            scaled = [x * wd for x in row[:j]] + [head * wd, tail] + [row[c] * wd for c in rest]
+            rows[i], dens[i] = _lowest_terms(scaled, dens[i] * wd)
+
+
+def _divide_rows(
+    rows: list[list[int]],
+    dens: list[int],
+    j: int,
+    support: tuple[int, ...],
+    left_out: tuple[int, int],
+    wn: list[int],
+    wd: int,
+    rest: list[int],
+    p: int,
+) -> None:
+    """Rows j.. times t^-1.  With x, y the left-out rows, the coordinates
+    (alpha, beta) of a vector on v and w solve the 2x2 system of rows x and
+    y, whose matrix [[1, w_x], [v_y, w_y]] has determinant
+    dn / wd = (wn_y - v_y wn_x) / wd; every other coordinate c is
+    Y_c - w_c beta, since v_c = 0."""
+    x, y = left_out
+    v_y = int(y in support)
+    w_x, w_y = wn[x - j], wn[y - j]
+    dn = w_y - v_y * w_x
+    row_x, row_y = (rows[x], dens[x]), (rows[y], dens[y])
+    beta = _combination(wd, row_y, -v_y * wd, row_x, dn, p)
+    updated = [_combination(w_y, row_x, -w_x, row_y, dn, p), beta]
+    for c in rest:
+        w_c = wn[c - j]
+        updated.append(_combination(wd, (rows[c], dens[c]), -w_c, beta, wd, p) if w_c else (rows[c], dens[c]))
+    rows[j:] = [row for row, _ in updated]
+    dens[j:] = [d for _, d in updated]
+
+
+def _combination(
+    a: int, x: tuple[list[int], int], b: int, y: tuple[list[int], int], divisor: int, p: int
+) -> tuple[list[int], int]:
+    """(a x + b y) / divisor for rows x and y, each integers over a
+    denominator, as a row and its denominator: residues over F_p (p > 0),
+    lowest terms over Q."""
+    (xs, dx), (ys, dy) = x, y
+    if p:
+        if divisor != 1:
+            inverse = pow(divisor, -1, p)
+            a, b = a * inverse, b * inverse
+        return [(a * u + b * v) % p for u, v in zip(xs, ys)], 1
+    den = lcm(dx, dy)
+    a, b = a * (den // dx), b * (den // dy)
+    return _lowest_terms([a * u + b * v for u, v in zip(xs, ys)], den * divisor)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

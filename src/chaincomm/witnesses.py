@@ -41,8 +41,8 @@ from .errors import (
     TraceObstruction,
 )
 from .fields import Field, Scalar
-from .linalg import extend_to_basis, inverse, is_invertible, sylvester_operator, sylvester_solve
-from .matrices import Matrix, block_matrix, enumerate_matrices, hstack
+from .linalg import is_invertible, sylvester_operator, sylvester_solve
+from .matrices import Matrix, enumerate_matrices, zero_diagonal_form
 from .splitting import BlockData, Splitting, assemble, assemble_homotopy, extract_blocks, split_complex
 from .verify import verify_witness
 
@@ -106,55 +106,15 @@ class Analysis:
 # trace-zero commutator factorization of a single matrix
 
 
-def _noncentral_vector(m: Matrix) -> Matrix:
-    """A column v with m v outside span(v); exists iff m is non-scalar."""
-    field = m.field
-    n = m.rows
-    for j in range(n):
-        if any(m.entry(i, j) != 0 for i in range(n) if i != j):
-            return Matrix(field, n, 1, (field.one if i == j else field.zero for i in range(n)))
-    # m is diagonal; pick two unequal diagonal entries
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m.entry(i, i) != m.entry(j, j):
-                return Matrix(field, n, 1, (field.one if t in (i, j) else field.zero for t in range(n)))
-    raise ValueError("matrix is scalar; no noncentral vector exists")
-
-
 def zero_diagonal_basis(m: Matrix) -> Matrix:
-    """An invertible P with P^-1 m P of zero diagonal.
+    """An invertible B with B^-1 m B of zero diagonal: the first of the three
+    results of :func:`chaincomm.matrices.zero_diagonal_form`, which also
+    returns B^-1 and B^-1 m B.
 
-    m must be traceless and either zero or non-scalar.  Classical recursion:
-    pick v with m v independent of v, pass to the basis (v, m v, ...) so the
-    first diagonal entry vanishes, recurse on the trailing block.  When the
-    trailing block degenerates to a nonzero scalar (possible only in positive
-    characteristic), adding v to one complement vector restores a usable
-    block without disturbing the first column.
+    m must be square, traceless, and zero or non-scalar (ValueError
+    otherwise).
     """
-    field = m.field
-    n = m.rows
-    if not m.is_square:
-        raise ValueError("square matrix required")
-    if not field.is_zero(m.trace()):
-        raise ValueError("nonzero trace")
-    if n <= 1 or m.is_zero():
-        return Matrix.identity(field, n)
-    if m.is_scalar():
-        raise ValueError("nonzero scalar matrices have no zero-diagonal form")
-
-    v = _noncentral_vector(m)
-    t, t_inv = extend_to_basis(hstack([v, m * v]))
-    conj = t_inv * m * t
-    trailing = conj.submatrix(1, n, 1, n)
-    if trailing.is_scalar() and not trailing.is_zero():
-        # add v to the first complement vector (column 2)
-        t = t + hstack([Matrix.zeros(field, n, 2), v, Matrix.zeros(field, n, n - 3)])
-        conj = inverse(t) * m * t
-        trailing = conj.submatrix(1, n, 1, n)
-        if trailing.is_scalar() and not trailing.is_zero():
-            raise AssertionError("trailing block still scalar after basis tweak")
-    corner = {(0, 0): Matrix.identity(field, 1), (1, 1): zero_diagonal_basis(trailing)}
-    return t * block_matrix(field, [1, n - 1], [1, n - 1], corner)
+    return zero_diagonal_form(m)[0]
 
 
 def _exhaustive_decomposition(m: Matrix) -> tuple[Matrix, Matrix]:
@@ -181,10 +141,12 @@ def commutator_decomposition(m: Matrix) -> tuple[Matrix, Matrix]:
     """Factor a traceless square matrix as a commutator p q - q p.
 
     Algorithm: zero matrices factor trivially; a non-scalar matrix is
-    conjugated to zero diagonal, after which p = diag(0, 1, ..., n-1) and
-    q_{jk} = m'_{jk} / (p_jj - p_kk) solve the problem whenever the field has
-    at least n elements; remaining small cases fall back to exhaustive
-    search, and everything else raises FieldTooSmall.
+    conjugated to zero diagonal m' = B^-1 m B, with B and B^-1 from the same
+    pass (:func:`chaincomm.matrices.zero_diagonal_form`), after which
+    p = B diag(0, 1, ..., n-1) B^-1 and q = B q' B^-1 with
+    q'_{jk} = m'_{jk} / (j - k) solve the problem whenever the field has at
+    least n elements; remaining small cases fall back to exhaustive search,
+    and everything else raises FieldTooSmall.
     """
     if not m.is_square:
         raise ValueError("commutator decomposition needs a square matrix")
@@ -198,9 +160,7 @@ def commutator_decomposition(m: Matrix) -> tuple[Matrix, Matrix]:
     if m.is_scalar() or (field.finite and field.size < n):
         p, q = _exhaustive_decomposition(m)
     else:
-        basis = zero_diagonal_basis(m)
-        basis_inv = inverse(basis)
-        reduced = basis_inv * m * basis
+        basis, basis_inv, reduced = zero_diagonal_form(m)
         diag = [field.normalize(i) for i in range(n)]
         p0 = Matrix.diagonal(field, diag)
         q0 = Matrix(

@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 
 from chaincomm.complexes import ChainComplex, ChainEndomorphism, cohomology
 from chaincomm.fields import GF2, RATIONALS, Field, PrimeField, Scalar
-from chaincomm.linalg import complement_basis, image_basis, kernel_basis, solve_linear
-from chaincomm.matrices import Matrix, hstack
+from chaincomm.linalg import complement_basis, extend_to_basis, image_basis, inverse, kernel_basis, solve_linear
+from chaincomm.matrices import Matrix, block_matrix, hstack
 
 Q = RATIONALS
 F2 = GF2
@@ -67,7 +67,9 @@ def seeds(n: int, start: int = 0):
 # its field-specialised kernel, the solve-based induced cohomology map it used
 # before reading cohomology off the splitting, the solve-based splitting bases
 # and the hand-indexed chain-map constraints it used before reading them off
-# pivots and Kronecker blocks, kept as the semantics the fast paths must match.
+# pivots and Kronecker blocks, and the recursive zero-diagonal basis it used
+# before building the basis, its inverse and the reduced matrix in one pass,
+# kept as the semantics the fast paths must match.
 
 
 def reference_rref(m: Matrix):
@@ -168,6 +170,56 @@ def reference_extension(inside: Matrix, within: Matrix | None) -> tuple[Matrix, 
     extended = hstack([inside, reference_complement_basis(inside, candidates)])
     t = hstack([extended, reference_complement_basis(extended, Matrix.identity(field, n))])
     return t, reference_rref(t)[1]
+
+
+def _reference_noncentral_vector(m: Matrix) -> Matrix:
+    """A column v with m v outside span(v); exists iff m is non-scalar."""
+    field = m.field
+    n = m.rows
+    for j in range(n):
+        if any(m.entry(i, j) != 0 for i in range(n) if i != j):
+            return Matrix(field, n, 1, (field.one if i == j else field.zero for i in range(n)))
+    # m is diagonal; pick two unequal diagonal entries
+    for i in range(n):
+        for j in range(i + 1, n):
+            if m.entry(i, i) != m.entry(j, j):
+                return Matrix(field, n, 1, (field.one if t in (i, j) else field.zero for t in range(n)))
+    raise ValueError("matrix is scalar; no noncentral vector exists")
+
+
+def _reference_zero_diagonal_basis(m: Matrix, tweaks: list[Matrix]) -> Matrix:
+    """Pick v with m v independent of v, pass to the basis (v, m v, greedy
+    unit vectors) so the first diagonal entry vanishes, recurse on the
+    trailing block; when that block is a nonzero scalar, add v to the third
+    basis vector, and append the block to ``tweaks``."""
+    field = m.field
+    n = m.rows
+    if n <= 1 or m.is_zero():
+        return Matrix.identity(field, n)
+    if m.is_scalar():
+        raise ValueError("nonzero scalar matrices have no zero-diagonal form")
+    v = _reference_noncentral_vector(m)
+    t, t_inv = extend_to_basis(hstack([v, m * v]))
+    conj = t_inv * m * t
+    trailing = conj.submatrix(1, n, 1, n)
+    if trailing.is_scalar() and not trailing.is_zero():
+        tweaks.append(trailing)
+        t = t + hstack([Matrix.zeros(field, n, 2), v, Matrix.zeros(field, n, n - 3)])
+        conj = inverse(t) * m * t
+        trailing = conj.submatrix(1, n, 1, n)
+        if trailing.is_scalar() and not trailing.is_zero():
+            raise AssertionError("trailing block still scalar after basis tweak")
+    corner = {(0, 0): Matrix.identity(field, 1), (1, 1): _reference_zero_diagonal_basis(trailing, tweaks)}
+    return t * block_matrix(field, [1, n - 1], [1, n - 1], corner)
+
+
+def reference_zero_diagonal_form(m: Matrix, tweaks: list[Matrix] | None = None) -> tuple[Matrix, Matrix, Matrix]:
+    """(B, B^-1, B^-1 m B) from the recursive basis, a separate inverse and
+    two products; each trailing block that needed the basis tweak is
+    appended to ``tweaks``."""
+    basis = _reference_zero_diagonal_basis(m, [] if tweaks is None else tweaks)
+    basis_inv = inverse(basis)
+    return basis, basis_inv, basis_inv * m * basis
 
 
 def reference_induced_cohomology_map(phi: ChainEndomorphism, degree: int) -> Matrix:

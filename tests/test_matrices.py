@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from operator import add, neg, sub
 
@@ -6,7 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
-from chaincomm.matrices import Matrix, block_matrix, enumerate_matrices, hstack, kron, split_blocks, vstack
+from chaincomm.matrices import (
+    Matrix,
+    block_matrix,
+    enumerate_matrices,
+    hstack,
+    kron,
+    pivot_columns,
+    row_reduce,
+    split_blocks,
+    vstack,
+    zero_diagonal_form,
+)
 
 from helpers import (
     KERNEL_FIELDS,
@@ -18,14 +30,17 @@ from helpers import (
     reference_kron,
     reference_matrix,
     reference_product,
+    reference_rref,
     reference_submatrix,
     reference_trace,
     reference_transpose,
+    reference_zero_diagonal_form,
     scalars,
     wide_rationals,
 )
 
 F3 = PrimeField(3)
+ZERO_DIAGONAL_FIELDS = (Q, GF2, F3, PrimeField(5), PrimeField(7), PrimeField(101), PrimeField(2**31 - 1))
 
 
 def small_matrix(field, rows, cols):
@@ -291,3 +306,91 @@ def test_stored_form_keeps_the_wire_text():
     with pytest.raises(TypeError):
         Matrix.from_canonical(Q, 1, 3, m.entries)
     assert m.reshaped(3, 1) == m.transpose()
+
+
+# -- zero-diagonal form -----------------------------------------------------------
+
+
+def traceless(field, rows):
+    """The square matrix ``rows`` with its last diagonal entry replaced so
+    that the trace is zero."""
+    n = len(rows)
+    m = Matrix.from_rows(field, rows, n)
+    return m - Matrix.diagonal(field, [0] * (n - 1) + [m.trace()]) if n else m
+
+
+def assert_matches_recursion(m, tweaks):
+    """zero_diagonal_form(m) equals the recursion it replaced, exactly and in
+    the canonical stored form, and has a zero diagonal."""
+    got = zero_diagonal_form(m)
+    assert got == reference_zero_diagonal_form(m, tweaks)
+    for x in got:
+        assert_canonical(x)
+    basis, basis_inv, reduced = got
+    assert all(reduced.entry(i, i) == 0 for i in range(m.rows))
+    assert basis * basis_inv == Matrix.identity(m.field, m.rows)
+
+
+def test_zero_diagonal_form_equals_the_recursion():
+    rng = random.Random(2024)
+    tweaks = []
+    for field in ZERO_DIAGONAL_FIELDS:
+
+        def element():
+            if field.finite:
+                return rng.choice([0, 1, field.size - 1, rng.randrange(field.size)])
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+        for n in range(1, 9):
+            for style in ("dense", "sparse", "diagonal") * 5:
+                density = {"dense": 1, "sparse": 0.25, "diagonal": 0}[style]
+                rows = [
+                    [element() if rng.random() < density or (i == j and style == "diagonal") else 0 for j in range(n)]
+                    for i in range(n)
+                ]
+                m = traceless(field, rows)
+                if m.is_scalar() and not m.is_zero():
+                    continue
+                assert_matches_recursion(m, tweaks)
+    # the sample reaches the basis tweak, which only small characteristic needs
+    assert len(tweaks) >= 10
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=1, max_value=8).flatmap(lambda n: matrices(Q, n, n, elements=wide_rationals())))
+def test_zero_diagonal_form_equals_the_recursion_on_wide_rationals(m):
+    m = traceless(Q, m.to_rows())
+    if not (m.is_scalar() and not m.is_zero()):
+        assert_matches_recursion(m, [])
+
+
+def test_zero_diagonal_form_takes_the_basis_tweak():
+    # after the first step the trailing block of diag(0, 1, 1) over F_2 is
+    # the identity, a nonzero scalar
+    m = Matrix.diagonal(GF2, [0, 1, 1])
+    tweaks = []
+    assert_matches_recursion(m, tweaks)
+    assert tweaks == [Matrix.identity(GF2, 2)]
+    assert zero_diagonal_form(m) == (
+        mat(GF2, [[1, 1, 1], [1, 1, 0], [0, 1, 1]]),
+        mat(GF2, [[1, 0, 1], [1, 1, 1], [1, 1, 0]]),
+        mat(GF2, [[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
+    )
+
+
+def test_zero_diagonal_form_refuses_what_has_no_zero_diagonal_form():
+    with pytest.raises(ValueError, match="square"):
+        zero_diagonal_form(Matrix.zeros(Q, 2, 3))
+    with pytest.raises(ValueError, match="trace"):
+        zero_diagonal_form(mat(Q, [[1, 0], [0, 0]]))
+    with pytest.raises(ValueError, match="scalar"):
+        zero_diagonal_form(Matrix.identity(GF2, 2))
+    for n in range(3):
+        zero = Matrix.zeros(F3, n, n)
+        assert zero_diagonal_form(zero) == (Matrix.identity(F3, n), Matrix.identity(F3, n), zero)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS).flatmap(matrices))
+def test_pivot_columns_are_row_reduces_pivots(m):
+    assert pivot_columns(m) == row_reduce(m)[1] == reference_rref(m)[2]
