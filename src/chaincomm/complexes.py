@@ -236,7 +236,8 @@ class CohomologySpace:
 def validate_complex(c: ChainComplex) -> list[str]:
     """All composite-vanishing violations; empty iff the data is a complex."""
     violations = []
-    for i in range(c.lo - 1, c.hi + 1):
+    # off lo..hi - 2 the composite starts or ends at a zero space
+    for i in range(c.lo, c.hi - 1):
         composite = c.differential(i + 1) * c.differential(i)
         if not composite.is_zero():
             violations.append(f"degree {i}: d({i + 1}) . d({i}) != 0")
@@ -247,7 +248,8 @@ def validate_chain_map(phi: ChainEndomorphism) -> list[str]:
     """All failures of d . phi = phi . d; empty iff phi is a chain map."""
     c = phi.complex
     violations = []
-    for i in range(c.lo - 1, c.hi + 1):
+    # off lo..hi - 1 both sides start or end at a zero space
+    for i in range(c.lo, c.hi):
         lhs = c.differential(i) * phi.map(i)
         rhs = phi.map(i + 1) * c.differential(i)
         if lhs != rhs:

@@ -9,7 +9,10 @@ arrays of row arrays; every expected shape is determined by the window and
 dimensions, so empty matrices are unambiguous.
 
 Parsing returns domain objects or raises :class:`SchemaError` carrying all
-violations, each with a machine-readable code and a JSON-path location.
+violations, each with a machine-readable code and a JSON-path location.  A
+matrix whose cells are all canonical is checked and converted in one pass
+over the whole matrix, building no ``Fraction``; any other matrix is walked
+cell by cell, which names every violation in order.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Any, Sequence
 
@@ -37,6 +41,12 @@ from .matrices import Matrix
 FORMAT_VERSION = "1"
 
 _RATIONAL_RE = re.compile(r"(-?([0-9]+))(?:/([0-9]+))?")
+
+_NONZERO_MAGNITUDE = f"[1-9][0-9]{{0,{MAX_RATIONAL_DIGITS - 1}}}"
+_CANONICAL_RATIONAL_RE = re.compile(rf"0|-?{_NONZERO_MAGNITUDE}(?:/(?!1\Z){_NONZERO_MAGNITUDE})?")
+"""The one spelling ``_decode_scalar`` accepts, lowest terms aside: ASCII
+digits within the digit cap, no leading zeros, no "-0", and a denominator,
+when written, neither 0 nor 1."""
 
 MAX_TOTAL_DIMENSION = 10_000
 """Largest sum of ``dims`` a document may declare.  Zero matrices off and at
@@ -197,21 +207,11 @@ def _decode_matrix(
     if len(raw) != rows:
         errors.add("shape_mismatch", path, f"expected {rows} rows, got {len(raw)}")
         return None
-    entries: list = []
-    ok = True
-    for i, row in enumerate(raw):
-        if not isinstance(row, list) or len(row) != cols:
-            errors.add("shape_mismatch", f"{path}[{i}]", f"expected a row of {cols} entries")
-            ok = False
-            continue
-        for j, cell in enumerate(row):
-            value = _decode_scalar(field, cell, f"{path}[{i}][{j}]", errors)
-            if value is None:
-                ok = False
-            else:
-                entries.append(value)
-    if not ok:
-        return None
+    entries = _canonical_cells(field, raw, cols)
+    if entries is None:
+        entries = _decode_cells(field, raw, cols, path, errors)
+        if entries is None:
+            return None
     if field.finite:
         return Matrix.from_canonical(field, rows, cols, entries)
     # the matrix stores every entry over the lcm of the denominators, so the
@@ -229,6 +229,48 @@ def _decode_matrix(
             )
             return None
     return Matrix.from_ratios(field, rows, cols, entries, den)
+
+
+def _canonical_cells(field: Field, raw: list, cols: int) -> list | None:
+    """The entries of a matrix whose rows all hold ``cols`` cells, each in
+    its one canonical spelling, as ``_decode_scalar`` returns them, checked
+    and converted a whole matrix at a time; None when any row or cell is
+    not, for ``_decode_cells`` to report."""
+    if not all(type(row) is list and len(row) == cols for row in raw):
+        return None
+    cells = list(chain.from_iterable(raw))
+    if field.finite:
+        if not set(map(type, cells)) <= {int} or (cells and (min(cells) < 0 or max(cells) >= field.size)):
+            return None
+        return cells
+    if not (set(map(type, cells)) <= {str} and all(map(_CANONICAL_RATIONAL_RE.fullmatch, cells))):
+        return None
+    halves = [c.partition("/") for c in cells]
+    nums = [int(n) for n, _, _ in halves]
+    dens = [int(d) if d else 1 for _, _, d in halves]
+    # the gcd of an integer with its denominator 1 is 1
+    if max(map(gcd, nums, dens), default=1) != 1:
+        return None
+    return list(zip(nums, dens))
+
+
+def _decode_cells(field: Field, raw: list, cols: int, path: str, errors: _Collector) -> list | None:
+    """The entries, row-major, cell by cell; None after recording every
+    malformed row and cell in order."""
+    entries: list = []
+    ok = True
+    for i, row in enumerate(raw):
+        if not isinstance(row, list) or len(row) != cols:
+            errors.add("shape_mismatch", f"{path}[{i}]", f"expected a row of {cols} entries")
+            ok = False
+            continue
+        for j, cell in enumerate(row):
+            value = _decode_scalar(field, cell, f"{path}[{i}][{j}]", errors)
+            if value is None:
+                ok = False
+            else:
+                entries.append(value)
+    return entries if ok else None
 
 
 def _decode_matrix_list(

@@ -15,7 +15,9 @@ elimination, and ``pivot_columns``, its pivots alone) and the zero-diagonal
 similarity behind commutator factorization (``zero_diagonal_form``, which
 gives the basis, its inverse and the reduced matrix from one pass) run on
 the integers alone, one kernel for both fields; the fields differ only in
-reducing ``% p`` or by gcds over Q.  ``entry``, ``entries``, ``row`` and
+reducing ``% p`` or by gcds over Q.  A product takes one dense integer dot
+product per entry: at the sizes the library meets, skipping zero entries
+costs more than it saves.  ``entry``, ``entries``, ``row`` and
 ``to_rows`` build field scalars on demand: ``int`` over F_p, ``Fraction``
 over Q.
 
@@ -27,7 +29,7 @@ pairs) take entries that are already canonical and check nothing.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, chain, compress, product
+from itertools import accumulate, chain, product
 from math import gcd, lcm
 from operator import add, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -240,8 +242,9 @@ class Matrix:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
-        dots = _integer_dots(self._row_tuples(), other._column_tuples())
-        return _reduced(self.field, self.rows, other.cols, chain.from_iterable(dots), self._den * other._den)
+        cols = other._column_tuples()
+        dots = [sum(map(mul, row, col)) for row in self._row_tuples() for col in cols]
+        return _reduced(self.field, self.rows, other.cols, dots, self._den * other._den)
 
     def scale(self, scalar: Scalar) -> "Matrix":
         c = self.field.normalize(scalar)
@@ -345,14 +348,6 @@ def _rescaled(m: Matrix, den: int) -> tuple[int, ...]:
     """m's integers over ``den``, a multiple of its denominator."""
     factor = den // m._den
     return m._ints if factor == 1 else tuple(x * factor for x in m._ints)
-
-
-def _integer_dots(left_rows: Sequence[Sequence[int]], right_cols: Sequence[Sequence[int]]) -> Iterator[list[int]]:
-    """For each left row, its integer dot products with every right column,
-    summed over the row's nonzero positions only."""
-    for row in left_rows:
-        values = [x for x in row if x]
-        yield [sum(map(mul, values, compress(col, row))) for col in right_cols]
 
 
 def row_reduce(m: Matrix, width: int | None = None) -> tuple[Matrix, tuple[int, ...]]:

@@ -67,7 +67,8 @@ def _record(out: list[Violation], location: str, identity: str, left: Matrix, ri
 
 def _check_chain_map(name: str, endo: ChainEndomorphism, out: list[Violation]) -> None:
     c = endo.complex
-    for i in range(c.lo - 1, c.hi + 1):
+    # off lo..hi - 1 both sides start or end at a zero space
+    for i in range(c.lo, c.hi):
         _record(
             out,
             f"degree {i}",

@@ -3,7 +3,7 @@ import pathlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chaincomm.complexes import ChainEndomorphism
@@ -14,6 +14,7 @@ from chaincomm.jsonio import (
     MAX_RATIONAL_DIGITS,
     MAX_TOTAL_DIMENSION,
     SchemaError,
+    encode_field,
     encode_matrix,
     encode_scalar,
     parse_document,
@@ -225,6 +226,66 @@ def test_decodes_each_rational_in_lowest_terms():
             parse_document(raw)
         assert codes_of(err.value) == {"rational_invalid"}
         assert f"write {canonical!r}" in str(err.value)
+
+
+_NEAR_MISSES = {
+    "Q": ["01", "-0", "1/01", "0/5", "2/4", "3/1", "\u0663", "5\n", 1.5, True, -1]
+    + ["9" * (MAX_RATIONAL_DIGITS + 1), "1/" + "9" * (MAX_RATIONAL_DIGITS + 1)],
+    "Fp": ["3", 1.0, True, False, -1, None],
+}
+
+
+@st.composite
+def wire_matrices(draw):
+    """(field, rows, cols, cells): a matrix as JSON arrays of canonical
+    spellings, with up to two cells replaced by near misses and, in one
+    draw in ten, a row one cell short."""
+    field = draw(st.sampled_from([Q, PrimeField(5), PrimeField(2**31 - 1)]))
+    rows, cols = draw(st.integers(min_value=0, max_value=4)), draw(st.integers(min_value=0, max_value=4))
+    if field.finite:
+        valid = st.integers(min_value=0, max_value=field.size - 1)
+        near = st.sampled_from(_NEAR_MISSES["Fp"] + [field.size])
+    else:
+        numerators = st.one_of(st.sampled_from([0, 1, -1]), st.integers(min_value=-(10**40), max_value=10**40))
+        denominators = st.one_of(st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=10**40))
+        valid = st.one_of(
+            st.builds(Fraction, numerators, denominators).map(lambda x: encode_scalar(Q, x)),
+            st.just("-" + "9" * MAX_RATIONAL_DIGITS),
+        )
+        near = st.sampled_from(_NEAR_MISSES["Q"])
+    cells = [draw(st.lists(valid, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows and cols:
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            i, j = draw(st.integers(min_value=0, max_value=rows - 1)), draw(st.integers(min_value=0, max_value=cols - 1))
+            cells[i][j] = draw(near)
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            cells[draw(st.integers(min_value=0, max_value=rows - 1))].pop()
+    return field, rows, cols, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(wire_matrices())
+def test_one_pass_decoding_equals_the_per_cell_walk(case):
+    # a complex of two degrees, so the one differential is checked against nothing
+    from chaincomm.jsonio import _Collector, _decode_scalar
+
+    field, rows, cols, cells = case
+    raw = {"format_version": "1", "field": encode_field(field), "lo": 0, "hi": 1, "dims": [cols, rows]}
+    raw["differentials"] = [cells]
+    expected, walk = [], _Collector()
+    for i, row in enumerate(cells):
+        if len(row) != cols:
+            walk.add("shape_mismatch", f"differentials[0][{i}]", f"expected a row of {cols} entries")
+            continue
+        expected += [_decode_scalar(field, c, f"differentials[0][{i}][{j}]", walk) for j, c in enumerate(row)]
+    try:
+        decoded = parse_document(raw).complex.differential(0)
+    except SchemaError as err:
+        assert walk.violations and list(err.violations) == walk.violations
+    else:
+        assert not walk.violations
+        scalars = expected if field.finite else [Fraction(*pair) for pair in expected]
+        assert decoded == Matrix(field, rows, cols, scalars)
 
 
 def test_rejects_bad_window_and_dims():

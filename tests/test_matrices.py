@@ -173,12 +173,20 @@ def naive_product(a, b):
     return Matrix(f, a.rows, b.cols, out)
 
 
+def mostly_zero(elements, zero):
+    """``elements`` in one draw in four, ``zero`` in the others."""
+    return st.integers(min_value=0, max_value=3).flatmap(lambda k: elements if k == 0 else st.just(zero))
+
+
 @st.composite
 def operand_triples(draw):
-    """(a, b, c) over one field with a, b of one shape and c multipliable on the right."""
+    """(a, b, c) over one field with a, b of one shape and c multipliable on
+    the right; in half the draws their entries are mostly zero."""
     field = draw(st.sampled_from(KERNEL_FIELDS))
     n, k, m = (draw(st.integers(min_value=0, max_value=5)) for _ in range(3))
-    return draw(matrices(field, n, k)), draw(matrices(field, n, k)), draw(matrices(field, k, m))
+    elements = mostly_zero(scalars(field), field.zero) if draw(st.booleans()) else None
+    a, b, c = (draw(matrices(field, r, s, elements=elements)) for r, s in ((n, k), (n, k), (k, m)))
+    return a, b, c
 
 
 @settings(max_examples=300, deadline=None)
@@ -221,11 +229,13 @@ def test_structural_results_are_canonical(case, data):
 @st.composite
 def wide_operands(draw):
     """Reference rows of wide rationals: a and b of one shape, c multipliable
-    on the right of a, a square s, and a scalar."""
+    on the right of a, a square s, and a scalar; in half the draws the
+    entries are mostly zero."""
     n, k, m = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    elements = mostly_zero(wide_rationals(), Fraction(0)) if draw(st.booleans()) else wide_rationals()
 
     def rows(r, c):
-        return [draw(st.lists(wide_rationals(), min_size=c, max_size=c)) for _ in range(r)]
+        return [draw(st.lists(elements, min_size=c, max_size=c)) for _ in range(r)]
 
     square = rows(*(draw(st.integers(min_value=0, max_value=3)),) * 2)
     if square and draw(st.booleans()):  # a scalar matrix
