@@ -12,6 +12,7 @@ containers of the witnesses that certify them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from typing import Mapping, Sequence
 
@@ -234,33 +235,72 @@ class CohomologySpace:
 
 
 def validate_complex(c: ChainComplex) -> list[str]:
-    """All composite-vanishing violations; empty iff the data is a complex."""
-    violations = []
-    # off lo..hi - 2 the composite starts or ends at a zero space
-    for i in range(c.lo, c.hi - 1):
-        composite = c.differential(i + 1) * c.differential(i)
-        if not composite.is_zero():
-            violations.append(f"degree {i}: d({i + 1}) . d({i}) != 0")
-    return violations
+    """All composite-vanishing violations; empty iff the data is a complex.
+
+    Memoised on the complex's content in a 16-entry LRU cache, like
+    :func:`chaincomm.splitting.split_complex`, so parsing a document, splitting
+    its complex and parsing the certificate check d . d = 0 once; each call
+    returns a fresh list.  ``validate_complex.cache_info()`` reports hits
+    and misses.
+    """
+    return list(_complex_answers(c))
 
 
 def validate_chain_map(phi: ChainEndomorphism) -> list[str]:
-    """All failures of d . phi = phi . d; empty iff phi is a chain map."""
-    c = phi.complex
-    violations = []
+    """All failures of d . phi = phi . d; empty iff phi is a chain map.
+
+    Memoised on the complex and the maps in a 16-entry LRU cache, so the
+    parse's answer serves the builders' guards, the certificate's re-parse
+    and a second theorem asked of the same endomorphism; each call returns
+    a fresh list.  ``validate_chain_map.cache_info()`` reports hits and
+    misses.
+    """
+    return list(_chain_map_answers(phi.complex, phi.maps))
+
+
+def _composite_failures(c: ChainComplex) -> tuple[str, ...]:
+    """validate_complex's answer, computed."""
+    # off lo..hi - 2 the composite starts or ends at a zero space
+    return tuple(
+        f"degree {i}: d({i + 1}) . d({i}) != 0"
+        for i in range(c.lo, c.hi - 1)
+        if not (c.differential(i + 1) * c.differential(i)).is_zero()
+    )
+
+
+def _commutation_failures(c: ChainComplex, maps: tuple[Matrix, ...]) -> tuple[str, ...]:
+    """validate_chain_map's answer for the family ``maps`` on c, computed."""
     # off lo..hi - 1 both sides start or end at a zero space
-    for i in range(c.lo, c.hi):
-        lhs = c.differential(i) * phi.map(i)
-        rhs = phi.map(i + 1) * c.differential(i)
-        if lhs != rhs:
-            violations.append(f"degree {i}: d({i}) . phi({i}) != phi({i + 1}) . d({i})")
-    return violations
+    return tuple(
+        f"degree {i}: d({i}) . phi({i}) != phi({i + 1}) . d({i})"
+        for j, i in enumerate(range(c.lo, c.hi))
+        if c.differential(i) * maps[j] != maps[j + 1] * c.differential(i)
+    )
+
+
+_complex_answers = lru_cache(maxsize=16)(_composite_failures)
+_chain_map_answers = lru_cache(maxsize=16)(_commutation_failures)
+validate_complex.cache_info = _complex_answers.cache_info
+validate_complex.cache_clear = _complex_answers.cache_clear
+validate_chain_map.cache_info = _chain_map_answers.cache_info
+validate_chain_map.cache_clear = _chain_map_answers.cache_clear
 
 
 def require_chain_map(phi: ChainEndomorphism) -> ChainEndomorphism:
     """phi itself; raises ValueError naming every failure when it is not a
     chain map."""
-    problems = validate_chain_map(phi)
+    return _required(phi, validate_chain_map(phi))
+
+
+def _rechecked(phi: ChainEndomorphism) -> ChainEndomorphism:
+    """:func:`require_chain_map` past the cache, for results of the algebra:
+    their content is new, so caching it would only push out the answers that
+    parsing stored for the builders to reuse, and the random generators,
+    whose results later requests parse, must leave the cache as it was."""
+    return _required(phi, _commutation_failures(phi.complex, phi.maps))
+
+
+def _required(phi: ChainEndomorphism, problems: Sequence[str]) -> ChainEndomorphism:
     if problems:
         raise ValueError("not a chain map: " + "; ".join(problems))
     return phi
@@ -387,38 +427,49 @@ def _check_same_complex(a: ChainEndomorphism, b: ChainEndomorphism) -> None:
 
 def add(a: ChainEndomorphism, b: ChainEndomorphism) -> ChainEndomorphism:
     _check_same_complex(a, b)
-    return require_chain_map(ChainEndomorphism(a.complex, [x + y for x, y in zip(a.maps, b.maps)]))
+    return _rechecked(ChainEndomorphism(a.complex, [x + y for x, y in zip(a.maps, b.maps)]))
 
 
 def subtract(a: ChainEndomorphism, b: ChainEndomorphism) -> ChainEndomorphism:
     _check_same_complex(a, b)
-    return require_chain_map(ChainEndomorphism(a.complex, [x - y for x, y in zip(a.maps, b.maps)]))
+    return _rechecked(ChainEndomorphism(a.complex, [x - y for x, y in zip(a.maps, b.maps)]))
 
 
 def compose(a: ChainEndomorphism, b: ChainEndomorphism) -> ChainEndomorphism:
     """Degreewise product a . b."""
     _check_same_complex(a, b)
-    return require_chain_map(ChainEndomorphism(a.complex, [x * y for x, y in zip(a.maps, b.maps)]))
+    return _rechecked(ChainEndomorphism(a.complex, [x * y for x, y in zip(a.maps, b.maps)]))
 
 
 def commutator(a: ChainEndomorphism, b: ChainEndomorphism) -> ChainEndomorphism:
     """a b - b a in the endomorphism ring of the complex."""
     _check_same_complex(a, b)
-    return require_chain_map(ChainEndomorphism(a.complex, [x * y - y * x for x, y in zip(a.maps, b.maps)]))
+    return _rechecked(ChainEndomorphism(a.complex, [x * y - y * x for x, y in zip(a.maps, b.maps)]))
 
 
 def scale(a: ChainEndomorphism, scalar: Scalar) -> ChainEndomorphism:
-    return require_chain_map(ChainEndomorphism(a.complex, [m.scale(scalar) for m in a.maps]))
+    return _rechecked(ChainEndomorphism(a.complex, [m.scale(scalar) for m in a.maps]))
 
 
 def homotopy_boundary(s: Homotopy) -> ChainEndomorphism:
-    """The chain endomorphism d . s + s . d; always a chain map (asserted)."""
+    """The chain endomorphism d . s + s . d.
+
+    On a valid complex it is a chain map by proof, d(ds + sd) = dsd =
+    (ds + sd)d, and is not re-checked; the complex's validity is read from
+    :func:`validate_complex`'s cache.  On an invalid complex the result is
+    checked, and ValueError names every failure.
+    """
+    tau = _boundary(s)
+    if validate_complex(s.complex):
+        require_chain_map(tau)
+    return tau
+
+
+def _boundary(s: Homotopy) -> ChainEndomorphism:
+    """d . s + s . d, unchecked."""
     c = s.complex
-    return require_chain_map(
-        ChainEndomorphism(
-            c,
-            [c.differential(i - 1) * s.map(i) + s.map(i + 1) * c.differential(i) for i in c.degrees],
-        )
+    return ChainEndomorphism(
+        c, [c.differential(i - 1) * s.map(i) + s.map(i + 1) * c.differential(i) for i in c.degrees]
     )
 
 

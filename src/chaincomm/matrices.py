@@ -11,10 +11,11 @@ the ends of every bounded complex, and the 0x0 matrix counts as invertible.
 
 Products, sums, differences, negation, scaling, slicing, stacking,
 Kronecker products, row reduction (``row_reduce``, the library's only
-elimination, and ``pivot_columns``, its pivots alone) and the zero-diagonal
+elimination, and ``pivot_columns``, its pivots alone), the zero-diagonal
 similarity behind commutator factorization (``zero_diagonal_form``, which
-gives the basis, its inverse and the reduced matrix from one pass) run on
-the integers alone, one kernel for both fields; the fields differ only in
+gives the basis, its inverse and the reduced matrix from one pass) and the
+diagonal commutator solve that follows it (``index_quotients``) run on the
+integers alone, one kernel for both fields; the fields differ only in
 reducing ``% p`` or by gcds over Q.  A product takes one dense integer dot
 product per entry: at the sizes the library meets, skipping zero entries
 costs more than it saves.  ``entry``, ``entries``, ``row`` and
@@ -250,6 +251,14 @@ class Matrix:
         c = self.field.normalize(scalar)
         num, den = (c, 1) if self.field.finite else c.as_integer_ratio()
         return _reduced(self.field, self.rows, self.cols, (num * x for x in self._ints), den * self._den)
+
+    def scale_columns(self, factors: Sequence[int]) -> "Matrix":
+        """Column j times the integer ``factors[j]``: the product by
+        diag(factors) without the product."""
+        if len(factors) != self.cols:
+            raise ValueError(f"expected {self.cols} column factors, got {len(factors)}")
+        weights = tuple(factors) * self.rows
+        return _reduced(self.field, self.rows, self.cols, map(mul, self._ints, weights), self._den)
 
     def transpose(self) -> "Matrix":
         return _wrap(self.field, self.cols, self.rows, tuple(chain.from_iterable(self._column_tuples())), self._den)
@@ -568,6 +577,27 @@ def _combination(
     den = lcm(dx, dy)
     a, b = a * (den // dx), b * (den // dy)
     return _lowest_terms([a * u + b * v for u, v in zip(xs, ys)], den * divisor)
+
+
+def index_quotients(m: Matrix) -> Matrix:
+    """The square matrix with entry (j, k) equal to m[j, k] / (j - k) off the
+    diagonal and zero on it: for m of zero diagonal, the solution q of
+    D q - q D = m with D = diag(0, 1, ..., n-1).  Over F_p each entry is
+    multiplied by one of the n - 1 inverses of 1..n-1, so p must be at least
+    n; over Q the entries are put over den * lcm(1..n-1) and brought to
+    lowest terms once."""
+    n = m.rows
+    if not m.is_square:
+        raise ValueError("square matrix required")
+    p = m.field.size if m.field.finite else 0
+    if p and p < n:
+        raise ValueError(f"index differences up to {n - 1} are not invertible mod {p}")
+    scale = 1 if p else lcm(*range(1, n))
+    units = [pow(d, -1, p) for d in range(1, n)] if p else [scale // d for d in range(1, n)]
+    # weights[j - k] is 1 / (j - k) times scale; a negative index counts from the end
+    weights = [0, *units, *(-u for u in reversed(units))]
+    factors = [weights[j - k] for j in range(n) for k in range(n)]
+    return _reduced(m.field, n, n, map(mul, m._ints, factors), m._den * scale)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

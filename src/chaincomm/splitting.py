@@ -19,7 +19,7 @@ choice is deterministic, so block data is reproducible run to run.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from .complexes import ChainComplex, ChainEndomorphism, Homotopy, validate_complex
 from .errors import BlockStructureError
@@ -186,7 +186,8 @@ def split_complex(c: ChainComplex) -> Splitting:
     Memoised on the complex's content (field, lo, dims, differentials) in a
     16-entry LRU cache, so equal complexes share one splitting;
     ``split_complex.cache_info()`` reports hits and misses and
-    ``split_complex.__wrapped__`` is the uncached construction.
+    ``split_complex.__wrapped__`` is the uncached construction, which still
+    reads the complex's validity from :func:`validate_complex`'s cache.
 
     Construction per degree: boundary basis = pivot columns of the incoming
     differential; one elimination extends it greedily by cocycles (lifts of
@@ -197,7 +198,12 @@ def split_complex(c: ChainComplex) -> Splitting:
     conjugated differentials are asserted to equal the standard corner
     matrix exactly, through those inverses.
     """
-    problems = validate_complex(c)
+    return _split(c, validate_complex(c))
+
+
+def _split(c: ChainComplex, problems: Sequence[str]) -> Splitting:
+    """The construction of :func:`split_complex`, given the complex's
+    validation answer ``problems``."""
     if problems:
         raise ValueError("cannot split an invalid complex: " + "; ".join(problems))
 

@@ -42,7 +42,7 @@ from .errors import (
 )
 from .fields import Field, Scalar
 from .linalg import is_invertible, sylvester_operator, sylvester_solve
-from .matrices import Matrix, enumerate_matrices, zero_diagonal_form
+from .matrices import Matrix, enumerate_matrices, index_quotients, zero_diagonal_form
 from .splitting import BlockData, Splitting, assemble, assemble_homotopy, extract_blocks, split_complex
 from .verify import verify_witness
 
@@ -146,7 +146,11 @@ def commutator_decomposition(m: Matrix) -> tuple[Matrix, Matrix]:
     p = B diag(0, 1, ..., n-1) B^-1 and q = B q' B^-1 with
     q'_{jk} = m'_{jk} / (j - k) solve the problem whenever the field has at
     least n elements; remaining small cases fall back to exhaustive search,
-    and everything else raises FieldTooSmall.
+    and everything else raises FieldTooSmall.  B diag(0, ..., n-1) is B with
+    column j scaled by j, so p takes one product, and q' is read off the
+    reduced matrix's stored integers
+    (:func:`chaincomm.matrices.index_quotients`); the result is checked
+    against p q - q p = m.
     """
     if not m.is_square:
         raise ValueError("commutator decomposition needs a square matrix")
@@ -161,22 +165,8 @@ def commutator_decomposition(m: Matrix) -> tuple[Matrix, Matrix]:
         p, q = _exhaustive_decomposition(m)
     else:
         basis, basis_inv, reduced = zero_diagonal_form(m)
-        diag = [field.normalize(i) for i in range(n)]
-        p0 = Matrix.diagonal(field, diag)
-        q0 = Matrix(
-            field,
-            n,
-            n,
-            (
-                field.zero
-                if i == j
-                else field.div(reduced.entry(i, j), field.sub(diag[i], diag[j]))
-                for i in range(n)
-                for j in range(n)
-            ),
-        )
-        p = basis * p0 * basis_inv
-        q = basis * q0 * basis_inv
+        p = basis.scale_columns(range(n)) * basis_inv
+        q = basis * index_quotients(reduced) * basis_inv
     if p * q - q * p != m:
         raise AssertionError("commutator factorization failed to verify")
     return p, q

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from chaincomm.complexes import ChainComplex, ChainEndomorphism, cohomology
 from chaincomm.fields import GF2, RATIONALS, Field, PrimeField, Scalar
 from chaincomm.linalg import complement_basis, extend_to_basis, image_basis, inverse, kernel_basis, solve_linear
-from chaincomm.matrices import Matrix, block_matrix, hstack
+from chaincomm.matrices import Matrix, block_matrix, hstack, zero_diagonal_form
 
 Q = RATIONALS
 F2 = GF2
@@ -220,6 +220,28 @@ def reference_zero_diagonal_form(m: Matrix, tweaks: list[Matrix] | None = None) 
     basis = _reference_zero_diagonal_basis(m, [] if tweaks is None else tweaks)
     basis_inv = inverse(basis)
     return basis, basis_inv, basis_inv * m * basis
+
+
+def reference_commutator_factors(m: Matrix) -> tuple[Matrix, Matrix]:
+    """(p, q) = (B diag(0, ..., n-1) B^-1, B q' B^-1) with q'_jk =
+    m'_jk / (j - k) through ``field.div`` and the normalising constructor,
+    for (B, B^-1, m') = zero_diagonal_form(m): the formulas
+    commutator_decomposition used before it scaled B's columns and read q'
+    off m''s stored integers."""
+    field, n = m.field, m.rows
+    basis, basis_inv, reduced = zero_diagonal_form(m)
+    diag = [field.normalize(i) for i in range(n)]
+    q0 = Matrix(
+        field,
+        n,
+        n,
+        (
+            field.zero if i == j else field.div(reduced.entry(i, j), field.sub(diag[i], diag[j]))
+            for i in range(n)
+            for j in range(n)
+        ),
+    )
+    return basis * Matrix.diagonal(field, diag) * basis_inv, basis * q0 * basis_inv
 
 
 def reference_induced_cohomology_map(phi: ChainEndomorphism, degree: int) -> Matrix:

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -305,11 +306,15 @@ def test_analyze_with_a_61_bit_modulus_is_prompt(capsys, tmp_path):
 
 
 def test_module_entry_point_runs():
+    env = {"PYTHONPATH": "src", "PATH": "/usr/local/bin:/usr/bin:/bin"}
+    # a run that asked for no bytecode must not leave .pyc in the tree
+    if "PYTHONDONTWRITEBYTECODE" in os.environ:
+        env["PYTHONDONTWRITEBYTECODE"] = os.environ["PYTHONDONTWRITEBYTECODE"]
     result = subprocess.run(
         [sys.executable, "-m", "chaincomm", "counterexample", "example2"],
         capture_output=True,
         text=True,
-        env={"PYTHONPATH": "src", "PATH": "/usr/local/bin:/usr/bin:/bin"},
+        env=env,
         cwd=str(__import__("pathlib").Path(__file__).parent.parent),
     )
     assert result.returncode == 0

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -5,10 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chaincomm import complexes
+from chaincomm import complexes, jsonio
 from chaincomm.complexes import (
     ChainComplex,
     ChainEndomorphism,
+    CommutatorWitness,
     Homotopy,
     Stretch,
     chain_map_basis,
@@ -26,6 +28,7 @@ from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
 from chaincomm.generate import random_chain_map, random_complex, random_homotopy, random_matrix
 from chaincomm.linalg import complement_basis, image_basis
 from chaincomm.matrices import Matrix
+from chaincomm.verify import verify_witness
 
 from helpers import (
     KERNEL_FIELDS,
@@ -82,6 +85,115 @@ def test_validate_chain_map_examples():
 
     window = corner_window(Q, 4)
     assert validate_chain_map(alternating_reflection(window)) == []
+
+
+# -- validation caches -------------------------------------------------------------
+
+
+def _copy(c: ChainComplex, change=None) -> ChainComplex:
+    """A new object with c's content; ``change`` = (j, row, col, value)
+    replaces one entry of differential j."""
+    differentials = [Matrix.from_rows(c.field, d.to_rows(), d.cols) for d in c.stored_differentials]
+    if change is not None:
+        j, r, k, value = change
+        rows = differentials[j].to_rows()
+        rows[r][k] = value
+        differentials[j] = Matrix.from_rows(c.field, rows, differentials[j].cols)
+    return ChainComplex(c.field, c.lo, list(c.dims), differentials)
+
+
+def test_equal_content_hits_the_validation_caches():
+    rng = random.Random(3)
+    c = random_complex(rng, Q, max_dim=4, length=4)
+    phi = random_chain_map(rng, c)
+    validate_complex.cache_clear()
+    validate_chain_map.cache_clear()
+    assert validate_complex(c) == [] and validate_chain_map(phi) == []
+    twin = _copy(c)
+    twin_phi = ChainEndomorphism(twin, [Matrix.from_rows(Q, m.to_rows(), m.cols) for m in phi.maps])
+    assert twin is not c and twin_phi.maps[0] is not phi.maps[0]
+    assert validate_complex(twin) == [] and validate_chain_map(twin_phi) == []
+    assert (validate_complex.cache_info().hits, validate_complex.cache_info().misses) == (1, 1)
+    assert (validate_chain_map.cache_info().hits, validate_chain_map.cache_info().misses) == (1, 1)
+    assert validate_complex.cache_info().maxsize == validate_chain_map.cache_info().maxsize == 16
+
+
+def test_one_changed_entry_misses_and_is_rejected_as_before():
+    bad = ChainComplex(Q, 0, [1, 1, 1], [mat(Q, [[1]]), mat(Q, [[1]])])
+    good = _copy(bad, (1, 0, 0, 0))
+    assert validate_complex(good) == []
+    expected = ["degree 0: d(1) . d(0) != 0"]
+    assert validate_complex(bad) == expected
+    # a result is a fresh list: changing it does not change the cached answer
+    validate_complex(bad).append("scribble")
+    assert validate_complex(_copy(bad)) == expected
+
+    c = corner_window(Q, 3)
+    phi = alternating_reflection(c)
+    assert validate_chain_map(phi) == []
+    maps = list(phi.maps)
+    maps[1] = maps[1] + Matrix.identity(Q, 2)
+    broken = ChainEndomorphism(c, maps)
+    problems = ["degree 0: d(0) . phi(0) != phi(1) . d(0)", "degree 1: d(1) . phi(1) != phi(2) . d(1)"]
+    validate_chain_map.cache_clear()
+    assert validate_chain_map(broken) == problems
+    assert validate_chain_map(ChainEndomorphism(c, maps)) == problems
+    assert validate_chain_map.cache_info().hits == 1
+
+
+def test_the_chain_map_cache_key_includes_the_complex():
+    # the same maps are a chain map of the zero-differential complex, not of
+    # the corner complex
+    maps = [Matrix.diagonal(Q, [0, 1]), Matrix.zeros(Q, 2, 2)]
+    assert validate_chain_map(ChainEndomorphism(zero_differential_complex(Q, [2, 2]), maps)) == []
+    assert validate_chain_map(ChainEndomorphism(corner_window(Q, 2), maps)) == [
+        "degree 0: d(0) . phi(0) != phi(1) . d(0)"
+    ]
+
+
+def test_a_tampered_document_parsed_after_the_clean_one_is_refused():
+    rng = random.Random(8)
+    c = random_complex(rng, Q, max_dim=4, length=4)
+    while not any(d.rows and d.cols and not d.is_zero() for d in c.stored_differentials):
+        c = random_complex(rng, Q, max_dim=4, length=4)
+    document = jsonio.serialize_document(c, random_chain_map(rng, c))
+    assert jsonio.parse_document(json.loads(json.dumps(document))).endomorphism is not None
+    # raise phi's entry at a pivot row of d's first nonzero column: d phi and
+    # phi d then differ in that column
+    j = next(j for j, d in enumerate(c.stored_differentials) if not d.is_zero())
+    d = c.stored_differentials[j]
+    col = next(k for k in range(d.cols) if any(d.entry(r, k) for r in range(d.rows)))
+    tampered = json.loads(json.dumps(document))
+    entry = tampered["endomorphism"][j][col][col]
+    tampered["endomorphism"][j][col][col] = str(Fraction(entry) + 1)
+    with pytest.raises(jsonio.SchemaError) as err:
+        jsonio.parse_document(tampered)
+    assert {v.code for v in err.value.violations} == {"endomorphism_not_chain_map"}
+
+
+def test_the_verifier_reads_no_cached_answer(monkeypatch):
+    # alpha's maps form a chain map of another complex, which validation has
+    # just accepted; even with a cache that accepts everything, the verifier
+    # finds that alpha does not commute with the corner differential
+    maps = [Matrix.diagonal(Q, [0, 1]), Matrix.zeros(Q, 2, 2)]
+    assert validate_chain_map(ChainEndomorphism(zero_differential_complex(Q, [2, 2]), maps)) == []
+    c = corner_window(Q, 2)
+    alpha, zero = ChainEndomorphism(c, maps), ChainEndomorphism.zero(c)
+    monkeypatch.setattr(complexes, "_chain_map_answers", lambda complex, maps: ())
+    assert validate_chain_map(alpha) == []
+    result = verify_witness(zero, CommutatorWitness(alpha, zero))
+    assert ("degree 0", "alpha commutes with the differential") in [(v.location, v.identity) for v in result.violations]
+
+
+def test_homotopy_boundary_checks_its_result_on_an_invalid_complex():
+    bad = ChainComplex(Q, 0, [1, 1, 1], [mat(Q, [[1]]), mat(Q, [[1]])])
+    s = Homotopy(bad, [Matrix.zeros(Q, 0, 1), mat(Q, [[1]]), Matrix.zeros(Q, 1, 1)])
+    with pytest.raises(ValueError, match="not a chain map: degree 1"):
+        homotopy_boundary(s)
+    # on a valid complex the boundary is a chain map by proof
+    c = corner_window(Q, 3)
+    s = Homotopy(c, [Matrix.zeros(Q, 0, 2), mat(Q, [[1, 2], [3, 4]]), mat(Q, [[5, 6], [7, 8]])])
+    assert validate_chain_map(homotopy_boundary(s)) == []
 
 
 # -- cohomology ----------------------------------------------------------------
@@ -364,7 +476,6 @@ def test_chain_map_basis_spans_chain_maps():
 
 def test_chain_map_basis_matches_split_parameterization():
     from chaincomm.splitting import split_complex
-
     for seed, rng in seeds(10):
         field = Q if seed % 2 == 0 else GF2
         c = random_complex(rng, field, max_dim=3, length=3)

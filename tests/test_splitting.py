@@ -11,6 +11,7 @@ from chaincomm.complexes import (
     induced_cohomology_map,
     trace_report,
     validate_chain_map,
+    validate_complex,
 )
 from chaincomm.errors import BlockStructureError
 from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
@@ -251,14 +252,17 @@ def test_cache_holds_at_most_sixteen_splittings():
 
 
 def test_generation_does_not_fill_the_cache():
+    # nor the validation caches, whose answers later requests read
+    caches = (split_complex, validate_complex, validate_chain_map)
     rng = random.Random(5)
     c = random_complex(rng, Q, max_dim=4, length=4)
     split_complex.cache_clear()
-    before = split_complex.cache_info()
-    for ensure in (None, "t1", "t3"):
+    before = [f.cache_info() for f in caches]
+    random_complex(rng, PrimeField(7), max_dim=4, length=3)
+    for ensure in (None, "t1", "t2", "t3", "t4"):
         random_endomorphism(rng, c, ensure=ensure)
     random_chain_map(rng, c)
-    assert split_complex.cache_info() == before
+    assert [f.cache_info() for f in caches] == before
 
 
 @pytest.mark.parametrize("builder", ["commutator_witness", "homotopy_commutator_witness", "homotopy_pointwise_witness"])

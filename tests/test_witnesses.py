@@ -3,6 +3,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chaincomm import complexes, witnesses
 from chaincomm.complexes import (
@@ -24,7 +26,7 @@ from chaincomm.errors import (
 from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
 from chaincomm.generate import random_chain_map, random_complex, random_endomorphism, random_homotopy
 from chaincomm.linalg import inverse, is_invertible, sylvester_operator
-from chaincomm.matrices import Matrix, enumerate_matrices
+from chaincomm.matrices import Matrix, enumerate_matrices, index_quotients
 from chaincomm.splitting import extract_blocks, split_complex
 from chaincomm.verify import commutant_set
 from chaincomm.witnesses import (
@@ -40,7 +42,19 @@ from chaincomm.witnesses import (
     zero_diagonal_basis,
 )
 
-from helpers import alternating_reflection, corner_window, exact_two_term, mat, seeds, zero_differential_complex
+from helpers import (
+    F_M31,
+    alternating_reflection,
+    assert_canonical,
+    corner_window,
+    exact_two_term,
+    mat,
+    matrices,
+    reference_commutator_factors,
+    reference_zero_diagonal_form,
+    seeds,
+    zero_differential_complex,
+)
 
 F3 = PrimeField(3)
 
@@ -140,6 +154,43 @@ def test_field_too_small_cases():
         m = Matrix.zeros(GF2, 4, 4)
         m = mat(GF2, [[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0, 0, 0, 0]])
         commutator_decomposition(m)
+
+
+SMALLEST_PRIME_AT_LEAST = {1: 2, 2: 2, 3: 3, 4: 5, 5: 5, 6: 7, 7: 7, 8: 11}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=8).flatmap(
+        lambda n: st.sampled_from([Q, F_M31, PrimeField(SMALLEST_PRIME_AT_LEAST[n])]).flatmap(
+            lambda field: matrices(field, n, n)
+        )
+    )
+)
+def test_decomposition_equals_the_diagonal_formulas(m):
+    # p = n is the edge of the F_p inverse table: every difference 1..n-1 is used
+    n = m.rows
+    m = m - Matrix.diagonal(m.field, [0] * (n - 1) + [m.trace()])
+    if m.is_zero() or m.is_scalar():
+        return
+    tweaks = []
+    reference_zero_diagonal_form(m, tweaks)
+    # a nonzero scalar trailing block of size k has trace k c = 0, so p
+    # divides k < n: with p >= n the basis tweak never runs on this path
+    assert tweaks == []
+    got = commutator_decomposition(m)
+    assert got == reference_commutator_factors(m)
+    for x in got:
+        assert_canonical(x)
+
+
+def test_index_quotients_need_every_difference_invertible():
+    with pytest.raises(ValueError, match="not invertible mod 3"):
+        index_quotients(Matrix.zeros(F3, 4, 4))
+    assert index_quotients(mat(F3, [[0, 1, 2], [1, 0, 1], [2, 2, 0]])) == mat(F3, [[0, 2, 2], [1, 0, 2], [1, 2, 0]])
+    assert index_quotients(mat(Q, [[0, 1, 2], [1, 0, 1], [Fraction(1, 3), 2, 0]])) == mat(
+        Q, [[0, -1, -1], [1, 0, -1], [Fraction(1, 6), 2, 0]]
+    )
 
 
 def test_zero_diagonal_basis_on_awkward_diagonals():
