@@ -7,8 +7,8 @@ F_{2^31-1}, this writes the seed-1 document of ``chaincomm random --length 3
 and re-checks each certificate built with ``verify``.  Every step runs as its
 own child process under a timeout.  One JSON object goes to standard output:
 per run, the field, max-dim and dims, the command, its exit code (null after
-a timeout), wall time, the child's peak resident memory, and the size and
-sha256 of what it printed.
+a timeout), wall time, the child's peak resident memory (its own VmHWM,
+read inside it at exit), and the size and sha256 of what it printed.
 
     python3 scripts/scale_ladder.py                 # max-dim 10 and 20
     python3 scripts/scale_ladder.py 10 20 40 --timeout 900
@@ -19,7 +19,6 @@ import hashlib
 import json
 import os
 import platform
-import resource
 import subprocess
 import sys
 import tempfile
@@ -32,39 +31,53 @@ THEOREMS = (1, 2, 3, 4)
 POLL_S = 0.005
 
 
+# Runs ``python -m chaincomm`` and, at exit, writes the process's own VmHWM
+# (peak resident set, KiB) to the file named by its first argument.  Read in
+# the child after ``exec``, the figure counts none of the launcher's memory.
+CHILD = """
+import atexit, runpy, sys
+
+path = sys.argv.pop(1)
+
+def report():
+    with open("/proc/self/status") as status:
+        kib = next(line.split()[1] for line in status if line.startswith("VmHWM:"))
+    with open(path, "w") as out:
+        out.write(kib)
+
+atexit.register(report)
+sys.argv[0] = "chaincomm"
+runpy.run_module("chaincomm", run_name="__main__", alter_sys=True)
+"""
+
+
 def run(args: list[str], out_path: Path, timeout: float) -> dict:
-    """``python -m chaincomm *args`` with standard output to ``out_path``.
-    The child is reaped with ``os.wait4``, whose resource usage is that one
-    child's; ``ru_maxrss`` is in KiB on Linux.  Linux counts in a child's
-    peak the memory it had before ``exec``, a copy of this process's, so a
-    reading is never below what this process held when it started the
-    child, which is at most ``launcher_peak_rss_mib``."""
+    """``python -m chaincomm *args`` with standard output to ``out_path``,
+    killed after ``timeout`` seconds.  Its peak RSS is the VmHWM the child
+    reports at exit, null when it reported none (after a timeout)."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
+    peak_path = out_path.with_name(out_path.name + ".vmhwm")
+    peak_path.unlink(missing_ok=True)
     with open(out_path, "wb") as out:
         start = time.perf_counter()
         child = subprocess.Popen(
-            [sys.executable, "-m", "chaincomm", *args], stdout=out, stderr=subprocess.DEVNULL, env=env
+            [sys.executable, "-c", CHILD, str(peak_path), *args], stdout=out, stderr=subprocess.DEVNULL, env=env
         )
         timed_out = False
-        while True:
-            pid, status, usage = os.wait4(child.pid, os.WNOHANG)
-            if pid:
-                break
+        while child.poll() is None:
             if time.perf_counter() - start > timeout:
-                # killed before it is reaped, so the pid cannot have been reused
                 child.kill()
-                _, status, usage = os.wait4(child.pid, 0)
+                child.wait()
                 timed_out = True
                 break
             time.sleep(POLL_S)
         wall = time.perf_counter() - start
-    # reaped here, so Popen must not wait for it again
-    child.returncode = os.waitstatus_to_exitcode(status)
     output = out_path.read_bytes()
+    peak = round(int(peak_path.read_text()) / 1024, 1) if peak_path.exists() else None
     return {
         "exit": None if timed_out else child.returncode,
         "wall_s": round(wall, 3),
-        "peak_rss_mib": round(usage.ru_maxrss / 1024, 1),
+        "peak_rss_mib": peak,
         "out_bytes": len(output),
         "sha256": hashlib.sha256(output).hexdigest(),
     }
@@ -100,8 +113,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as work:
         runs = ladder(args.max_dims, args.timeout, Path(work))
     machine = {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()}
-    launcher = round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
-    summary = {"timeout_s": args.timeout, "machine": machine, "launcher_peak_rss_mib": launcher}
+    summary = {"timeout_s": args.timeout, "machine": machine}
     print(json.dumps({**summary, "runs": runs}, indent=2))
     return 0
 

@@ -18,7 +18,7 @@ from . import complexes, splitting
 from .complexes import ChainComplex, ChainEndomorphism, Homotopy, commutator, add
 from .fields import Field, Scalar
 from .linalg import inverse, is_invertible
-from .matrices import Matrix
+from .matrices import Matrix, block_matrix
 from .splitting import BlockData, Splitting, assemble
 
 ENSURE_CHOICES = ("t1", "t2", "t3", "t4")
@@ -74,16 +74,9 @@ def random_complex(
     bases = [random_invertible(rng, field, n) for n in dims]
     differentials = []
     for j in range(length - 1):
-        standard = Matrix(
-            field,
-            dims[j + 1],
-            dims[j],
-            (
-                field.one if (r < boundary[j + 1] and c == dims[j] - boundary[j + 1] + r) else field.zero
-                for r in range(dims[j + 1])
-                for c in range(dims[j])
-            ),
-        )
+        rows = (boundary[j + 1], cohom[j + 1], boundary[j + 2])
+        cols = (boundary[j], cohom[j], boundary[j + 1])
+        standard = block_matrix(field, rows, cols, {(0, 2): Matrix.identity(field, boundary[j + 1])})
         differentials.append(bases[j + 1] * standard * inverse(bases[j]))
     return ChainComplex(field, lo, dims, differentials)
 

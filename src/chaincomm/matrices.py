@@ -18,9 +18,10 @@ diagonal commutator solve that follows it (``index_quotients``) run on the
 integers alone, one kernel for both fields; the fields differ only in
 reducing ``% p`` or by gcds over Q.  A product takes one dense integer dot
 product per entry: at the sizes the library meets, skipping zero entries
-costs more than it saves.  ``entry``, ``entries``, ``row`` and
-``to_rows`` build field scalars on demand: ``int`` over F_p, ``Fraction``
-over Q.
+costs more than it saves.  Stacking is one kernel, ``block_matrix``, of
+which ``hstack`` and ``vstack`` are the one-row and one-column cases.
+``entry``, ``entries``, ``row`` and ``to_rows`` build field scalars on
+demand: ``int`` over F_p, ``Fraction`` over Q.
 
 The public constructor normalises and validates every entry;
 ``Matrix.from_canonical`` (F_p residues) and ``Matrix.from_ratios`` (Q
@@ -618,36 +619,31 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     """Concatenate matrices with equal row counts side by side."""
     if not mats:
         raise ValueError("hstack of nothing")
-    rows = mats[0].rows
-    field = mats[0].field
+    rows, field = mats[0].rows, mats[0].field
     if any(m.rows != rows or m.field != field for m in mats):
         raise ValueError("row count or field mismatch in hstack")
-    # over the lcm of the denominators, as in _over, no reduction is needed
-    den = lcm(*[m._den for m in mats])
-    pieces = [(_rescaled(m, den), m.cols) for m in mats]
-    data = tuple(chain.from_iterable(ints[i * c : (i + 1) * c] for i in range(rows) for ints, c in pieces))
-    return _wrap(field, rows, sum(m.cols for m in mats), data, den)
+    return block_matrix(field, [rows], [m.cols for m in mats], {(0, c): m for c, m in enumerate(mats)})
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
+    """Stack matrices with equal column counts one above the other."""
     if not mats:
         raise ValueError("vstack of nothing")
-    cols = mats[0].cols
-    field = mats[0].field
+    cols, field = mats[0].cols, mats[0].field
     if any(m.cols != cols or m.field != field for m in mats):
         raise ValueError("column count or field mismatch in vstack")
-    den = lcm(*[m._den for m in mats])
-    data = tuple(chain.from_iterable(_rescaled(m, den) for m in mats))
-    return _wrap(field, sum(m.rows for m in mats), cols, data, den)
+    return block_matrix(field, [m.rows for m in mats], [cols], {(r, 0): m for r, m in enumerate(mats)})
 
 
-def block_matrix(
-    field: Field,
-    row_sizes: Sequence[int],
-    col_sizes: Sequence[int],
-    blocks: Mapping[tuple[int, int], Matrix],
-) -> Matrix:
-    """Assemble a matrix from blocks; missing positions are zero blocks."""
+# a sparse block grid: (block row, block column) -> block
+Grid = Mapping[tuple[int, int], Matrix]
+
+
+def check_blocks(field: Field, row_sizes: Sequence[int], col_sizes: Sequence[int], blocks: Grid) -> None:
+    """Raise ValueError unless every block sits inside the grid, has the
+    shape its row and column sizes give and lies over ``field``."""
+    if min((*row_sizes, *col_sizes), default=0) < 0:
+        raise ValueError("matrix dimensions must be nonnegative")
     for (r, c), blk in blocks.items():
         if not (0 <= r < len(row_sizes) and 0 <= c < len(col_sizes)):
             raise ValueError(f"block position {(r, c)} out of range")
@@ -655,13 +651,25 @@ def block_matrix(
             raise ValueError(f"block {(r, c)} has shape {blk.shape}, expected {(row_sizes[r], col_sizes[c])}")
         if blk.field != field:
             raise ValueError("field mismatch in block")
-    grid = [
-        [blocks.get((r, c), Matrix.zeros(field, row_sizes[r], col_sizes[c])) for c in range(len(col_sizes))]
-        for r in range(len(row_sizes))
-    ]
-    return vstack([hstack(row) for row in grid]) if row_sizes and col_sizes else Matrix.zeros(
-        field, sum(row_sizes), sum(col_sizes)
-    )
+
+
+def block_matrix(field: Field, row_sizes: Sequence[int], col_sizes: Sequence[int], blocks: Grid) -> Matrix:
+    """Assemble a matrix from blocks; missing positions are zero blocks.
+    Each output row is written once, over the lcm of the blocks'
+    denominators, which needs no reduction (as in ``_over``)."""
+    check_blocks(field, row_sizes, col_sizes, blocks)
+    den = lcm(*[m._den for m in blocks.values()])
+    data: list[int] = []
+    for r, height in enumerate(row_sizes):
+        # per block column (integers, stride, width): a missing block is one zero row read with stride 0
+        strips = []
+        for c, width in enumerate(col_sizes):
+            blk = blocks.get((r, c))
+            strips.append((_rescaled(blk, den), width, width) if blk is not None else ((0,) * width, 0, width))
+        for i in range(height):
+            for ints, stride, width in strips:
+                data.extend(ints[i * stride : i * stride + width])
+    return _wrap(field, sum(row_sizes), sum(col_sizes), tuple(data), den)
 
 
 def split_blocks(m: Matrix, row_sizes: Sequence[int], col_sizes: Sequence[int]) -> dict[tuple[int, int], Matrix]:

@@ -24,7 +24,7 @@ from typing import Callable, Mapping, Sequence
 from .complexes import ChainComplex, ChainEndomorphism, Homotopy, validate_complex
 from .errors import BlockStructureError
 from .linalg import extend_to_basis, is_invertible, kernel_and_pivots
-from .matrices import Matrix, block_matrix, split_blocks
+from .matrices import Grid, Matrix, block_matrix, check_blocks, split_blocks
 
 _UPPER_POSITIONS = {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)}
 
@@ -62,10 +62,13 @@ class Splitting:
 
     def basis(self, degree: int) -> Matrix:
         """Columns: chosen basis of V_degree (identity of size 0 off-window)."""
-        return self._basis.get(degree, Matrix.identity(self.complex.field, self.complex.dim(degree)))
+        return self._basis[degree] if degree in self._basis else self._off_window(degree)
 
     def inverse_basis(self, degree: int) -> Matrix:
-        return self._inverse.get(degree, Matrix.identity(self.complex.field, self.complex.dim(degree)))
+        return self._inverse[degree] if degree in self._inverse else self._off_window(degree)
+
+    def _off_window(self, degree: int) -> Matrix:
+        return Matrix.identity(self.complex.field, self.complex.dim(degree))
 
     def to_split(self, degree: int, endo_map: Matrix) -> Matrix:
         """Conjugate a V_degree endomorphism matrix into split coordinates."""
@@ -107,76 +110,61 @@ class Splitting:
 class BlockData:
     """A chain endomorphism expressed in split coordinates.
 
-    Stores the full conjugated matrix per degree; the 3x3 block grid at
-    degree i has row/column sizes (b_i, h_i, b_{i+1}).  Upper-triangularity
-    and the cross-degree identity "block (2,2) at degree i equals block
-    (0,0) at degree i+1" are enforced at construction.
+    Stores, per degree i, the 3x3 block grid with row and column sizes
+    (b_i, h_i, b_{i+1}), sparse: a missing block is zero.  That the blocks
+    below the diagonal vanish and that block (2,2) at degree i equals block
+    (0,0) at degree i+1 is enforced at construction; ``split_map`` assembles
+    a degree's matrix on demand.
     """
 
-    def __init__(self, splitting: Splitting, split_maps: Mapping[int, Matrix]):
+    def __init__(self, splitting: Splitting, grids: Mapping[int, Grid]):
         c = splitting.complex
         self.splitting = splitting
-        self._split_maps = {i: split_maps[i] for i in c.degrees}
-        self._grids: dict[int, dict[tuple[int, int], Matrix]] = {}
-        for i in c.degrees:
-            m = self._split_maps[i]
-            if m.shape != (c.dim(i), c.dim(i)):
-                raise ValueError(f"split map at degree {i} has shape {m.shape}")
-            sizes = splitting.block_dims(i)
-            self._grids[i] = split_blocks(m, sizes, sizes)
-        self._check_structure()
+        self._grids = {i: dict(grids.get(i, {})) for i in c.degrees}
+        for i, grid in self._grids.items():
+            for pos in ((1, 0), (2, 0), (2, 1)):
+                if pos in grid and not grid[pos].is_zero():
+                    raise BlockStructureError(f"nonzero lower block {pos} at degree {i}: not a chain map in split coordinates")
+        for i in range(c.lo, c.hi):
+            last, first = self._grids[i].get((2, 2)), self._grids[i + 1].get((0, 0))
+            if last != first and not all(m is None or m.is_zero() for m in (last, first)):
+                raise BlockStructureError(f"boundary blocks disagree between degrees {i} and {i + 1}")
 
     @classmethod
-    def from_blocks(
-        cls, splitting: Splitting, blocks: Mapping[int, Mapping[tuple[int, int], Matrix]]
-    ) -> "BlockData":
-        """Build from sparse upper-triangular block grids (missing blocks zero)."""
+    def from_blocks(cls, splitting: Splitting, blocks: Mapping[int, Grid]) -> "BlockData":
+        """Build from sparse upper-triangular block grids (missing blocks
+        zero), checking each block's position, shape and field (ValueError)
+        and the shared boundary blocks (BlockStructureError) on the grids
+        themselves."""
         c = splitting.complex
-        field = c.field
-        split_maps = {}
         for i in c.degrees:
-            given = dict(blocks.get(i, {}))
+            given = blocks.get(i, {})
             bad = set(given) - _UPPER_POSITIONS
             if bad:
                 raise ValueError(f"blocks below the diagonal are not allowed: {sorted(bad)}")
             sizes = splitting.block_dims(i)
-            split_maps[i] = block_matrix(field, sizes, sizes, given)
-        return cls(splitting, split_maps)
-
-    def _check_structure(self) -> None:
-        c = self.splitting.complex
-        for i in c.degrees:
-            for pos in ((1, 0), (2, 0), (2, 1)):
-                if not self._grids[i][pos].is_zero():
-                    raise BlockStructureError(
-                        f"nonzero lower block {pos} at degree {i}: not a chain map in split coordinates"
-                    )
-        for i in range(c.lo, c.hi):
-            if self._grids[i][(2, 2)] != self._grids[i + 1][(0, 0)]:
-                raise BlockStructureError(
-                    f"boundary blocks disagree between degrees {i} and {i + 1}"
-                )
+            check_blocks(c.field, sizes, sizes, given)
+        return cls(splitting, blocks)
 
     def split_map(self, degree: int) -> Matrix:
-        return self._split_maps[degree]
+        """The whole conjugated matrix at ``degree``, assembled from its grid."""
+        sizes = self.splitting.block_dims(degree)
+        return block_matrix(self.splitting.complex.field, sizes, sizes, self._grids[degree])
 
     def block(self, degree: int, row: int, col: int) -> Matrix:
-        return self._grids[degree][(row, col)]
+        blk, sizes = self._grids[degree].get((row, col)), self.splitting.block_dims(degree)
+        return blk if blk is not None else Matrix.zeros(self.splitting.complex.field, sizes[row], sizes[col])
 
     def boundary_block(self, degree: int) -> Matrix:
         """The action on B_degree (empty for off-window or end degrees)."""
         c = self.splitting.complex
-        if c.lo <= degree <= c.hi:
-            return self._grids[degree][(0, 0)]
         if degree == c.hi + 1:
-            return self._grids[c.hi][(2, 2)]
-        return Matrix.zeros(c.field, 0, 0)
+            return self.block(c.hi, 2, 2)
+        return self.block(degree, 0, 0) if c.lo <= degree <= c.hi else Matrix.zeros(c.field, 0, 0)
 
     def cohomology_block(self, degree: int) -> Matrix:
         c = self.splitting.complex
-        if c.lo <= degree <= c.hi:
-            return self._grids[degree][(1, 1)]
-        return Matrix.zeros(c.field, 0, 0)
+        return self.block(degree, 1, 1) if c.lo <= degree <= c.hi else Matrix.zeros(c.field, 0, 0)
 
 
 @lru_cache(maxsize=16)
@@ -232,7 +220,8 @@ def extract_blocks(phi: ChainEndomorphism, s: Splitting) -> BlockData:
     blocks; the lower blocks must vanish (they do for genuine chain maps)."""
     if phi.complex != s.complex:
         raise ValueError("endomorphism and splitting live on different complexes")
-    return BlockData(s, {i: s.to_split(i, phi.map(i)) for i in s.complex.degrees})
+    split = {i: s.to_split(i, phi.map(i)) for i in s.complex.degrees}
+    return BlockData(s, {i: split_blocks(m, s.block_dims(i), s.block_dims(i)) for i, m in split.items()})
 
 
 def assemble(blocks: BlockData) -> ChainEndomorphism:
@@ -250,7 +239,7 @@ def assemble(blocks: BlockData) -> ChainEndomorphism:
     return ChainEndomorphism(s.complex, [s.from_split(i, blocks.split_map(i)) for i in s.complex.degrees])
 
 
-def assemble_homotopy(s: Splitting, grid: Callable[[int], Mapping[tuple[int, int], Matrix]]) -> Homotopy:
+def assemble_homotopy(s: Splitting, grid: Callable[[int], Grid]) -> Homotopy:
     """The homotopy whose map at each degree i > lo is, in split coordinates,
     the sparse block grid ``grid(i)`` from (b_i, h_i, b_{i+1}) to
     (b_{i-1}, h_{i-1}, b_i); the map out of degree lo lands in zero."""

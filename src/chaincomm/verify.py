@@ -61,8 +61,9 @@ def _record(out: list[Violation], location: str, identity: str, left: Matrix, ri
     if left.shape != right.shape or left.field != right.field:
         out.append(Violation(location, identity, repr(left), repr(right)))
         return
-    k = next(k for k, (x, y) in enumerate(zip(left.entries, right.entries)) if x != y)
-    out.append(Violation(location, identity, render(left.entries[k]), render(right.entries[k]), divmod(k, left.cols)))
+    xs, ys = left.entries, right.entries
+    k = next(k for k, (x, y) in enumerate(zip(xs, ys)) if x != y)
+    out.append(Violation(location, identity, render(xs[k]), render(ys[k]), divmod(k, left.cols)))
 
 
 def _check_chain_map(name: str, endo: ChainEndomorphism, out: list[Violation]) -> None:

@@ -67,13 +67,18 @@ class PairSelection:
     second_pairs: tuple[tuple[Matrix, Matrix], ...]
 
     def first_left(self, i: int) -> Matrix | None:
-        return self.first_pairs[i][0] if 0 <= i < len(self.first_pairs) else None
+        return _factor(self.first_pairs, i, 0)
 
     def first_right(self, i: int) -> Matrix | None:
-        return self.first_pairs[i][1] if 0 <= i < len(self.first_pairs) else None
+        return _factor(self.first_pairs, i, 1)
 
     def second_left(self, i: int) -> Matrix | None:
-        return self.second_pairs[i][0] if 0 <= i < len(self.second_pairs) else None
+        return _factor(self.second_pairs, i, 0)
+
+
+def _factor(pairs: Sequence[tuple[Matrix, Matrix]], i: int, side: int) -> Matrix | None:
+    """Factor ``side`` of pair i, or None (an empty matrix) when i is out of range."""
+    return pairs[i][side] if 0 <= i < len(pairs) else None
 
 
 @dataclass(frozen=True)
@@ -219,9 +224,6 @@ def select_separated_pairs(
     first_pairs = [commutator_decomposition(m) for m in first]
     second_pairs = [commutator_decomposition(m) for m in second]
 
-    def first_left(i: int) -> Matrix | None:
-        return first_pairs[i][0] if 0 <= i < len(first_pairs) else None
-
     def first_shift(stage: str, i: int, m: Matrix, bound: int, separated: Callable[[Matrix], bool]) -> Matrix:
         for scalar in _scalar_candidates(field, bound):
             shifted = _shift(m, scalar)
@@ -232,7 +234,7 @@ def select_separated_pairs(
         raise SelectionExhausted(stage, i)
 
     for i, (s, t) in enumerate(second_pairs):
-        left, right = first_left(i), first_left(i + 1)
+        left, right = _factor(first_pairs, i, 0), _factor(first_pairs, i + 1, 0)
         bound = s.rows * sum(x.rows for x in (left, right) if x is not None)
         s = first_shift("adjacent spectral separation", i, s, bound, lambda x: _separated(left, x) and _separated(x, right))
         second_pairs[i] = (s, t)

@@ -391,6 +391,19 @@ def wide_rationals():
     return st.builds(Fraction, numerators, denominators)
 
 
+def reference_block_matrix(field: Field, row_sizes, col_sizes, blocks) -> Matrix:
+    """``block_matrix`` from ``to_rows()`` lists: the blocks' rows (zeros for
+    a missing block) joined side by side, block row after block row."""
+    rows = []
+    for r, height in enumerate(row_sizes):
+        pieces = [
+            blocks[(r, c)].to_rows() if (r, c) in blocks else [[field.zero] * width] * height
+            for c, width in enumerate(col_sizes)
+        ]
+        rows += [list(chain.from_iterable(piece[i] for piece in pieces)) for i in range(height)]
+    return Matrix(field, sum(row_sizes), sum(col_sizes), chain.from_iterable(rows))
+
+
 def reference_matrix(rows: list[list[Fraction]], cols: int) -> Matrix:
     return Matrix(RATIONALS, len(rows), cols, (x for row in rows for x in row))
 

@@ -21,10 +21,12 @@ from chaincomm.matrices import (
 )
 
 from helpers import (
+    F_M31,
     KERNEL_FIELDS,
     assert_canonical,
     mat,
     matrices,
+    reference_block_matrix,
     reference_entrywise,
     reference_is_scalar,
     reference_kron,
@@ -148,6 +150,67 @@ def test_block_matrix_fills_zeros_and_checks_shapes():
     assert m == mat(Q, [[1, 1], [0, 0], [0, 0]])
     with pytest.raises(ValueError):
         block_matrix(Q, [1], [1], {(0, 0): mat(Q, [[1, 2]])})
+
+
+@st.composite
+def block_grids(draw):
+    """A field, block row and column sizes (zero sizes included) and a
+    sparse grid of blocks; over Q the entries' denominators run to 12, so
+    blocks seldom share one."""
+    field = draw(st.sampled_from([Q, GF2, F_M31]))
+    elements = st.fractions(min_value=-5, max_value=5, max_denominator=12) if field is Q else None
+    row_sizes = draw(st.lists(st.integers(min_value=0, max_value=3), max_size=3))
+    col_sizes = draw(st.lists(st.integers(min_value=0, max_value=3), max_size=3))
+    blocks = {
+        (r, c): draw(matrices(field, height, width, elements=elements))
+        for r, height in enumerate(row_sizes)
+        for c, width in enumerate(col_sizes)
+        if draw(st.booleans())
+    }
+    return field, row_sizes, col_sizes, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_grids())
+def test_stacking_matches_a_row_list_reference(case):
+    field, row_sizes, col_sizes, blocks = case
+    result = block_matrix(field, row_sizes, col_sizes, blocks)
+    assert_canonical(result)
+    assert result == reference_block_matrix(field, row_sizes, col_sizes, blocks)
+    full = {
+        (r, c): blocks.get((r, c), Matrix.zeros(field, height, width))
+        for r, height in enumerate(row_sizes)
+        for c, width in enumerate(col_sizes)
+    }
+    for r, height in enumerate(row_sizes if col_sizes else ()):
+        row = {(0, c): full[(r, c)] for c in range(len(col_sizes))}
+        stacked = hstack(list(row.values()))
+        assert_canonical(stacked)
+        assert stacked == reference_block_matrix(field, [height], col_sizes, row)
+    for c, width in enumerate(col_sizes if row_sizes else ()):
+        column = {(r, 0): full[(r, c)] for r in range(len(row_sizes))}
+        stacked = vstack(list(column.values()))
+        assert_canonical(stacked)
+        assert stacked == reference_block_matrix(field, row_sizes, [width], column)
+
+
+def test_stacking_keeps_its_error_messages():
+    a, b = mat(Q, [[1, 2]]), mat(Q, [[1], [2]])
+    with pytest.raises(ValueError, match="row count or field mismatch in hstack"):
+        hstack([a, b])
+    with pytest.raises(ValueError, match="column count or field mismatch in vstack"):
+        vstack([a, b])
+    with pytest.raises(ValueError, match="field mismatch"):
+        hstack([a, mat(GF2, [[1]])])
+    for stack in (hstack, vstack):
+        with pytest.raises(ValueError, match="of nothing"):
+            stack([])
+    with pytest.raises(ValueError, match="out of range"):
+        block_matrix(Q, [1], [2], {(1, 0): a})
+    with pytest.raises(ValueError, match="field mismatch in block"):
+        block_matrix(Q, [1], [2], {(0, 0): mat(GF2, [[1, 0]])})
+    with pytest.raises(ValueError, match="nonnegative"):
+        block_matrix(Q, [-1], [2], {})
 
 
 def test_enumerate_matrices_order_and_count():

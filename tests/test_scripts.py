@@ -39,3 +39,5 @@ def test_scale_ladder_runs_its_lowest_rung():
         assert all(code == 0 or (field != "Q" and code == 3) for code in built.values()), rung
         assert checked == {f"verify (theorem {c[-1]})": 0 for c, code in built.items() if code == 0}, rung
     assert all(len(r["sha256"]) == 64 and r["out_bytes"] > 0 and r["wall_s"] > 0 for r in runs)
+    # the peak is null unless the child itself wrote its VmHWM at exit
+    assert all(isinstance(r["peak_rss_mib"], float) and r["peak_rss_mib"] > 0 for r in runs), runs

@@ -16,7 +16,7 @@ from chaincomm.complexes import (
 from chaincomm.errors import BlockStructureError
 from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
 from chaincomm.generate import random_chain_map, random_complex, random_endomorphism, random_homotopy, random_matrix
-from chaincomm.matrices import Matrix
+from chaincomm.matrices import Matrix, block_matrix
 from chaincomm.splitting import BlockData, assemble, extract_blocks, split_complex
 
 from helpers import (
@@ -155,6 +155,76 @@ def test_assemble_rejects_malformed_blocks():
                 1: {(0, 0): mat(Q, [[2]])},
             },
         )
+
+
+def test_from_blocks_checks_each_block():
+    # corner_window(Q, 3) has block sizes (0, 1, 1), (1, 0, 1), (1, 1, 0)
+    c = corner_window(Q, 3)
+    s = split_complex(c)
+    malformed = {
+        "shape": {1: {(0, 0): Matrix.zeros(Q, 2, 2)}},
+        "field": {1: {(0, 0): mat(GF2, [[1]])}},
+        "below the diagonal": {1: {(1, 0): Matrix.zeros(Q, 0, 1)}},
+        "out of the grid": {1: {(0, 3): Matrix.zeros(Q, 1, 1)}},
+    }
+    for name, blocks in malformed.items():
+        with pytest.raises(ValueError) as raised:
+            BlockData.from_blocks(s, blocks)
+        assert raised.type is ValueError, name
+    disagreeing = {
+        "values": {0: {(2, 2): mat(Q, [[1]])}, 1: {(0, 0): mat(Q, [[2]])}},
+        "nonzero against missing": {1: {(2, 2): mat(Q, [[3]])}},
+        "missing against nonzero": {1: {(0, 0): mat(Q, [[3]])}},
+    }
+    for name, blocks in disagreeing.items():
+        with pytest.raises(BlockStructureError):
+            BlockData.from_blocks(s, blocks)
+    # a missing boundary block is zero, so it agrees with an explicit zero
+    zero = BlockData.from_blocks(s, {0: {(2, 2): Matrix.zeros(Q, 1, 1)}})
+    assert zero.boundary_block(1) == Matrix.zeros(Q, 1, 1)
+    assert zero.split_map(1).is_zero() and assemble(zero) == ChainEndomorphism.zero(c)
+
+
+@pytest.mark.parametrize("field", [Q, GF2, PrimeField(2**31 - 1)], ids=["Q", "F2", "Fp"])
+def test_assemble_equals_conjugating_the_whole_block_matrix(field):
+    for seed, rng in seeds(25):
+        c = random_complex(rng, field, max_dim=4, length=1 + seed % 4)
+        s = split_complex(c)
+        boundary = {i: random_matrix(rng, field, s.boundary_dim(i), s.boundary_dim(i)) for i in range(c.lo, c.hi + 2)}
+        grids = {}
+        for i in c.degrees:
+            sizes = s.block_dims(i)
+            grid = {pos: random_matrix(rng, field, sizes[pos[0]], sizes[pos[1]]) for pos in ((0, 1), (0, 2), (1, 1), (1, 2))}
+            grid[(0, 0)], grid[(2, 2)] = boundary[i], boundary[i + 1]
+            # sparse grids: drop some blocks; a dropped shared block is zero on both sides
+            grids[i] = {pos: m for pos, m in grid.items() if rng.random() < 0.75 or pos in ((0, 0), (2, 2))}
+        for i in c.degrees:
+            if rng.random() < 0.25:
+                boundary_zero = Matrix.zeros(field, s.boundary_dim(i + 1), s.boundary_dim(i + 1))
+                grids[i][(2, 2)] = boundary_zero
+                grids.get(i + 1, {}).pop((0, 0), None)
+        old_path = ChainEndomorphism(
+            c,
+            [
+                s.basis(i) * block_matrix(field, s.block_dims(i), s.block_dims(i), grids[i]) * s.inverse_basis(i)
+                for i in c.degrees
+            ],
+        )
+        assert assemble(BlockData.from_blocks(s, grids)) == old_path, seed
+
+
+def test_basis_in_the_window_is_the_stored_matrix(monkeypatch):
+    s = split_complex(corner_window(Q, 3))
+    stored = {i: (s.basis(i), s.inverse_basis(i)) for i in s.complex.degrees}
+    assert s.basis(-1) == s.inverse_basis(3) == Matrix.identity(Q, 0)
+
+    def no_identity(cls, field, n):
+        raise AssertionError("an in-window basis built an identity")
+
+    monkeypatch.setattr(Matrix, "identity", classmethod(no_identity))
+    for i, (basis, inverse) in stored.items():
+        assert s.basis(i) is basis and s.inverse_basis(i) is inverse
+        assert basis * inverse == mat(Q, [[1, 0], [0, 1]])
 
 
 def test_cohomology_only_blocks_form_chain_map():
