@@ -194,7 +194,15 @@ def encode_matrix(m: Matrix) -> list[list[str | int]]:
         raise ValueTooLong(
             f"the lcm of a matrix's denominators has more than the {MAX_DENOMINATOR_DIGITS} digits a document may carry"
         )
-    cells = [_encode_ratio(num, den) for num, den in m.ratios()]
+    ints, den = m.numerators, m.denominator
+    if exceeds_digit_cap(max(ints, key=abs, default=0)) or exceeds_digit_cap(den):
+        # some entry may be over the cap: judged, and refused, cell by cell
+        cells = [_encode_ratio(num, den) for num, den in m.ratios()]
+    elif den == 1:
+        cells = list(map(str, ints))
+    else:
+        # under the cap before reduction, so under it after
+        cells = [str(x // den) if (g := gcd(x, den)) == den else f"{x // g}/{den // g}" for x in ints]
     return [cells[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
 
 
@@ -217,7 +225,7 @@ def _decode_matrix(
     # the matrix stores every entry over the lcm of the denominators, so the
     # lcm is bounded before the matrix is built, taken a block at a time so
     # that refusing a matrix costs time linear in its size
-    dens = [q for _, q in entries]
+    nums, dens = entries
     den = 1
     for k in range(0, len(dens), _LCM_BLOCK):
         den = lcm(den, *dens[k : k + _LCM_BLOCK])
@@ -228,14 +236,14 @@ def _decode_matrix(
                 f"the lcm of the entries' denominators has more than {MAX_DENOMINATOR_DIGITS} digits",
             )
             return None
-    return Matrix.from_ratios(field, rows, cols, entries, den)
+    return Matrix.from_ratios(field, rows, cols, nums, dens, den)
 
 
-def _canonical_cells(field: Field, raw: list, cols: int) -> list | None:
+def _canonical_cells(field: Field, raw: list, cols: int) -> list | tuple[list[int], list[int]] | None:
     """The entries of a matrix whose rows all hold ``cols`` cells, each in
-    its one canonical spelling, as ``_decode_scalar`` returns them, checked
-    and converted a whole matrix at a time; None when any row or cell is
-    not, for ``_decode_cells`` to report."""
+    its one canonical spelling, checked and converted a whole matrix at a
+    time: the residues over F_p, the numerators and the denominators over Q.
+    None when any row or cell is not, for ``_decode_cells`` to report."""
     if not all(type(row) is list and len(row) == cols for row in raw):
         return None
     cells = list(chain.from_iterable(raw))
@@ -251,12 +259,15 @@ def _canonical_cells(field: Field, raw: list, cols: int) -> list | None:
     # the gcd of an integer with its denominator 1 is 1
     if max(map(gcd, nums, dens), default=1) != 1:
         return None
-    return list(zip(nums, dens))
+    return nums, dens
 
 
-def _decode_cells(field: Field, raw: list, cols: int, path: str, errors: _Collector) -> list | None:
-    """The entries, row-major, cell by cell; None after recording every
-    malformed row and cell in order."""
+def _decode_cells(
+    field: Field, raw: list, cols: int, path: str, errors: _Collector
+) -> list | tuple[list[int], list[int]] | None:
+    """The entries, row-major, cell by cell, in the form ``_canonical_cells``
+    gives them; None after recording every malformed row and cell in
+    order."""
     entries: list = []
     ok = True
     for i, row in enumerate(raw):
@@ -270,7 +281,9 @@ def _decode_cells(field: Field, raw: list, cols: int, path: str, errors: _Collec
                 ok = False
             else:
                 entries.append(value)
-    return entries if ok else None
+    if not ok:
+        return None
+    return entries if field.finite else ([n for n, _ in entries], [q for _, q in entries])
 
 
 def _decode_matrix_list(

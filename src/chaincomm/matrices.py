@@ -13,19 +13,23 @@ Products, sums, differences, negation, scaling, slicing, stacking,
 Kronecker products, row reduction (``row_reduce``, the library's only
 elimination, and ``pivot_columns``, its pivots alone), the zero-diagonal
 similarity behind commutator factorization (``zero_diagonal_form``, which
-gives the basis, its inverse and the reduced matrix from one pass) and the
-diagonal commutator solve that follows it (``index_quotients``) run on the
-integers alone, one kernel for both fields; the fields differ only in
-reducing ``% p`` or by gcds over Q.  A product takes one dense integer dot
-product per entry: at the sizes the library meets, skipping zero entries
-costs more than it saves.  Stacking is one kernel, ``block_matrix``, of
-which ``hstack`` and ``vstack`` are the one-row and one-column cases.
+gives the basis, its inverse and the reduced matrix from one pass), the
+diagonal Sylvester solve that follows it and that solves any equation
+between two diagonalised factors (``index_quotients``) and the
+characteristic polynomial (``characteristic_polynomial``, Berkowitz's
+division-free algorithm) run on the integers alone, one kernel for both
+fields; the fields differ only in reducing ``% p`` or by gcds over Q.  A
+product takes one dense integer dot product per entry: at the sizes the
+library meets, skipping zero entries costs more than it saves.  Stacking is
+one kernel, ``block_matrix``, of which ``hstack`` and ``vstack`` are the
+one-row and one-column cases.
 ``entry``, ``entries``, ``row`` and ``to_rows`` build field scalars on
 demand: ``int`` over F_p, ``Fraction`` over Q.
 
 The public constructor normalises and validates every entry;
 ``Matrix.from_canonical`` (F_p residues) and ``Matrix.from_ratios`` (Q
-pairs) take entries that are already canonical and check nothing.
+numerators and denominators) take entries that are already canonical and
+check nothing.
 """
 
 from __future__ import annotations
@@ -54,9 +58,9 @@ class Matrix:
         if field.finite:
             _store(self, field, rows, cols, data, 1)
         else:
-            ratios = [x.as_integer_ratio() for x in data]
-            den = lcm(*(q for _, q in ratios))
-            _store(self, field, rows, cols, _over(ratios, den), den)
+            dens = [x.denominator for x in data]
+            den = lcm(*dens)
+            _store(self, field, rows, cols, _over([x.numerator for x in data], dens, den), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -83,11 +87,13 @@ class Matrix:
         return _wrap(field, rows, cols, tuple(entries), 1)
 
     @classmethod
-    def from_ratios(cls, field: Field, rows: int, cols: int, ratios: Sequence[tuple[int, int]], den: int) -> "Matrix":
-        """A matrix over Q from ``rows * cols`` (numerator, denominator) pairs
-        in lowest terms with positive denominators and ``den``, the lcm of
-        those denominators, building no ``Fraction``; nothing is checked."""
-        return _wrap(field, rows, cols, _over(ratios, den), den)
+    def from_ratios(
+        cls, field: Field, rows: int, cols: int, nums: Sequence[int], dens: Sequence[int], den: int
+    ) -> "Matrix":
+        """A matrix over Q from the ``rows * cols`` numerators and positive
+        denominators of entries in lowest terms and ``den``, the lcm of those
+        denominators, building no ``Fraction``; nothing is checked."""
+        return _wrap(field, rows, cols, _over(nums, dens, den), den)
 
     @classmethod
     def zeros(cls, field: Field, rows: int, cols: int) -> "Matrix":
@@ -142,6 +148,12 @@ class Matrix:
     def denominator(self) -> int:
         """The lcm of the entries' denominators: 1 over F_p and for zero."""
         return self._den
+
+    @property
+    def numerators(self) -> tuple[int, ...]:
+        """The stored integers, row-major: every entry times ``denominator``
+        (the residues themselves over F_p)."""
+        return self._ints
 
     def ratios(self) -> Iterator[tuple[int, int]]:
         """Every entry row-major as a (numerator, denominator) pair in lowest
@@ -206,6 +218,14 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return not any(self._ints)
+
+    def region_is_zero(self, row0: int, row1: int, col0: int, col1: int) -> bool:
+        """Whether rows row0..row1-1 vanish in columns col0..col1-1, read in
+        place: the submatrix is never built."""
+        if not (0 <= row0 <= row1 <= self.rows and 0 <= col0 <= col1 <= self.cols):
+            raise IndexError((row0, row1, col0, col1))
+        c, e = self.cols, self._ints
+        return not any(any(e[i * c + col0 : i * c + col1]) for i in range(row0, row1))
 
     def is_scalar(self) -> bool:
         """True when the matrix is c * identity (vacuously for 0x0)."""
@@ -320,14 +340,15 @@ def _wrap(field: Field, rows: int, cols: int, ints: tuple[int, ...], den: int) -
     return _store(object.__new__(Matrix), field, rows, cols, ints, den)
 
 
-def _over(ratios: Sequence[tuple[int, int]], den: int) -> tuple[int, ...]:
-    """Lowest-terms (numerator, denominator) pairs as numerators over den, the
-    lcm of the denominators.  Already in lowest terms: for each prime q of
-    den, the entry whose denominator carries q's full power in den has a
-    numerator prime to q and a factor den // denominator prime to q."""
+def _over(nums: Sequence[int], dens: Sequence[int], den: int) -> tuple[int, ...]:
+    """Entries in lowest terms, given by their numerators and denominators,
+    as numerators over den, the lcm of the denominators, in one ``map``.
+    Already in lowest terms: for each prime q of den, the entry whose
+    denominator carries q's full power in den has a numerator prime to q and
+    a factor den // denominator prime to q."""
     if den == 1:
-        return tuple(n for n, _ in ratios)
-    return tuple(n if q == den else n * (den // q) for n, q in ratios)
+        return tuple(nums)
+    return tuple(map(mul, nums, map(den.__floordiv__, dens)))
 
 
 def _lowest(field: Field, rows: int, cols: int, ints: tuple[int, ...], den: int) -> Matrix:
@@ -580,25 +601,74 @@ def _combination(
     return _lowest_terms([a * u + b * v for u, v in zip(xs, ys)], den * divisor)
 
 
-def index_quotients(m: Matrix) -> Matrix:
-    """The square matrix with entry (j, k) equal to m[j, k] / (j - k) off the
-    diagonal and zero on it: for m of zero diagonal, the solution q of
-    D q - q D = m with D = diag(0, 1, ..., n-1).  Over F_p each entry is
-    multiplied by one of the n - 1 inverses of 1..n-1, so p must be at least
-    n; over Q the entries are put over den * lcm(1..n-1) and brought to
-    lowest terms once."""
-    n = m.rows
+def index_quotients(
+    m: Matrix, row_values: Sequence[int] | None = None, col_values: Sequence[int] | None = None
+) -> Matrix:
+    """The matrix with entry (j, k) equal to m[j, k] / (r_j - c_k) for the
+    integer values r (one per row) and c (one per column), and zero where
+    r_j == c_k: for D = diag(r) and E = diag(c) with r and c disjoint, the
+    solution y of D y - y E = m.  Both default to 0, 1, ..., n-1 for a square
+    m, which gives, for m of zero diagonal, the solution q of
+    D q - q D = m.  Over F_p every nonzero difference must be invertible
+    (ValueError otherwise) and is replaced by its inverse; over Q the entries
+    are put over den * (the lcm of the differences) and brought to lowest
+    terms once."""
+    rows, cols = m.rows, m.cols
+    if row_values is None and col_values is None:
+        if not m.is_square:
+            raise ValueError("square matrix required")
+        row_values = col_values = range(rows)
+    if len(row_values) != rows or len(col_values) != cols:
+        raise ValueError(f"expected {rows} row values and {cols} column values")
+    p = m.field.size if m.field.finite else 0
+    differences = [r - c for r in row_values for c in col_values]
+    distinct = set(differences) - {0}
+    if p:
+        singular = [d for d in distinct if d % p == 0]
+        if singular:
+            raise ValueError(f"value difference {min(singular, key=abs)} is not invertible mod {p}")
+        scale = 1
+        weight = {d: pow(d, -1, p) for d in distinct}
+    else:
+        scale = lcm(*distinct)
+        weight = {d: scale // d for d in distinct}
+    weight[0] = 0
+    return _reduced(m.field, rows, cols, map(mul, m._ints, map(weight.__getitem__, differences)), m._den * scale)
+
+
+def characteristic_polynomial(m: Matrix) -> tuple[Scalar, ...]:
+    """The coefficients c_0, ..., c_n of det(x I - m), lowest degree first
+    (so c_n = 1), as field scalars.
+
+    Berkowitz's division-free algorithm (1984) on the stored integers N: the
+    polynomial of each leading (r+1)x(r+1) block is a Toeplitz matrix with
+    first column 1, -N_rr, -R S, -R A S, ..., -R A^(r-1) S times that of the
+    leading r x r block A, where R and S are the new row and column outside
+    A.  Over F_p every step is reduced ``% p``; over Q, m = N / d and
+    det(x I - m) = d^-n det(d x I - N), so c_k is N's coefficient over
+    d^(n-k)."""
     if not m.is_square:
         raise ValueError("square matrix required")
-    p = m.field.size if m.field.finite else 0
-    if p and p < n:
-        raise ValueError(f"index differences up to {n - 1} are not invertible mod {p}")
-    scale = 1 if p else lcm(*range(1, n))
-    units = [pow(d, -1, p) for d in range(1, n)] if p else [scale // d for d in range(1, n)]
-    # weights[j - k] is 1 / (j - k) times scale; a negative index counts from the end
-    weights = [0, *units, *(-u for u in reversed(units))]
-    factors = [weights[j - k] for j in range(n) for k in range(n)]
-    return _reduced(m.field, n, n, map(mul, m._ints, factors), m._den * scale)
+    n, p = m.rows, m.field.size if m.field.finite else 0
+    rows = m._row_tuples()
+    poly = [1]  # highest degree first, for the leading r x r block
+    for r in range(n):
+        block = [row[:r] for row in rows[:r]]
+        new_row, column = rows[r][:r], [row[r] for row in rows[:r]]
+        toeplitz = [1, -rows[r][r]]
+        for k in range(r):
+            if k:
+                column = [sum(map(mul, row, column)) for row in block]
+                if p:
+                    column = [x % p for x in column]
+            toeplitz.append(-sum(map(mul, new_row, column)))
+        poly = [sum(toeplitz[k - j] * poly[j] for j in range(max(0, k - r - 1), min(k, r) + 1)) for k in range(r + 2)]
+        if p:
+            poly = [x % p for x in poly]
+    if p:
+        return tuple(reversed(poly))
+    d = m._den
+    return tuple(Fraction(poly[n - k], d ** (n - k)) for k in range(n + 1))
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
@@ -672,16 +742,20 @@ def block_matrix(field: Field, row_sizes: Sequence[int], col_sizes: Sequence[int
     return _wrap(field, sum(row_sizes), sum(col_sizes), tuple(data), den)
 
 
-def split_blocks(m: Matrix, row_sizes: Sequence[int], col_sizes: Sequence[int]) -> dict[tuple[int, int], Matrix]:
-    """Cut a matrix into the block grid given by the size partitions."""
+def split_blocks(
+    m: Matrix, row_sizes: Sequence[int], col_sizes: Sequence[int], positions: Iterable[tuple[int, int]] | None = None
+) -> dict[tuple[int, int], Matrix]:
+    """Cut a matrix into the block grid given by the size partitions: every
+    block, or only those at ``positions``."""
     if sum(row_sizes) != m.rows or sum(col_sizes) != m.cols:
         raise ValueError("block sizes do not partition the matrix")
     row_offsets = list(accumulate(row_sizes, initial=0))
     col_offsets = list(accumulate(col_sizes, initial=0))
+    if positions is None:
+        positions = product(range(len(row_sizes)), range(len(col_sizes)))
     return {
         (r, c): m.submatrix(row_offsets[r], row_offsets[r + 1], col_offsets[c], col_offsets[c + 1])
-        for r in range(len(row_sizes))
-        for c in range(len(col_sizes))
+        for r, c in positions
     }
 
 

@@ -26,7 +26,12 @@ from .errors import BlockStructureError
 from .linalg import extend_to_basis, is_invertible, kernel_and_pivots
 from .matrices import Grid, Matrix, block_matrix, check_blocks, split_blocks
 
-_UPPER_POSITIONS = {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)}
+_UPPER_POSITIONS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+_LOWER_POSITIONS = ((1, 0), (2, 0), (2, 1))
+
+
+def _nonzero_lower_block(pos: tuple[int, int], degree: int) -> BlockStructureError:
+    return BlockStructureError(f"nonzero lower block {pos} at degree {degree}: not a chain map in split coordinates")
 
 
 class Splitting:
@@ -122,9 +127,9 @@ class BlockData:
         self.splitting = splitting
         self._grids = {i: dict(grids.get(i, {})) for i in c.degrees}
         for i, grid in self._grids.items():
-            for pos in ((1, 0), (2, 0), (2, 1)):
+            for pos in _LOWER_POSITIONS:
                 if pos in grid and not grid[pos].is_zero():
-                    raise BlockStructureError(f"nonzero lower block {pos} at degree {i}: not a chain map in split coordinates")
+                    raise _nonzero_lower_block(pos, i)
         for i in range(c.lo, c.hi):
             last, first = self._grids[i].get((2, 2)), self._grids[i + 1].get((0, 0))
             if last != first and not all(m is None or m.is_zero() for m in (last, first)):
@@ -139,7 +144,7 @@ class BlockData:
         c = splitting.complex
         for i in c.degrees:
             given = blocks.get(i, {})
-            bad = set(given) - _UPPER_POSITIONS
+            bad = set(given).difference(_UPPER_POSITIONS)
             if bad:
                 raise ValueError(f"blocks below the diagonal are not allowed: {sorted(bad)}")
             sizes = splitting.block_dims(i)
@@ -217,11 +222,20 @@ def _split(c: ChainComplex, problems: Sequence[str]) -> Splitting:
 
 def extract_blocks(phi: ChainEndomorphism, s: Splitting) -> BlockData:
     """Conjugate a chain endomorphism into split coordinates and cut it into
-    blocks; the lower blocks must vanish (they do for genuine chain maps)."""
+    its six upper blocks; the lower blocks must vanish (they do for genuine
+    chain maps), which is read on the conjugated matrix in place."""
     if phi.complex != s.complex:
         raise ValueError("endomorphism and splitting live on different complexes")
-    split = {i: s.to_split(i, phi.map(i)) for i in s.complex.degrees}
-    return BlockData(s, {i: split_blocks(m, s.block_dims(i), s.block_dims(i)) for i, m in split.items()})
+    grids = {}
+    for i in s.complex.degrees:
+        m = s.to_split(i, phi.map(i))
+        sizes = s.block_dims(i)
+        offsets = (0, sizes[0], sizes[0] + sizes[1], m.rows)
+        for r, c in _LOWER_POSITIONS:
+            if not m.region_is_zero(offsets[r], offsets[r + 1], offsets[c], offsets[c + 1]):
+                raise _nonzero_lower_block((r, c), i)
+        grids[i] = split_blocks(m, sizes, sizes, _UPPER_POSITIONS)
+    return BlockData(s, grids)
 
 
 def assemble(blocks: BlockData) -> ChainEndomorphism:

@@ -18,8 +18,8 @@ are written down there once, not again here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import complexes
 from .complexes import (
@@ -41,10 +41,45 @@ from .errors import (
     TraceObstruction,
 )
 from .fields import Field, Scalar
-from .linalg import is_invertible, sylvester_operator, sylvester_solve
-from .matrices import Matrix, enumerate_matrices, index_quotients, zero_diagonal_form
+from .linalg import is_invertible, solve_linear, sylvester_solve
+from .matrices import Matrix, characteristic_polynomial, enumerate_matrices, index_quotients, zero_diagonal_form
 from .splitting import BlockData, Splitting, assemble, assemble_homotopy, extract_blocks, split_complex
 from .verify import verify_witness
+
+
+@dataclass(frozen=True)
+class _Factors:
+    """A commutator factorization m = p q - q p.  Where the left factor's
+    eigenbasis is known, p = basis diag(eigenvalues) basis^-1 with integer
+    eigenvalues (residues over F_p); factors found by exhaustive search carry
+    none."""
+
+    p: Matrix
+    q: Matrix
+    basis: Matrix | None = None
+    basis_inv: Matrix | None = None
+    eigenvalues: tuple[int, ...] | None = None
+
+    def shifted(self, scalar: int) -> "_Factors":
+        """The same factorization with p + scalar I for p."""
+        if not scalar:
+            return self
+        eigenvalues = self.eigenvalues
+        if eigenvalues is not None:
+            eigenvalues = tuple(_residue(self.p.field, e + scalar) for e in eigenvalues)
+        return replace(self, p=_shift(self.p, scalar), eigenvalues=eigenvalues)
+
+
+@dataclass(frozen=True)
+class _Corner:
+    """A passed right-factor separation test, shift mu, between q_i and
+    q_{i+1}: left = q_i - mu I, right = q_{i+1} before its shift by mu,
+    the coefficients of chi_right, and test = chi_right(left), invertible."""
+
+    coefficients: tuple[Scalar, ...]
+    left: Matrix
+    right: Matrix
+    test: Matrix
 
 
 @dataclass(frozen=True)
@@ -57,28 +92,39 @@ class PairSelection:
       right-factor separation q_{i+1}  against q_i
       cross separation        s_i      against p_{i+1}
 
-    where "x against y" means sylvester_operator(x, y) is invertible, i.e.
-    the corresponding Sylvester equations are uniquely solvable.
-    Out-of-range indices denote empty matrices, for which every condition
-    holds vacuously.
+    where "x against y" means that x and y share no eigenvalue, i.e.
+    sylvester_operator(x, y) is invertible and the corresponding Sylvester
+    equations are uniquely solvable.  Out-of-range indices denote empty
+    matrices, for which every condition holds vacuously.  ``corners[i]`` is
+    the passed test between q_{i+1} and q_i, None where it is vacuous.
     """
 
-    first_pairs: tuple[tuple[Matrix, Matrix], ...]
-    second_pairs: tuple[tuple[Matrix, Matrix], ...]
+    first: tuple[_Factors, ...]
+    second: tuple[_Factors, ...]
+    corners: tuple[_Corner | None, ...]
+
+    @property
+    def first_pairs(self) -> tuple[tuple[Matrix, Matrix], ...]:
+        return tuple((f.p, f.q) for f in self.first)
+
+    @property
+    def second_pairs(self) -> tuple[tuple[Matrix, Matrix], ...]:
+        return tuple((f.p, f.q) for f in self.second)
 
     def first_left(self, i: int) -> Matrix | None:
-        return _factor(self.first_pairs, i, 0)
+        return _factor(self.first, i, "p")
 
     def first_right(self, i: int) -> Matrix | None:
-        return _factor(self.first_pairs, i, 1)
+        return _factor(self.first, i, "q")
 
     def second_left(self, i: int) -> Matrix | None:
-        return _factor(self.second_pairs, i, 0)
+        return _factor(self.second, i, "p")
 
 
-def _factor(pairs: Sequence[tuple[Matrix, Matrix]], i: int, side: int) -> Matrix | None:
-    """Factor ``side`` of pair i, or None (an empty matrix) when i is out of range."""
-    return pairs[i][side] if 0 <= i < len(pairs) else None
+def _factor(factors: Sequence[_Factors], i: int, side: str) -> Matrix | None:
+    """Factor ``side`` ("p" or "q") of factorization i, or None (an empty
+    matrix) when i is out of range."""
+    return getattr(factors[i], side) if 0 <= i < len(factors) else None
 
 
 @dataclass(frozen=True)
@@ -157,6 +203,14 @@ def commutator_decomposition(m: Matrix) -> tuple[Matrix, Matrix]:
     (:func:`chaincomm.matrices.index_quotients`); the result is checked
     against p q - q p = m.
     """
+    f = _factored(m)
+    return f.p, f.q
+
+
+def _factored(m: Matrix) -> _Factors:
+    """:func:`commutator_decomposition` with the left factor's eigenbasis:
+    B and B^-1 with eigenvalues 0..n-1, and for zero, p = 0 with B = I and
+    every eigenvalue 0."""
     if not m.is_square:
         raise ValueError("commutator decomposition needs a square matrix")
     field = m.field
@@ -164,41 +218,83 @@ def commutator_decomposition(m: Matrix) -> tuple[Matrix, Matrix]:
     if not field.is_zero(m.trace()):
         raise ValueError(f"matrix has nonzero trace {m.trace()}")
     if m.is_zero():
-        zero = Matrix.zeros(field, n, n)
-        return zero, zero
+        zero, identity = Matrix.zeros(field, n, n), Matrix.identity(field, n)
+        return _Factors(zero, zero, identity, identity, (0,) * n)
     if m.is_scalar() or (field.finite and field.size < n):
-        p, q = _exhaustive_decomposition(m)
+        factors = _Factors(*_exhaustive_decomposition(m))
     else:
         basis, basis_inv, reduced = zero_diagonal_form(m)
         p = basis.scale_columns(range(n)) * basis_inv
         q = basis * index_quotients(reduced) * basis_inv
-    if p * q - q * p != m:
+        factors = _Factors(p, q, basis, basis_inv, tuple(range(n)))
+    if factors.p * factors.q - factors.q * factors.p != m:
         raise AssertionError("commutator factorization failed to verify")
-    return p, q
+    return factors
 
 
 # ---------------------------------------------------------------------------
 # compatible pair selection (the five-condition lemma)
+#
+# Two square matrices a and b share no eigenvalue exactly when
+# gcd(chi_a, chi_b) = 1, i.e. when chi_b(a) is invertible, over every field;
+# that is when the Kronecker difference kron(a, I) - kron(I, b^T) is
+# invertible, and it is tested without building it.  Left factors with known
+# eigenvalues are compared as integer sets.
 
 
-def _scalar_candidates(field: Field, exclusion_bound: int):
+def _scalar_candidates(field: Field, exclusion_bound: int) -> Iterable[int]:
     """Scan order for scalar shifts: all elements over a finite field; the
     integers 0..exclusion_bound over Q (each invertibility condition excludes
     at most its operator's size many scalars, so the bound suffices)."""
     if field.finite:
         return field.elements()
-    return (field.normalize(k) for k in range(exclusion_bound + 1))
+    return range(exclusion_bound + 1)
+
+
+def _first_shift(field: Field, bound: int, attempt: Callable[[int], object], stage: str, i: int) -> tuple[int, object]:
+    """The first scalar of the scan for which ``attempt`` returns something
+    true, and what it returned."""
+    for scalar in _scalar_candidates(field, bound):
+        found = attempt(scalar)
+        if found:
+            return scalar, found
+    if not field.finite:
+        raise AssertionError("scalar scan over Q exhausted its exclusion bound")
+    raise SelectionExhausted(stage, i)
+
+
+def _residue(field: Field, value: int) -> int:
+    return value % field.size if field.finite else value
 
 
 def _shift(m: Matrix, scalar: Scalar) -> Matrix:
-    return m + Matrix.identity(m.field, m.rows).scale(scalar)
+    return m + Matrix.identity(m.field, m.rows).scale(scalar) if scalar else m
 
 
-def _separated(a: Matrix | None, b: Matrix | None) -> bool:
-    """Vacuously true when either side is missing or empty."""
-    if a is None or b is None or a.rows == 0 or b.rows == 0:
-        return True
-    return is_invertible(sylvester_operator(a, b))
+def _coprime(coefficients: Sequence[Scalar], a: Matrix) -> Matrix | None:
+    """chi(a), by Horner's rule, for the characteristic polynomial chi of
+    some b, when it is invertible (a and b share no eigenvalue); else None."""
+    value = Matrix.identity(a.field, a.rows)  # chi is monic
+    for c in reversed(coefficients[:-1]):
+        value = _shift(value * a, c)
+    return value if is_invertible(value) else None
+
+
+def _shift_test(fixed: Sequence[_Factors], moving: _Factors) -> Callable[[int], bool]:
+    """The test of a scalar c: whether moving.p + c I shares no eigenvalue
+    with any fixed.p.  Empty matrices pass vacuously.  When every spectrum is
+    known, c must avoid the differences d - e of eigenvalues d of a fixed p
+    and e of moving.p; otherwise chi_{moving.p}(fixed.p - c I) must be
+    invertible."""
+    fixed = [f for f in fixed if f.p.rows]
+    if not fixed or not moving.p.rows:
+        return lambda c: True
+    field = moving.p.field
+    if moving.eigenvalues is not None and all(f.eigenvalues is not None for f in fixed):
+        forbidden = {_residue(field, d - e) for f in fixed for d in f.eigenvalues for e in moving.eigenvalues}
+        return lambda c: c not in forbidden
+    chi = characteristic_polynomial(moving.p)
+    return lambda c: all(_coprime(chi, _shift(f.p, -c)) is not None for f in fixed)
 
 
 def select_separated_pairs(
@@ -215,37 +311,78 @@ def select_separated_pairs(
     Over an infinite field each condition excludes finitely many scalars, so
     the scans terminate; over a finite field exhaustion raises
     SelectionExhausted.
+
+    No Kronecker operator is built.  The first scalar that separates s_i
+    from p_i and p_{i+1} is read off their spectra (see :func:`_shift_test`).
+    The right-factor test computes chi_{q_{i+1}} once (Berkowitz, on the
+    stored integers) and, per candidate mu, asks whether chi_{q_{i+1}}(q_i -
+    mu I) is invertible; the matrix that passes is kept for the corner solve.
     """
     for m in (*first, *second):
         if not field.is_zero(m.trace()):
             raise ValueError("all inputs must be traceless")
         if m.field != field:
             raise ValueError("field mismatch")
-    first_pairs = [commutator_decomposition(m) for m in first]
-    second_pairs = [commutator_decomposition(m) for m in second]
+    first_factors = [_factored(m) for m in first]
+    second_factors = [_factored(m) for m in second]
 
-    def first_shift(stage: str, i: int, m: Matrix, bound: int, separated: Callable[[Matrix], bool]) -> Matrix:
-        for scalar in _scalar_candidates(field, bound):
-            shifted = _shift(m, scalar)
-            if separated(shifted):
-                return shifted
-        if not field.finite:
-            raise AssertionError("scalar scan over Q exhausted its exclusion bound")
-        raise SelectionExhausted(stage, i)
+    for i, s in enumerate(second_factors):
+        neighbours = first_factors[i : i + 2]  # p_i and p_{i+1}, where they exist
+        bound = s.p.rows * sum(f.p.rows for f in neighbours)
+        scalar, _ = _first_shift(field, bound, _shift_test(neighbours, s), "adjacent spectral separation", i)
+        second_factors[i] = s.shifted(scalar)
 
-    for i, (s, t) in enumerate(second_pairs):
-        left, right = _factor(first_pairs, i, 0), _factor(first_pairs, i + 1, 0)
-        bound = s.rows * sum(x.rows for x in (left, right) if x is not None)
-        s = first_shift("adjacent spectral separation", i, s, bound, lambda x: _separated(left, x) and _separated(x, right))
-        second_pairs[i] = (s, t)
+    corners: list[_Corner | None] = []
+    for i in range(len(first_factors) - 1):
+        q_prev, following = first_factors[i].q, first_factors[i + 1]
+        q_next = following.q
+        if not q_prev.rows or not q_next.rows:
+            corners.append(None)
+            continue
+        chi = characteristic_polynomial(q_next)
 
-    for i in range(len(first_pairs) - 1):
-        (p_next, q_next), q_prev = first_pairs[i + 1], first_pairs[i][1]
+        def attempt(c: int) -> tuple[Matrix, Matrix] | None:
+            left = _shift(q_prev, -c)
+            test = _coprime(chi, left)
+            return None if test is None else (left, test)
+
         bound = q_next.rows * q_prev.rows
-        q_next = first_shift("consecutive right-factor separation", i, q_next, bound, lambda x: _separated(x, q_prev))
-        first_pairs[i + 1] = (p_next, q_next)
+        mu, (left, test) = _first_shift(field, bound, attempt, "consecutive right-factor separation", i)
+        corners.append(_Corner(chi, left, q_next, test))
+        first_factors[i + 1] = replace(following, q=_shift(q_next, mu))
 
-    return PairSelection(tuple(first_pairs), tuple(second_pairs))
+    return PairSelection(tuple(first_factors), tuple(second_factors), tuple(corners))
+
+
+def _eigen_solve(a: _Factors, b: _Factors, c: Matrix) -> Matrix:
+    """The unique X with a.p X - X b.p = c, for separated left factors with
+    known eigenbases: X = B_a Y B_b^-1 with
+    Y_jk = (B_a^-1 c B_b)_jk / (d_j - e_k) (Bhatia & Rosenthal 1997)."""
+    if c.is_zero():
+        return c
+    quotients = index_quotients(a.basis_inv * c * b.basis, a.eigenvalues, b.eigenvalues)
+    return a.basis * quotients * b.basis_inv
+
+
+def _corner_solve(corner: _Corner | None, c: Matrix) -> Matrix:
+    """The unique T with left T - T right = c for a passed corner test.
+    By Cayley-Hamilton chi_right(right) = 0, and left^k T - T right^k =
+    sum_{j<k} left^j c right^(k-1-j), so chi_right(left) T is
+    sum_{k=1..n} chi_k sum_{j<k} left^j c right^(k-1-j); it is summed by
+    Horner's rule in both factors, and the test matrix, invertible, is
+    solved against it."""
+    if corner is None or c.is_zero():
+        return c
+    coefficients, left, right = corner.coefficients, corner.left, corner.right
+    horner = Matrix.identity(right.field, right.rows)
+    total = c
+    for j in range(len(coefficients) - 3, -1, -1):
+        horner = _shift(horner * right, coefficients[j + 1])
+        total = c * horner + left * total
+    solution = solve_linear(corner.test, total)
+    if solution is None:
+        raise AssertionError("corner Sylvester equation unsolvable despite separation")
+    return solution
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +435,12 @@ def commutator_witness_detailed(
     the vanishing degree and cohomology traces, via the trace identity
     tr phi_i = tr B_i-block + tr H_i-block + tr B_{i+1}-block); select
     separated commutator pairs for the boundary and cohomology families;
-    solve one Sylvester equation per off-diagonal block; assemble upper
-    block-triangular alpha (left factors plus one corner solve) and beta
-    (right factors plus the other two solves) and conjugate back.
+    solve one Sylvester equation per off-diagonal block in closed form (the
+    mixed and cross ones in the left factors' eigenbases, the corner one
+    through the characteristic polynomial its separation test used);
+    assemble upper block-triangular alpha (left factors plus one corner
+    solve) and beta (right factors plus the other two solves) and conjugate
+    back.
     """
     c = phi.complex
     field = c.field
@@ -325,22 +465,15 @@ def commutator_witness_detailed(
     beta_blocks: dict[int, dict[tuple[int, int], Matrix]] = {}
     for i in c.degrees:
         idx = i - c.lo
-        p_i, q_i = selection.first_pairs[idx]
-        p_next, q_next = selection.first_pairs[idx + 1]
-        s_i, t_i = selection.second_pairs[idx]
+        here, following, middle = selection.first[idx], selection.first[idx + 1], selection.second[idx]
 
-        g = blocks.block(i, 0, 1)
-        h = blocks.block(i, 0, 2)
-        k = blocks.block(i, 1, 2)
-        x = sylvester_solve(p_i, s_i, g)
-        t_corner = sylvester_solve(q_i, q_next, -h)
-        z = sylvester_solve(s_i, p_next, k)
-        if x is None or t_corner is None or z is None:
-            raise AssertionError("Sylvester system unsolvable despite separation conditions")
+        x = _eigen_solve(here, middle, blocks.block(i, 0, 1))
+        t_corner = _corner_solve(selection.corners[idx], -blocks.block(i, 0, 2))
+        z = _eigen_solve(middle, following, blocks.block(i, 1, 2))
         mixed_solutions[i], corner_solutions[i], cross_solutions[i] = x, t_corner, z
 
-        alpha_blocks[i] = {(0, 0): p_i, (0, 2): t_corner, (1, 1): s_i, (2, 2): p_next}
-        beta_blocks[i] = {(0, 0): q_i, (0, 1): x, (1, 1): t_i, (1, 2): z, (2, 2): q_next}
+        alpha_blocks[i] = {(0, 0): here.p, (0, 2): t_corner, (1, 1): middle.p, (2, 2): following.p}
+        beta_blocks[i] = {(0, 0): here.q, (0, 1): x, (1, 1): middle.q, (1, 2): z, (2, 2): following.q}
 
     alpha = assemble(BlockData.from_blocks(s, alpha_blocks))
     beta = assemble(BlockData.from_blocks(s, beta_blocks))

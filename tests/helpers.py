@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, permutations
 from math import gcd, lcm
 
 from hypothesis import strategies as st
@@ -435,3 +435,42 @@ def reference_trace(a: list[list[Fraction]]) -> Fraction:
 def reference_is_scalar(a: list[list[Fraction]]) -> bool:
     n = len(a)
     return all(a[i][j] == (a[0][0] if i == j else 0) for i in range(n) for j in range(n))
+
+
+def reference_characteristic_polynomial(m: Matrix) -> list:
+    """det(x I - m) by the Leibniz sum over permutations, each entry a
+    polynomial (coefficient list, lowest degree first) in field scalars."""
+    field, n = m.field, m.rows
+
+    def times(a: list, b: list) -> list:
+        out = [field.zero] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] = field.add(out[i + j], field.mul(x, y))
+        return out
+
+    total = [field.zero] * (n + 1)
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = [field.one if inversions % 2 == 0 else field.neg(field.one)]
+        for i, j in enumerate(perm):
+            entry = [field.neg(m.entry(i, j))] + ([field.one] if i == j else [])
+            term = times(term, entry)
+        term += [field.zero] * (n + 1 - len(term))
+        total = [field.add(x, y) for x, y in zip(total, term)]
+    return total
+
+
+def reference_value_quotients(m: Matrix, row_values, col_values) -> Matrix:
+    """``index_quotients`` by field division entry by entry."""
+    field = m.field
+    return Matrix(
+        field,
+        m.rows,
+        m.cols,
+        (
+            field.zero if r == c else field.div(m.entry(j, k), field.normalize(r - c))
+            for j, r in enumerate(row_values)
+            for k, c in enumerate(col_values)
+        ),
+    )

@@ -82,3 +82,18 @@ def test_linalg_does_no_scalar_arithmetic():
         elif isinstance(node, ast.Import) and any(a.name.split(".")[-1] in ("fields", "fractions") for a in node.names):
             found.append("imports fields or fractions")
     assert not found, f"linalg.py does scalar arithmetic: {found}"
+
+
+def test_witnesses_build_no_kronecker_system():
+    # separation is read off spectra and characteristic polynomials, and the
+    # theorem-2 Sylvester equations are solved in closed form; sylvester_solve
+    # stays only for the exhaustive small-field factorization
+    path = pathlib.Path(chaincomm.__file__).parent / "witnesses.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert not _imported_names(tree) & {"kron", "sylvester_operator"}
+    calls = [
+        node.func.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sylvester_solve"
+    ]
+    assert len(calls) == 1

@@ -3,12 +3,12 @@ import pathlib
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaincomm.complexes import ChainEndomorphism
 from chaincomm.errors import ValueTooLong
-from chaincomm.fields import GF2, PRIMALITY_BOUND, RATIONALS as Q, PrimeField
+from chaincomm.fields import GF2, PRIMALITY_BOUND, RATIONALS as Q, PrimeField, exceeds_digit_cap
 from chaincomm.generate import random_complex, random_endomorphism
 from chaincomm.jsonio import (
     MAX_RATIONAL_DIGITS,
@@ -196,6 +196,44 @@ def test_rejects_a_common_denominator_over_its_cap():
     # and nothing is written that parsing would refuse
     with pytest.raises(ValueTooLong):
         encode_matrix(Matrix(Q, 1, 3, [Fraction(1, big - 1), Fraction(1, big), Fraction(1, big + 1)]))
+
+
+@settings(max_examples=200, deadline=None)
+# over the common denominator 6 the first entry's stored integer passes the cap
+@example(((1, 2), [Fraction(10**MAX_RATIONAL_DIGITS + 2, 2), Fraction(1, 3)]))
+@given(
+    st.integers(min_value=0, max_value=3).flatmap(
+        lambda rows: st.integers(min_value=0, max_value=3).flatmap(
+            lambda cols: st.tuples(
+                st.just((rows, cols)),
+                st.lists(
+                    st.one_of(
+                        st.fractions(min_value=-5, max_value=5, max_denominator=12),
+                        st.builds(
+                            lambda sign, delta, den: Fraction(sign * (10**MAX_RATIONAL_DIGITS + delta), den),
+                            st.sampled_from([1, -1]),
+                            st.integers(min_value=-3, max_value=3),
+                            st.sampled_from([1, 2, 3, 5, 7]),
+                        ),
+                    ),
+                    min_size=rows * cols,
+                    max_size=rows * cols,
+                ),
+            )
+        )
+    )
+)
+def test_one_pass_encoding_equals_the_per_cell_one(case):
+    # the cap is judged once per matrix from its largest stored integer and
+    # its denominator; near the cap the stored integers may exceed it while
+    # every entry in lowest terms fits, and then each cell is judged alone
+    (rows, cols), values = case
+    m = Matrix(Q, rows, cols, values)
+    if any(exceeds_digit_cap(v) for v in values):
+        with pytest.raises(ValueTooLong):
+            encode_matrix(m)
+    else:
+        assert encode_matrix(m) == [[str(v) for v in values[i * cols : (i + 1) * cols]] for i in range(rows)]
 
 
 def test_rejects_oversized_dimension_total_before_allocating():

@@ -10,8 +10,10 @@ from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
 from chaincomm.matrices import (
     Matrix,
     block_matrix,
+    characteristic_polynomial,
     enumerate_matrices,
     hstack,
+    index_quotients,
     kron,
     pivot_columns,
     row_reduce,
@@ -27,6 +29,7 @@ from helpers import (
     mat,
     matrices,
     reference_block_matrix,
+    reference_characteristic_polynomial,
     reference_entrywise,
     reference_is_scalar,
     reference_kron,
@@ -36,6 +39,7 @@ from helpers import (
     reference_submatrix,
     reference_trace,
     reference_transpose,
+    reference_value_quotients,
     reference_zero_diagonal_form,
     scalars,
     wide_rationals,
@@ -374,7 +378,7 @@ def test_stored_form_keeps_the_wire_text():
     m = Matrix(Q, 1, 3, [Fraction(-3, 2), 7, Fraction(5, 6)])
     assert list(m.ratios()) == [(-3, 2), (7, 1), (5, 6)]
     assert list(Matrix(F3, 1, 2, [5, -1]).ratios()) == [(2, 1), (2, 1)]
-    assert Matrix.from_ratios(Q, 1, 3, list(m.ratios()), m.denominator) == m
+    assert Matrix.from_ratios(Q, 1, 3, [-3, 7, 5], [2, 1, 6], 6) == m
     assert Matrix.from_canonical(F3, 1, 2, [2, 2]) == Matrix(F3, 1, 2, [5, -1])
     with pytest.raises(TypeError):
         Matrix.from_canonical(Q, 1, 3, m.entries)
@@ -467,3 +471,57 @@ def test_zero_diagonal_form_refuses_what_has_no_zero_diagonal_form():
 @given(st.sampled_from(KERNEL_FIELDS).flatmap(matrices))
 def test_pivot_columns_are_row_reduces_pivots(m):
     assert pivot_columns(m) == row_reduce(m)[1] == reference_rref(m)[2]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(KERNEL_FIELDS).flatmap(lambda f: matrices(f, max_dim=4).filter(lambda m: m.is_square)))
+def test_characteristic_polynomial_matches_the_leibniz_sum(m):
+    assert list(characteristic_polynomial(m)) == reference_characteristic_polynomial(m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=4).flatmap(lambda n: matrices(Q, n, n, elements=wide_rationals())))
+def test_characteristic_polynomial_on_wide_rationals(m):
+    assert list(characteristic_polynomial(m)) == reference_characteristic_polynomial(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(KERNEL_FIELDS).flatmap(
+        lambda f: st.tuples(
+            matrices(f, max_dim=4),
+            st.lists(st.integers(min_value=-6, max_value=6), max_size=4),
+            st.lists(st.integers(min_value=-6, max_value=6), max_size=4),
+        )
+    )
+)
+def test_index_quotients_match_field_division(case):
+    m, rows, cols = case
+    rows, cols = (rows * 4)[: m.rows] or [0] * m.rows, (cols * 4)[: m.cols] or [0] * m.cols
+    field = m.field
+    singular = field.finite and any(r != c and (r - c) % field.size == 0 for r in rows for c in cols)
+    if singular:
+        with pytest.raises(ValueError, match=f"not invertible mod {field.size}"):
+            index_quotients(m, rows, cols)
+        return
+    got = index_quotients(m, rows, cols)
+    assert got == reference_value_quotients(m, rows, cols)
+    assert_canonical(got)
+    if m.is_square and (not field.finite or field.size >= m.rows):
+        square = index_quotients(m)
+        assert square == reference_value_quotients(m, range(m.rows), range(m.rows))
+
+
+def test_region_is_zero_reads_in_place():
+    m = mat(Q, [[1, 0, 0], [0, 0, Fraction(1, 2)], [0, 0, 0]])
+    assert m.region_is_zero(1, 3, 0, 2) and m.region_is_zero(2, 3, 0, 3) and m.region_is_zero(0, 0, 0, 3)
+    assert not m.region_is_zero(0, 1, 0, 1) and not m.region_is_zero(1, 2, 1, 3)
+    with pytest.raises(IndexError):
+        m.region_is_zero(0, 4, 0, 1)
+
+
+def test_split_blocks_cuts_only_the_positions_asked_for():
+    m = mat(Q, [[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    every = split_blocks(m, [1, 2], [2, 1])
+    some = split_blocks(m, [1, 2], [2, 1], [(0, 1), (1, 0)])
+    assert some == {pos: every[pos] for pos in ((0, 1), (1, 0))}

@@ -1,9 +1,10 @@
+import dataclasses
 import random
 import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chaincomm import complexes, witnesses
@@ -25,8 +26,8 @@ from chaincomm.errors import (
 )
 from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
 from chaincomm.generate import random_chain_map, random_complex, random_endomorphism, random_homotopy
-from chaincomm.linalg import inverse, is_invertible, sylvester_operator
-from chaincomm.matrices import Matrix, enumerate_matrices, index_quotients
+from chaincomm.linalg import inverse, is_invertible, sylvester_operator, sylvester_solve
+from chaincomm.matrices import Matrix, characteristic_polynomial, enumerate_matrices, index_quotients
 from chaincomm.splitting import extract_blocks, split_complex
 from chaincomm.verify import commutant_set
 from chaincomm.witnesses import (
@@ -43,6 +44,7 @@ from chaincomm.witnesses import (
 )
 
 from helpers import (
+    F101,
     F_M31,
     alternating_reflection,
     assert_canonical,
@@ -52,6 +54,7 @@ from helpers import (
     matrices,
     reference_commutator_factors,
     reference_zero_diagonal_form,
+    scalars,
     seeds,
     zero_differential_complex,
 )
@@ -308,6 +311,129 @@ def test_commutator_witness_selection_is_separated_at_every_index():
         assert_separated(detail.selection)
 
 
+# -- separation and Sylvester solves without Kronecker systems ---------------------
+# The selection reads separation off spectra (left factors with a known
+# eigenbasis) or off characteristic polynomials (chi_b(a) invertible), and
+# theorem 2 solves its Sylvester equations in closed form; each is held equal
+# to the Kronecker system it replaced.
+
+SEPARATION_FIELDS = (Q, GF2, F3, F101)
+
+
+def shift_candidates(field):
+    return field.elements() if field.finite else range(8)
+
+
+@st.composite
+def traceless(draw, field, max_dim=3):
+    """A traceless square matrix of size 0..max_dim: zero, scalar (nonzero
+    only where the characteristic divides the size, which the factorization
+    answers by exhaustive search), or random."""
+    n = draw(st.integers(min_value=0, max_value=max_dim))
+    kind = draw(st.sampled_from(("zero", "scalar", "random")))
+    if kind == "scalar":
+        m = Matrix.identity(field, n).scale(draw(scalars(field)))
+        return m if field.is_zero(m.trace()) else Matrix.zeros(field, n, n)
+    m = draw(matrices(field, n, n)) if kind == "random" else Matrix.zeros(field, n, n)
+    return m - Matrix.diagonal(field, [0] * (n - 1) + [m.trace()]) if n else m
+
+
+def factored(m):
+    try:
+        return witnesses._factored(m)
+    except FieldTooSmall:
+        assume(False)
+
+
+def square_pair(field, max_dim=3):
+    side = st.integers(min_value=0, max_value=max_dim)
+    return st.tuples(side, side).flatmap(lambda ns: st.tuples(matrices(field, ns[0], ns[0]), matrices(field, ns[1], ns[1])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(SEPARATION_FIELDS).flatmap(
+        lambda f: st.tuples(traceless(f), traceless(f), traceless(f), st.sampled_from(list(shift_candidates(f))[:8]))
+    )
+)
+def test_shift_test_equals_the_kronecker_verdict(case):
+    a, b, c, scalar = case
+    x, y, z = factored(a), factored(b), factored(c)
+    assert all(f.p * f.q - f.q * f.p == m for f, m in ((x, a), (y, b), (z, c)))
+    shifted = y.shifted(scalar).p
+    assert shifted == witnesses._shift(y.p, scalar)
+
+    def kronecker(f):
+        return is_invertible(sylvester_operator(f.p, shifted))
+
+    assert witnesses._shift_test([x], y)(scalar) == kronecker(x)
+    assert witnesses._shift_test([x, z], y)(scalar) == (kronecker(x) and kronecker(z))
+
+
+def test_shift_test_on_exhaustive_factors():
+    # over F_2 the traceless 2x2 identity is scalar, so it is factored by
+    # exhaustive search and carries no spectrum: the verdict falls back to
+    # the characteristic polynomial
+    traceless_2x2 = [m for m in enumerate_matrices(GF2, 2, 2) if m.trace() == 0]
+    identity = witnesses._factored(Matrix.identity(GF2, 2))
+    assert identity.eigenvalues is None
+    for m in [Matrix.zeros(GF2, 0, 0), Matrix.zeros(GF2, 1, 1), *traceless_2x2]:
+        f = witnesses._factored(m)
+        for scalar in (0, 1):
+            for fixed, moving in ((identity, f), (f, identity)):
+                expected = is_invertible(sylvester_operator(fixed.p, witnesses._shift(moving.p, scalar)))
+                assert witnesses._shift_test([fixed], moving)(scalar) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(SEPARATION_FIELDS).flatmap(square_pair))
+def test_characteristic_polynomial_test_equals_the_kronecker_verdict(pair):
+    a, b = pair
+    chi = characteristic_polynomial(b)
+    assert len(chi) == b.rows + 1 and chi[-1] == 1
+    test = witnesses._coprime(chi, a)
+    assert (test is not None) == is_invertible(sylvester_operator(a, b))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(SEPARATION_FIELDS).flatmap(
+        lambda f: st.tuples(traceless(f), traceless(f), st.randoms(use_true_random=False))
+    )
+)
+def test_eigenbasis_solves_equal_sylvester_solve(case):
+    # mixed (p_i against s_i) and cross (s_i against p_{i+1}) equations
+    a, b, rng = case
+    x, y = factored(a), factored(b)
+    assume(x.eigenvalues is not None and y.eigenvalues is not None)
+    field = a.field
+    separates = witnesses._shift_test([x], y)
+    scalar = next((c for c in shift_candidates(field) if separates(c)), None)
+    assume(scalar is not None)
+    y = y.shifted(scalar)
+    values = list(field.elements())[:5] if field.finite else [Fraction(k, 3) for k in range(-4, 5)]
+    for left, right in ((x, y), (y, x)):
+        g = Matrix(field, left.p.rows, right.p.rows, [rng.choice(values) for _ in range(left.p.rows * right.p.rows)])
+        assert witnesses._eigen_solve(left, right, g) == sylvester_solve(left.p, right.p, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(SEPARATION_FIELDS).flatmap(
+        lambda f: st.tuples(square_pair(f), st.randoms(use_true_random=False))
+    )
+)
+def test_corner_solve_equals_sylvester_solve(case):
+    (a, b), rng = case
+    field = a.field
+    chi = characteristic_polynomial(b)
+    test = witnesses._coprime(chi, a)
+    assume(test is not None)
+    values = list(field.elements())[:5] if field.finite else [Fraction(k, 2) for k in range(-4, 5)]
+    c = Matrix(field, a.rows, b.rows, [rng.choice(values) for _ in range(a.rows * b.rows)])
+    assert witnesses._corner_solve(witnesses._Corner(chi, a, b, test), c) == sylvester_solve(a, b, c)
+
+
 # -- pointwise witnesses (theorem 1) ----------------------------------------------
 
 
@@ -549,17 +675,19 @@ def test_builders_and_algebra_refuse_a_family_that_is_not_a_chain_map():
 
 def test_builders_raise_when_their_witness_fails_verification(monkeypatch):
     # with every factorization (p, q) of m replaced by (p, 2q), whose
-    # commutator is 2m, each builder's one self-check must reject its result
+    # commutator is 2m, each builder's one self-check must reject its result;
+    # every builder factors through witnesses._factored (theorem 2 for the
+    # left factors' eigenbases, the others via commutator_decomposition)
     rng = random.Random(5)
     c = random_complex(rng, Q, max_dim=4, length=3)
     phi = random_endomorphism(rng, c, ensure="t2")
-    decompose = witnesses.commutator_decomposition
+    factored = witnesses._factored
 
     def doubled(m):
-        p, q = decompose(m)
-        return p, q.scale(2)
+        f = factored(m)
+        return dataclasses.replace(f, q=f.q.scale(2))
 
-    monkeypatch.setattr(witnesses, "commutator_decomposition", doubled)
+    monkeypatch.setattr(witnesses, "_factored", doubled)
     for builder, identity in (
         (pointwise_commutator_witness, "[a_i, b_i] = phi_i"),
         (commutator_witness, "[alpha, beta] = phi"),
