@@ -18,11 +18,18 @@ diagonal Sylvester solve that follows it and that solves any equation
 between two diagonalised factors (``index_quotients``) and the
 characteristic polynomial (``characteristic_polynomial``, Berkowitz's
 division-free algorithm) run on the integers alone, one kernel for both
-fields; the fields differ only in reducing ``% p`` or by gcds over Q.  A
-product takes one dense integer dot product per entry: at the sizes the
-library meets, skipping zero entries costs more than it saves.  Stacking is
-one kernel, ``block_matrix``, of which ``hstack`` and ``vstack`` are the
-one-row and one-column cases.
+fields; the fields differ only in reducing ``% p`` or by gcds over Q.
+Only the product's inner loop differs by field.  Over Q it takes one dense
+integer dot product per entry: at the sizes the library meets, skipping
+zero entries costs more than it saves, and packing signed numerators into
+one integer ran at 0.4-1.2 times the dense kernel's speed.  Over F_p it
+packs each right-hand row into one integer and makes one big-integer
+multiply-add per left entry (Kronecker substitution, ``_residue_product``):
+a residue below 2^31 takes two 30-bit CPython digits, so each multiply of
+the dense kernel is a multi-digit one, and a 10x10 product over
+F_(2^31-1) takes about 50 us against 110 us.  Stacking is one kernel,
+``block_matrix``, of which ``hstack`` and ``vstack`` are the one-row and
+one-column cases.
 ``entry``, ``entries``, ``row`` and ``to_rows`` build field scalars on
 demand: ``int`` over F_p, ``Fraction`` over Q.
 
@@ -37,7 +44,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, chain, product
 from math import gcd, lcm
-from operator import add, mul, neg, sub
+from operator import add, lshift, mul, neg, sub
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .fields import Field, Scalar, render
@@ -264,9 +271,11 @@ class Matrix:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
+        if self.field.finite:
+            return _wrap(self.field, self.rows, other.cols, _residue_product(self, other), 1)
         cols = other._column_tuples()
         dots = [sum(map(mul, row, col)) for row in self._row_tuples() for col in cols]
-        return _reduced(self.field, self.rows, other.cols, dots, self._den * other._den)
+        return _lowest(self.field, self.rows, other.cols, tuple(dots), self._den * other._den)
 
     def scale(self, scalar: Scalar) -> "Matrix":
         c = self.field.normalize(scalar)
@@ -371,8 +380,32 @@ def _reduced(field: Field, rows: int, cols: int, raw: Iterable[int], den: int) -
     stored forms: ``% p`` over F_p, lowest terms over Q."""
     if field.finite:
         p = field.size
-        return _wrap(field, rows, cols, tuple(x % p for x in raw), 1)
+        return _wrap(field, rows, cols, tuple([x % p for x in raw]), 1)
     return _lowest(field, rows, cols, tuple(raw), den)
+
+
+def _residue_product(a: Matrix, b: Matrix) -> tuple[int, ...]:
+    """The residues of a * b over F_p by Kronecker substitution.  Row t of b
+    is packed into one integer, sum_j b_tj * 2^(w j); row i of the product is
+    then sum_t a_it * packed_t, one big-integer multiply-add per entry of a,
+    and its slot j holds the dot product of row i of a and column j of b.
+    This relies on the stored residues lying in range(p): each dot product is
+    then at most k (p - 1)^2 < 2^w, for the inner dimension k and
+    w = 2 bitlen(p - 1) + bitlen(k), so no slot carries into the next, and a
+    mask and ``% p`` read each one back as a canonical residue."""
+    p, k = a.field.size, a.cols
+    w = 2 * (p - 1).bit_length() + k.bit_length()
+    mask = (1 << w) - 1
+    shifts = range(0, w * b.cols, w)
+    packed = [sum(map(lshift, row, shifts)) for row in b._row_tuples()]
+    out: list[int] = []
+    append = out.append
+    for row in a._row_tuples():
+        slots = sum(map(mul, row, packed))
+        for _ in shifts:
+            append((slots & mask) % p)
+            slots >>= w
+    return tuple(out)
 
 
 def _rescaled(m: Matrix, den: int) -> tuple[int, ...]:

@@ -268,6 +268,79 @@ def test_products_sums_and_differences_match_field_ops(case):
         assert_canonical(result)
 
 
+# -- the packed F_p product: slots of w = 2 bitlen(p - 1) + bitlen(k) bits ------
+
+# 2^61 - 1 packs the widest slots below PRIMALITY_BOUND
+PACKED_FIELDS = (GF2, F3, PrimeField(101), F_M31, PrimeField(2**61 - 1))
+
+
+def near_top(field):
+    """Residues drawn toward p - 1, where the slot sums are largest."""
+    p = field.size
+    return st.one_of(
+        st.just(p - 1),
+        st.integers(min_value=max(0, p - 3), max_value=p - 1),
+        st.integers(min_value=0, max_value=p - 1),
+    )
+
+
+@st.composite
+def packed_operands(draw):
+    """a (n x k) and b (k x m) with n, k, m in 0..12 and entries near p - 1."""
+    field = draw(st.sampled_from(PACKED_FIELDS))
+    n, k, m = (draw(st.integers(min_value=0, max_value=12)) for _ in range(3))
+    return draw(matrices(field, n, k, elements=near_top(field))), draw(matrices(field, k, m, elements=near_top(field)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(packed_operands())
+def test_packed_product_matches_the_naive_product(case):
+    a, b = case
+    product = a * b
+    assert product == naive_product(a, b)
+    assert_canonical(product)
+
+
+@pytest.mark.parametrize("field", PACKED_FIELDS, ids=lambda f: f"F{f.size}")
+def test_packed_product_on_edge_shapes_and_full_slots(field):
+    p = field.size
+    for n, k, m in ((3, 0, 4), (0, 5, 2), (4, 2, 0), (12, 1, 12), (1, 12, 1), (12, 12, 1), (1, 12, 12)):
+        a = Matrix(field, n, k, ((3 * t + 1) * (p - 1) // 7 for t in range(n * k)))
+        b = Matrix(field, k, m, ((5 * t + 2) * (p - 1) // 11 for t in range(k * m)))
+        product = a * b
+        assert product == naive_product(a, b)
+        assert_canonical(product)
+    # every dot product is 12 (p - 1)^2, the largest slot sum at inner
+    # dimension 12: a carry between slots would change the next entry
+    full = Matrix(field, 12, 12, [p - 1] * 144)
+    assert full * full == Matrix(field, 12, 12, [12 % p] * 144) == naive_product(full, full)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(PACKED_FIELDS).flatmap(
+        lambda f: st.integers(min_value=1, max_value=8).flatmap(lambda n: matrices(f, n, n, elements=near_top(f)))
+    )
+)
+def test_packed_product_of_kernel_outputs(m):
+    # the packed product relies on canonical residues: multiply what the
+    # other kernels produce, each side of a drawn matrix
+    field, n = m.field, m.rows
+    reduced, _ = row_reduce(m)
+    outputs = [reduced, block_matrix(field, [n, n], [n, n], {(0, 0): m, (0, 1): reduced, (1, 1): m})]
+    t = traceless(field, m.to_rows())
+    if t.is_zero() or not t.is_scalar():
+        outputs += zero_diagonal_form(t)
+    if field.size >= n:
+        outputs.append(index_quotients(m))
+    for x in outputs:
+        y = m if x.rows == n else block_matrix(field, [n, n], [n], {(0, 0): m, (1, 0): m})
+        for left, right in ((x, y), (y.transpose(), x.transpose())):
+            product = left * right
+            assert product == naive_product(left, right)
+            assert_canonical(product)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from(KERNEL_FIELDS).flatmap(lambda f: st.tuples(matrices(f, max_dim=4), scalars(f))), st.data())
 def test_structural_results_are_canonical(case, data):
