@@ -33,9 +33,11 @@ class ChainComplex:
     """
 
     def __init__(self, field: Field, lo: int, dims: Sequence[int], differentials: Sequence[Matrix] = ()):
+        if isinstance(lo, bool) or not isinstance(lo, int):
+            raise ValueError(f"lo must be an integer, got {lo!r}")
         if len(dims) == 0:
             raise ValueError("a complex needs a nonempty support window")
-        if any(not isinstance(d, int) or d < 0 for d in dims):
+        if any(isinstance(d, bool) or not isinstance(d, int) or d < 0 for d in dims):
             raise ValueError("dimensions must be nonnegative integers")
         expected = max(len(dims) - 1, 0)
         if len(differentials) != expected:

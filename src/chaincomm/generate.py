@@ -18,8 +18,8 @@ from . import complexes, splitting
 from .complexes import ChainComplex, ChainEndomorphism, Homotopy, commutator, add
 from .fields import Field, Scalar
 from .linalg import inverse, is_invertible
-from .matrices import Matrix, block_matrix
-from .splitting import BlockData, Splitting, assemble
+from .matrices import Matrix
+from .splitting import BlockData, Splitting, assemble, standard_differential
 
 ENSURE_CHOICES = ("t1", "t2", "t3", "t4")
 
@@ -76,8 +76,7 @@ def random_complex(
     for j in range(length - 1):
         rows = (boundary[j + 1], cohom[j + 1], boundary[j + 2])
         cols = (boundary[j], cohom[j], boundary[j + 1])
-        standard = block_matrix(field, rows, cols, {(0, 2): Matrix.identity(field, boundary[j + 1])})
-        differentials.append(bases[j + 1] * standard * inverse(bases[j]))
+        differentials.append(bases[j + 1] * standard_differential(field, rows, cols) * inverse(bases[j]))
     return ChainComplex(field, lo, dims, differentials)
 
 

@@ -27,9 +27,11 @@ packs each right-hand row into one integer and makes one big-integer
 multiply-add per left entry (Kronecker substitution, ``_residue_product``):
 a residue below 2^31 takes two 30-bit CPython digits, so each multiply of
 the dense kernel is a multi-digit one, and a 10x10 product over
-F_(2^31-1) takes about 50 us against 110 us.  Stacking is one kernel,
-``block_matrix``, of which ``hstack`` and ``vstack`` are the one-row and
-one-column cases.
+F_(2^31-1) takes about 50 us against 110 us.  ``Matrix.__mul__`` decides
+trivial products before either kernel, so callers need no guards: a zero
+operand (every empty shape is one) gives zero, an identity the other
+operand.  Stacking is one kernel, ``block_matrix``, of which ``hstack`` and
+``vstack`` are the one-row and one-column cases.
 ``entry``, ``entries``, ``row`` and ``to_rows`` build field scalars on
 demand: ``int`` over F_p, ``Fraction`` over Q.
 
@@ -271,6 +273,11 @@ class Matrix:
             raise ValueError("field mismatch")
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.shape} by {other.shape}")
+        if self.is_zero() or other.is_zero():  # every empty shape is zero
+            return Matrix.zeros(self.field, self.rows, other.cols)
+        for m, rest in ((self, other), (other, self)):
+            if m._den == 1 and m._ints[0] == 1 and m.is_scalar():  # m is the identity
+                return rest
         if self.field.finite:
             return _wrap(self.field, self.rows, other.cols, _residue_product(self, other), 1)
         cols = other._column_tuples()

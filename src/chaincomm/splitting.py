@@ -23,6 +23,7 @@ from typing import Callable, Mapping, Sequence
 
 from .complexes import ChainComplex, ChainEndomorphism, Homotopy, validate_complex
 from .errors import BlockStructureError
+from .fields import Field
 from .linalg import extend_to_basis, is_invertible, kernel_and_pivots
 from .matrices import Grid, Matrix, block_matrix, check_blocks, split_blocks
 
@@ -88,8 +89,6 @@ class Splitting:
         ValueError when ``endo_map`` moves a cohomology lift out of the
         cocycles B (+) H, which a chain map never does."""
         b, h, _ = self.block_dims(degree)
-        if h == 0:
-            return Matrix.zeros(self.complex.field, 0, 0)
         p = self.basis(degree)
         n = p.rows
         images = endo_map * p.submatrix(0, n, b, b + h)
@@ -99,17 +98,19 @@ class Splitting:
         return coords.submatrix(0, h, 0, h)
 
     def standard_differential(self, degree: int) -> Matrix:
-        """The split-coordinate differential out of ``degree``: identity in
-        block (0, 2), zero elsewhere."""
-        field = self.complex.field
-        row_sizes = self.block_dims(degree + 1)
-        col_sizes = self.block_dims(degree)
-        corner = Matrix.identity(field, col_sizes[2])
+        """The split-coordinate differential out of ``degree``."""
+        row_sizes, col_sizes = self.block_dims(degree + 1), self.block_dims(degree)
         if row_sizes[0] != col_sizes[2]:
             raise BlockStructureError(
                 f"inconsistent boundary dimensions between degrees {degree} and {degree + 1}"
             )
-        return block_matrix(field, row_sizes, col_sizes, {(0, 2): corner})
+        return standard_differential(self.complex.field, row_sizes, col_sizes)
+
+
+def standard_differential(field: Field, row_sizes: Sequence[int], col_sizes: Sequence[int]) -> Matrix:
+    """The split-coordinate differential from blocks of sizes ``col_sizes`` to
+    ``row_sizes``: the identity from the last block onto the first, else zero."""
+    return block_matrix(field, row_sizes, col_sizes, {(0, 2): Matrix.identity(field, col_sizes[2])})
 
 
 class BlockData:

@@ -51,9 +51,8 @@ from .verify import verify_witness
 class _Factors:
     """A commutator factorization m = p q - q p.  Where the left factor's
     eigenbasis is known, p = basis diag(eigenvalues) basis^-1 with integer
-    eigenvalues (residues over F_p), and a basis of None with eigenvalues
-    stands for the identity; factors found by exhaustive search carry
-    none."""
+    eigenvalues (residues over F_p); factors found by exhaustive search
+    carry none."""
 
     p: Matrix
     q: Matrix
@@ -210,8 +209,8 @@ def commutator_decomposition(m: Matrix) -> tuple[Matrix, Matrix]:
 
 def _factored(m: Matrix) -> _Factors:
     """:func:`commutator_decomposition` with the left factor's eigenbasis:
-    B and B^-1 with eigenvalues 0..n-1, and for zero, p = 0 with B = I (held
-    as None, so that solves skip its products) and every eigenvalue 0."""
+    B and B^-1 with eigenvalues 0..n-1, and for zero, p = 0 with B = I and
+    every eigenvalue 0."""
     if not m.is_square:
         raise ValueError("commutator decomposition needs a square matrix")
     field = m.field
@@ -219,8 +218,8 @@ def _factored(m: Matrix) -> _Factors:
     if not field.is_zero(m.trace()):
         raise ValueError(f"matrix has nonzero trace {m.trace()}")
     if m.is_zero():
-        zero = Matrix.zeros(field, n, n)
-        return _Factors(zero, zero, eigenvalues=(0,) * n)
+        zero, identity = Matrix.zeros(field, n, n), Matrix.identity(field, n)
+        return _Factors(zero, zero, identity, identity, (0,) * n)
     if m.is_scalar() or (field.finite and field.size < n):
         factors = _Factors(*_exhaustive_decomposition(m))
     else:
@@ -359,17 +358,8 @@ def _eigen_solve(a: _Factors, b: _Factors, c: Matrix) -> Matrix:
     """The unique X with a.p X - X b.p = c, for separated left factors with
     known eigenbases: X = B_a Y B_b^-1 with
     Y_jk = (B_a^-1 c B_b)_jk / (d_j - e_k) (Bhatia & Rosenthal 1997)."""
-    if c.is_zero():
-        return c
-    quotients = index_quotients(_between(a.basis_inv, c, b.basis), a.eigenvalues, b.eigenvalues)
-    return _between(a.basis, quotients, b.basis_inv)
-
-
-def _between(left: Matrix | None, m: Matrix, right: Matrix | None) -> Matrix:
-    """left m right, where None stands for an identity factor."""
-    if left is not None:
-        m = left * m
-    return m if right is None else m * right
+    quotients = index_quotients(a.basis_inv * c * b.basis, a.eigenvalues, b.eigenvalues)
+    return a.basis * quotients * b.basis_inv
 
 
 def _corner_solve(corner: _Corner | None, c: Matrix) -> Matrix:

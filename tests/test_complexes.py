@@ -57,6 +57,20 @@ def test_construction_shape_checks():
         ChainComplex(Q, 0, [1, 1], [mat(GF2, [[1]])])  # wrong field
 
 
+def test_construction_refuses_bool_window_and_dims():
+    # True is an int to Python but not to the document format: a complex built
+    # from it would serialize to "lo": true, "dims": [true, 2], which the
+    # parser refuses
+    d = mat(GF2, [[1], [0]])
+    for lo, dims in ((True, [True, 2]), (True, [1, 2]), (0, [True, 2]), (0, [1, False])):
+        with pytest.raises(ValueError):
+            ChainComplex(GF2, lo, dims, [d] if dims[1] else [Matrix.zeros(GF2, 0, 1)])
+    with pytest.raises(ValueError):
+        ChainComplex(GF2, 0.0, [1, 2], [d])
+    c = ChainComplex(GF2, 1, [1, 2], [d])
+    assert jsonio.parse_document(json.loads(json.dumps(jsonio.serialize_document(c)))).complex == c
+
+
 def test_validate_complex_examples():
     assert validate_complex(exact_two_term()) == []
 

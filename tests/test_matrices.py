@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import chain
 from operator import add, neg, sub
 
 import pytest
@@ -339,6 +340,69 @@ def test_packed_product_of_kernel_outputs(m):
             product = left * right
             assert product == naive_product(left, right)
             assert_canonical(product)
+
+
+# -- trivial products: a zero or identity operand skips both kernels -----------
+
+TRIVIAL_FIELDS = (Q, GF2, PrimeField(101), F_M31)
+NEAR_IDENTITIES = ("twice", "half", "off_diagonal", "permutation", "fractional")
+
+
+@st.composite
+def special_square(draw, field, n):
+    """The n x n identity, or a near-identity that the identity test must
+    refuse: 2I, I/2 (stored as I over 2), I plus one off-diagonal entry, a
+    permutation matrix, or a matrix with entry (0, 0) equal to 1 but a
+    denominator above 1.  Over F_p, I/2 is I and the last matrix has p - 1
+    for its last diagonal entry."""
+    identity = Matrix.identity(field, n)
+    kind = draw(st.sampled_from(("identity",) + NEAR_IDENTITIES))
+    if kind == "twice":
+        return identity.scale(2)
+    if kind == "half" and not field.finite:
+        return identity.scale(Fraction(1, 2))
+    if kind == "permutation":
+        order = draw(st.permutations(range(n)))
+        return Matrix(field, n, n, (int(order[i] == j) for i in range(n) for j in range(n)))
+    if kind == "off_diagonal" and n >= 2:
+        i, j = draw(st.sampled_from([(i, j) for i in range(n) for j in range(n) if i != j]))
+        x = draw(scalars(field).filter(lambda x: x != 0))
+        return identity + Matrix(field, n, n, (x if (r, c) == (i, j) else 0 for r in range(n) for c in range(n)))
+    if kind == "fractional" and n >= 2:
+        return Matrix.diagonal(field, [1] * (n - 1) + [field.size - 1 if field.finite else Fraction(1, 2)])
+    return identity
+
+
+@st.composite
+def trivial_products(draw):
+    """(a, b, special): one factor is a zero matrix of any shape (k x 0, 0 x k
+    and 0 x 0 included), an identity or a near-identity, drawn on either
+    side of an ordinary factor."""
+    field = draw(st.sampled_from(TRIVIAL_FIELDS))
+    n, m = (draw(st.integers(min_value=0, max_value=5)) for _ in range(2))
+    if draw(st.booleans()):
+        special = Matrix.zeros(field, n, draw(st.integers(min_value=0, max_value=5)))
+    else:
+        special = draw(special_square(field, n))
+    if draw(st.booleans()):
+        return special, draw(matrices(field, special.cols, m)), special
+    return draw(matrices(field, m, special.rows)), special, special
+
+
+@settings(max_examples=400, deadline=None)
+@given(trivial_products())
+def test_trivial_products_equal_the_reference_product(case):
+    a, b, special = case
+    field = a.field
+    product = a * b
+    entries = chain.from_iterable(reference_product(a.to_rows(), b.to_rows(), a.cols, b.cols))
+    # over F_p the reference sums are Fractions over 1 of unreduced residue products
+    dense = Matrix(field, a.rows, b.cols, (int(x) for x in entries) if field.finite else entries)
+    assert product == dense and hash(product) == hash(dense)
+    assert_canonical(product)
+    if special == Matrix.identity(field, special.rows) and not (a.is_zero() or b.is_zero()):
+        # past the zero test, an identity gives back an operand itself: no kernel ran
+        assert product is a or product is b
 
 
 @settings(max_examples=200, deadline=None)
