@@ -8,7 +8,9 @@ and re-checks each certificate built with ``verify``.  Every step runs as its
 own child process under a timeout.  One JSON object goes to standard output:
 per run, the field, max-dim and dims, the command, its exit code (null after
 a timeout), wall time, the child's peak resident memory (its own VmHWM,
-read inside it at exit), and the size and sha256 of what it printed.
+read inside it at exit), the size and sha256 of what it printed, and
+``max_entry_digits``, the most decimal digits of any numerator or
+denominator in it (its longest run of digits).
 
     python3 scripts/scale_ladder.py                 # max-dim 10 and 20
     python3 scripts/scale_ladder.py 10 20 40 --timeout 900
@@ -19,6 +21,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
@@ -80,6 +83,7 @@ def run(args: list[str], out_path: Path, timeout: float) -> dict:
         "peak_rss_mib": peak,
         "out_bytes": len(output),
         "sha256": hashlib.sha256(output).hexdigest(),
+        "max_entry_digits": max(map(len, re.findall(rb"\d+", output)), default=0),
     }
 
 

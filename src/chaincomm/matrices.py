@@ -11,29 +11,34 @@ the ends of every bounded complex, and the 0x0 matrix counts as invertible.
 
 Products, sums, differences, negation, scaling, slicing, stacking,
 Kronecker products, row reduction (``row_reduce``, the library's only
-elimination, and ``pivot_columns``, its pivots alone), the zero-diagonal
-similarity behind commutator factorization (``zero_diagonal_form``, which
-gives the basis, its inverse and the reduced matrix from one pass), the
-diagonal Sylvester solve that follows it and that solves any equation
-between two diagonalised factors (``index_quotients``) and the
-characteristic polynomial (``characteristic_polynomial``, Berkowitz's
-division-free algorithm) run on the integers alone, one kernel for both
-fields; the fields differ only in reducing ``% p`` or by gcds over Q.
-Only the product's inner loop differs by field.  Over Q it takes one dense
-integer dot product per entry: at the sizes the library meets, skipping
-zero entries costs more than it saves, and packing signed numerators into
-one integer ran at 0.4-1.2 times the dense kernel's speed.  Over F_p it
-packs each right-hand row into one integer and makes one big-integer
-multiply-add per left entry (Kronecker substitution, ``_residue_product``):
-a residue below 2^31 takes two 30-bit CPython digits, so each multiply of
-the dense kernel is a multi-digit one, and a 10x10 product over
-F_(2^31-1) takes about 50 us against 110 us.  ``Matrix.__mul__`` decides
-trivial products before either kernel, so callers need no guards: a zero
-operand (every empty shape is one) gives zero, an identity the other
-operand.  Stacking is one kernel, ``block_matrix``, of which ``hstack`` and
-``vstack`` are the one-row and one-column cases.
+elimination, and ``pivot_columns``, its pivots alone), the diagonal
+Sylvester solve that solves any equation between two diagonalised factors
+(``index_quotients``) and the characteristic polynomial
+(``characteristic_polynomial``, Berkowitz's division-free algorithm) run on
+the integers alone, one kernel for both fields; the fields differ only in
+reducing ``% p`` or by gcds over Q.  Only the product's inner loop differs
+by field.  Over Q it takes one dense integer dot product per entry: at the
+sizes the library meets, skipping zero entries costs more than it saves,
+and packing signed numerators into one integer ran at 0.4-1.2 times the
+dense kernel's speed.  Over F_p it packs each right-hand row into one
+integer and makes one big-integer multiply-add per left entry (Kronecker
+substitution, ``_residue_product``): a residue below 2^31 takes two 30-bit
+CPython digits, so each multiply of the dense kernel is a multi-digit one,
+and a 10x10 product over F_(2^31-1) takes about 50 us against 110 us.
+``Matrix.__mul__`` decides trivial products before either kernel, so
+callers need no guards: a zero operand (every empty shape is one) gives
+zero, an identity the other operand.  Stacking is one kernel,
+``block_matrix``, of which ``hstack`` and ``vstack`` are the one-row and
+one-column cases; with one block column it concatenates whole blocks.
 ``entry``, ``entries``, ``row`` and ``to_rows`` build field scalars on
 demand: ``int`` over F_p, ``Fraction`` over Q.
+
+The zero-diagonal similarity behind commutator factorization
+(``zero_diagonal_form``, which gives the basis, its inverse and the reduced
+matrix from one loop of transvections) works on those field scalars
+instead, a numerator and denominator per entry over Q: each step changes
+O(n) entries, which per-row or common denominators would turn into
+rescaling whole rows.
 
 The public constructor normalises and validates every entry;
 ``Matrix.from_canonical`` (F_p residues) and ``Matrix.from_ratios`` (Q
@@ -497,19 +502,18 @@ def zero_diagonal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     """(B, B^-1, B^-1 m B) for an invertible B that conjugates ``m`` to zero
     diagonal; m must be square, traceless, and zero or non-scalar.
 
-    The classical recursion (Fillmore 1969) as a loop of similarity steps on
-    the three matrices' rows, each integers over its own denominator as in
-    ``row_reduce``.  Step j works on the trailing block T = R[j:, j:] of the
-    reduced matrix R.  It picks v with T v outside span(v): e_a for the first
-    column a with an off-diagonal nonzero, else e_j + e_b for the first b with
-    T_bb != T_jj.  It conjugates by t = [v, T v, the other unit vectors in
-    order], leaving out e_a and e_s, s the last index other than a at which
-    T v is nonzero (else e_j and e_b): t is the greedy extension of [v, T v]
-    to a basis, and makes R[j, j] zero.  t multiplies columns j.. of R and B;
-    t^-1, a 2x2 solve on the two left-out rows and a rank-two update of the
-    others, multiplies rows j.. of R and B^-1.  When the next trailing block
-    is a nonzero scalar (possible only in positive characteristic), adding v
-    to t's third column, two elementary steps, makes it non-scalar.
+    A loop of elementary similarities on field scalars: residues over F_p,
+    and over Q a numerator and denominator per entry (``Fraction``), packed
+    into matrices once at the end.  Each is the conjugation by a transvection
+    E = I + c e_x e_y^T: column y += c column x of R = B^-1 m B and of B,
+    then row x -= c row y of R and of B^-1.  It changes O(n) entries, and of
+    the diagonal only (y, y), which gains c R_yx, and (x, x), which loses
+    it.  Position j with R_jj != 0 takes one transvection, chosen by
+    ``_transvection``, that zeroes R_jj and leaves the diagonal before j
+    alone, after at most one that makes a pivot (or, for a nonzero scalar
+    trailing block, the escape's); the last diagonal entry is then zero by
+    the trace.  Choosing the pivot of least height keeps the entries short.
+    A zero m gives (I, I, m).
     """
     field, n = m.field, m.rows
     if not m.is_square:
@@ -517,128 +521,96 @@ def zero_diagonal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     if not field.is_zero(m.trace()):
         raise ValueError("nonzero trace")
     p = field.size if field.finite else 0
-    reduced, r_dens = [list(r) for r in m._row_tuples()], [m._den] * n
-    basis, b_dens = [[int(i == k) for k in range(n)] for i in range(n)], [1] * n
-    basis_inv, i_dens = [list(r) for r in basis], [1] * n
+    reduced = m.to_rows()
+    basis = [[int(i == k) for k in range(n)] for i in range(n)]
+    basis_inv = [list(row) for row in basis]
     for j in range(n - 1):
-        choice = _noncentral(reduced, r_dens, j)
-        if choice is None and reduced[j][j]:
-            if j == 0:
-                raise ValueError("nonzero scalar matrices have no zero-diagonal form")
-            # the tweak of step j - 1: column j + 1 += column j - 1, row j - 1 -= row j + 1
-            for rows, dens in ((reduced, r_dens), (basis, b_dens)):
-                for i, row in enumerate(rows):
-                    row[j + 1] += row[j - 1]
-                    if p:
-                        row[j + 1] %= p
-                    else:
-                        rows[i], dens[i] = _lowest_terms(row, dens[i])
-            for rows, dens in ((reduced, r_dens), (basis_inv, i_dens)):
-                first, third = (rows[j - 1], dens[j - 1]), (rows[j + 1], dens[j + 1])
-                rows[j - 1], dens[j - 1] = _combination(1, first, -1, third, 1, p)
-            choice = _noncentral(reduced, r_dens, j)
-            if choice is None:
-                raise AssertionError("trailing block still scalar after basis tweak")
-        if choice is None:
-            break
-        support, left_out = choice
-        # w = T v as numerators over one denominator
-        raw = [sum(reduced[i][l] for l in support) for i in range(j, n)]
-        if p:
-            wd, wn = 1, [x % p for x in raw]
-        else:
-            wd = lcm(*(d for x, d in zip(raw, r_dens[j:]) if x))
-            wn = [x * (wd // d) for x, d in zip(raw, r_dens[j:])]
-        rest = [c for c in range(j, n) if c not in left_out]
-        for rows, dens in ((reduced, r_dens), (basis, b_dens)):
-            _multiply_columns(rows, dens, j, support, wn, wd, rest, p)
-        for rows, dens in ((reduced, r_dens), (basis_inv, i_dens)):
-            _divide_rows(rows, dens, j, support, left_out, wn, wd, rest, p)
-    return _packed(field, basis, b_dens, n), _packed(field, basis_inv, i_dens, n), _packed(field, reduced, r_dens, n)
+        while reduced[j][j]:
+            x, y, c = _transvection(reduced, j, p)
+            for rows in (reduced, basis):
+                for row in rows:
+                    s = row[x]
+                    if s:
+                        row[y] = (row[y] + c * s) % p if p else row[y] + c * s
+            for rows in (reduced, basis_inv):
+                source, target = rows[y], rows[x]
+                if p:
+                    rows[x] = [(t - c * s) % p for t, s in zip(target, source)]
+                else:
+                    rows[x] = [t - c * s if s else t for t, s in zip(target, source)]
+    return tuple(_from_scalars(field, rows) for rows in (basis, basis_inv, reduced))
 
 
-def _noncentral(rows: list[list[int]], dens: list[int], j: int) -> tuple[tuple[int, ...], tuple[int, int]] | None:
-    """For the trailing block from (j, j): the support of v and the two unit
-    vectors t leaves out, or None when the block is scalar."""
+def _height(x: Scalar) -> int:
+    """The bit lengths of a scalar's numerator and denominator, summed."""
+    return x.numerator.bit_length() + x.denominator.bit_length()
+
+
+def _quotient(a: Scalar, b: Scalar, p: int) -> Scalar:
+    """a / b for field scalars: a residue over F_p (p > 0), exact over Q."""
+    return a * pow(b, -1, p) % p if p else a / b
+
+
+def _transvection(rows: list[list[Scalar]], j: int, p: int) -> tuple[int, int, Scalar]:
+    """(x, y, c) of the next transvection at position j, where R_jj != 0.
+
+    The pivot is the nonzero R_ja or R_aj, a > j, of least height, ties
+    going to the row, then to the lower index; c then zeroes R_jj.  Without
+    one, a transvection with c = 1 and no effect on the diagonal makes one:
+    (a, j) makes R_aj = R_aa - R_jj for the first a > j where that is
+    nonzero, else (j, a) makes R_jb = -R_ab for the first a > j whose row has
+    a nonzero R_ab, b >= j off the diagonal.  Else R[j:, j:] is a nonzero
+    scalar, which ``_escape`` undoes."""
+    n, d = len(rows), rows[j][j]
+    row, column = rows[j], [r[j] for r in rows]
+    pivots = [
+        (_height(line[a]), side, a) for side, line in enumerate((row, column)) for a in range(j + 1, n) if line[a]
+    ]
+    if pivots:
+        _, side, a = min(pivots)
+        # a row pivot adds c R_ja to (j, j), a column pivot takes c R_aj from it
+        return (a, j, _quotient(-d, row[a], p)) if side == 0 else (j, a, _quotient(d, column[a], p))
+    for a in range(j + 1, n):
+        if rows[a][a] != d:
+            return a, j, 1
+    for a in range(j + 1, n):
+        if any(rows[a][b] for b in range(j, n) if b != a):
+            return j, a, 1
+    return _escape(rows, j, p)
+
+
+def _escape(rows: list[list[Scalar]], j: int, p: int) -> tuple[int, int, Scalar]:
+    """A transvection through index i = j - 1 towards making the trailing
+    block R[j:, j:] = s I, s != 0, non-scalar (which needs p | n - j, so
+    never over Q); none moves the diagonal, and at most two are needed.
+
+    With w = R[j:, i] nonzero and w_a = 0, (i, a, 1) adds w to column a of
+    the block; when w has no zero, (j, j + 1, w_j / w_(j+1)), inside the
+    block, which stays s I, first makes w_j zero.  Else the same holds for
+    u = R[i, j:] and the mirrored transvections: conjugating the transpose
+    by (x, y, c) is conjugating R by (y, x, -c).  When w and u are zero,
+    (j, i, 1) makes w = s e_j."""
+    if j == 0:
+        raise ValueError("nonzero scalar matrices have no zero-diagonal form")
+    n, i = len(rows), j - 1
+    for mirrored in (False, True):
+        line = [rows[i][a] if mirrored else rows[a][i] for a in range(j, n)]
+        if any(line):
+            zero = next((a for a, v in enumerate(line, j) if not v), None)
+            x, y, c = (i, zero, 1) if zero is not None else (j, j + 1, _quotient(line[0], line[1], p))
+            return (y, x, -c % p if p else -c) if mirrored else (x, y, c)
+    return j, i, 1
+
+
+def _from_scalars(field: Field, rows: list[list[Scalar]]) -> Matrix:
+    """The matrix of square ``rows`` of field scalars (or ints) that are
+    already canonical: residues in range(p), or rationals in lowest terms."""
     n = len(rows)
-    for a in range(j, n):
-        off = [i for i in range(j, n) if i != a and rows[i][a]]
-        if off:
-            return (a,), (a, off[-1])
-    for b in range(j + 1, n):
-        # the block is diagonal, so the first unequal pair starts at j
-        if rows[b][b] * dens[j] != rows[j][j] * dens[b]:
-            return (j, b), (j, b)
-    return None
-
-
-def _multiply_columns(
-    rows: list[list[int]],
-    dens: list[int],
-    j: int,
-    support: tuple[int, ...],
-    wn: list[int],
-    wd: int,
-    rest: list[int],
-    p: int,
-) -> None:
-    """Columns j.. of every row times t = [v, w, e_c for c in rest], where
-    v has ones on ``support`` and w = wn / wd."""
-    for i, row in enumerate(rows):
-        head = row[support[0]] + row[support[1]] if len(support) == 2 else row[support[0]]
-        tail = sum(map(mul, row[j:], wn))
-        if p:
-            rows[i] = row[:j] + [head % p, tail % p] + [row[c] for c in rest]
-        else:
-            scaled = [x * wd for x in row[:j]] + [head * wd, tail] + [row[c] * wd for c in rest]
-            rows[i], dens[i] = _lowest_terms(scaled, dens[i] * wd)
-
-
-def _divide_rows(
-    rows: list[list[int]],
-    dens: list[int],
-    j: int,
-    support: tuple[int, ...],
-    left_out: tuple[int, int],
-    wn: list[int],
-    wd: int,
-    rest: list[int],
-    p: int,
-) -> None:
-    """Rows j.. times t^-1.  With x, y the left-out rows, the coordinates
-    (alpha, beta) of a vector on v and w solve the 2x2 system of rows x and
-    y, whose matrix [[1, w_x], [v_y, w_y]] has determinant
-    dn / wd = (wn_y - v_y wn_x) / wd; every other coordinate c is
-    Y_c - w_c beta, since v_c = 0."""
-    x, y = left_out
-    v_y = int(y in support)
-    w_x, w_y = wn[x - j], wn[y - j]
-    dn = w_y - v_y * w_x
-    row_x, row_y = (rows[x], dens[x]), (rows[y], dens[y])
-    beta = _combination(wd, row_y, -v_y * wd, row_x, dn, p)
-    updated = [_combination(w_y, row_x, -w_x, row_y, dn, p), beta]
-    for c in rest:
-        w_c = wn[c - j]
-        updated.append(_combination(wd, (rows[c], dens[c]), -w_c, beta, wd, p) if w_c else (rows[c], dens[c]))
-    rows[j:] = [row for row, _ in updated]
-    dens[j:] = [d for _, d in updated]
-
-
-def _combination(
-    a: int, x: tuple[list[int], int], b: int, y: tuple[list[int], int], divisor: int, p: int
-) -> tuple[list[int], int]:
-    """(a x + b y) / divisor for rows x and y, each integers over a
-    denominator, as a row and its denominator: residues over F_p (p > 0),
-    lowest terms over Q."""
-    (xs, dx), (ys, dy) = x, y
-    if p:
-        if divisor != 1:
-            inverse = pow(divisor, -1, p)
-            a, b = a * inverse, b * inverse
-        return [(a * u + b * v) % p for u, v in zip(xs, ys)], 1
-    den = lcm(dx, dy)
-    a, b = a * (den // dx), b * (den // dy)
-    return _lowest_terms([a * u + b * v for u, v in zip(xs, ys)], den * divisor)
+    entries = list(chain.from_iterable(rows))
+    if field.finite:
+        return Matrix.from_canonical(field, n, n, entries)
+    dens = [x.denominator for x in entries]
+    return Matrix.from_ratios(field, n, n, [x.numerator for x in entries], dens, lcm(*dens))
 
 
 def index_quotients(
@@ -652,7 +624,7 @@ def index_quotients(
     D q - q D = m.  Over F_p every nonzero difference must be invertible
     (ValueError otherwise) and is replaced by its inverse; over Q the entries
     are put over den * (the lcm of the differences) and brought to lowest
-    terms once."""
+    terms once.  A zero m gives zero at once, after the check."""
     rows, cols = m.rows, m.cols
     if row_values is None and col_values is None:
         if not m.is_square:
@@ -667,6 +639,9 @@ def index_quotients(
         singular = [d for d in distinct if d % p == 0]
         if singular:
             raise ValueError(f"value difference {min(singular, key=abs)} is not invertible mod {p}")
+    if m.is_zero():
+        return Matrix.zeros(m.field, rows, cols)
+    if p:
         scale = 1
         weight = {d: pow(d, -1, p) for d in distinct}
     else:
@@ -732,7 +707,7 @@ def hstack(mats: Sequence[Matrix]) -> Matrix:
     rows, field = mats[0].rows, mats[0].field
     if any(m.rows != rows or m.field != field for m in mats):
         raise ValueError("row count or field mismatch in hstack")
-    return block_matrix(field, [rows], [m.cols for m in mats], {(0, c): m for c, m in enumerate(mats)})
+    return _assemble(field, [rows], [m.cols for m in mats], {(0, c): m for c, m in enumerate(mats)})
 
 
 def vstack(mats: Sequence[Matrix]) -> Matrix:
@@ -742,7 +717,7 @@ def vstack(mats: Sequence[Matrix]) -> Matrix:
     cols, field = mats[0].cols, mats[0].field
     if any(m.cols != cols or m.field != field for m in mats):
         raise ValueError("column count or field mismatch in vstack")
-    return block_matrix(field, [m.rows for m in mats], [cols], {(r, 0): m for r, m in enumerate(mats)})
+    return _assemble(field, [m.rows for m in mats], [cols], {(r, 0): m for r, m in enumerate(mats)})
 
 
 # a sparse block grid: (block row, block column) -> block
@@ -764,11 +739,24 @@ def check_blocks(field: Field, row_sizes: Sequence[int], col_sizes: Sequence[int
 
 
 def block_matrix(field: Field, row_sizes: Sequence[int], col_sizes: Sequence[int], blocks: Grid) -> Matrix:
-    """Assemble a matrix from blocks; missing positions are zero blocks.
-    Each output row is written once, over the lcm of the blocks'
-    denominators, which needs no reduction (as in ``_over``)."""
+    """Assemble a matrix from blocks; missing positions are zero blocks."""
     check_blocks(field, row_sizes, col_sizes, blocks)
+    return _assemble(field, row_sizes, col_sizes, blocks)
+
+
+def _assemble(field: Field, row_sizes: Sequence[int], col_sizes: Sequence[int], blocks: Grid) -> Matrix:
+    """``block_matrix`` on a grid already checked.  Each output row is
+    written once, over the lcm of the blocks' denominators, which needs no
+    reduction (as in ``_over``); with one block column the rescaled blocks
+    are concatenated whole."""
     den = lcm(*[m._den for m in blocks.values()])
+    if len(col_sizes) == 1:
+        width = col_sizes[0]
+        parts = (
+            _rescaled(blocks[(r, 0)], den) if (r, 0) in blocks else (0,) * (height * width)
+            for r, height in enumerate(row_sizes)
+        )
+        return _wrap(field, sum(row_sizes), width, tuple(chain.from_iterable(parts)), den)
     data: list[int] = []
     for r, height in enumerate(row_sizes):
         # per block column (integers, stride, width): a missing block is one zero row read with stride 0

@@ -1,10 +1,9 @@
-import random
 from fractions import Fraction
 from itertools import chain
 from operator import add, neg, sub
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
@@ -41,13 +40,13 @@ from helpers import (
     reference_trace,
     reference_transpose,
     reference_value_quotients,
-    reference_zero_diagonal_form,
     scalars,
     wide_rationals,
 )
 
 F3 = PrimeField(3)
-ZERO_DIAGONAL_FIELDS = (Q, GF2, F3, PrimeField(5), PrimeField(7), PrimeField(101), PrimeField(2**31 - 1))
+F5 = PrimeField(5)
+ZERO_DIAGONAL_FIELDS = (Q, GF2, F3, F5, PrimeField(7), PrimeField(101), F_M31)
 
 
 def small_matrix(field, rows, cols):
@@ -197,6 +196,40 @@ def test_stacking_matches_a_row_list_reference(case):
         stacked = vstack(list(column.values()))
         assert_canonical(stacked)
         assert stacked == reference_block_matrix(field, row_sizes, [width], column)
+
+
+@st.composite
+def block_columns(draw):
+    """A field, block row sizes (zero sizes included), a width and a sparse
+    column of blocks: the one-block-column grids that ``block_matrix`` and
+    ``vstack`` concatenate whole."""
+    field = draw(st.sampled_from([Q, GF2, F_M31]))
+    elements = st.fractions(min_value=-5, max_value=5, max_denominator=12) if field is Q else None
+    row_sizes = draw(st.lists(st.integers(min_value=0, max_value=4), max_size=4))
+    width = draw(st.integers(min_value=0, max_value=4))
+    blocks = {
+        (r, 0): draw(matrices(field, height, width, elements=elements))
+        for r, height in enumerate(row_sizes)
+        if draw(st.booleans())
+    }
+    return field, row_sizes, width, blocks
+
+
+@settings(max_examples=200, deadline=None)
+@given(block_columns())
+def test_one_block_column_matches_the_row_by_row_assembly(case):
+    field, row_sizes, width, blocks = case
+    expected = reference_block_matrix(field, row_sizes, [width], blocks)
+    # the row-by-row assembly, through a second, empty block column
+    wider = block_matrix(field, row_sizes, [width, 0], blocks)
+    result = block_matrix(field, row_sizes, [width], blocks)
+    assert_canonical(result)
+    assert result == expected == wider
+    if row_sizes:
+        full = [blocks.get((r, 0), Matrix.zeros(field, height, width)) for r, height in enumerate(row_sizes)]
+        stacked = vstack(full)
+        assert_canonical(stacked)
+        assert stacked == expected
 
 
 def test_stacking_keeps_its_error_messages():
@@ -533,63 +566,92 @@ def traceless(field, rows):
     return m - Matrix.diagonal(field, [0] * (n - 1) + [m.trace()]) if n else m
 
 
-def assert_matches_recursion(m, tweaks):
-    """zero_diagonal_form(m) equals the recursion it replaced, exactly and in
-    the canonical stored form, and has a zero diagonal."""
-    got = zero_diagonal_form(m)
-    assert got == reference_zero_diagonal_form(m, tweaks)
+def assert_zero_diagonal_similarity(m):
+    """zero_diagonal_form(m) = (B, B^-1, R): B B^-1 = I, B^-1 m B = R, R has
+    a zero diagonal, and all three are in the canonical stored form."""
+    basis, basis_inv, reduced = got = zero_diagonal_form(m)
     for x in got:
         assert_canonical(x)
-    basis, basis_inv, reduced = got
-    assert all(reduced.entry(i, i) == 0 for i in range(m.rows))
     assert basis * basis_inv == Matrix.identity(m.field, m.rows)
+    assert basis_inv * m * basis == reduced
+    assert all(reduced.entry(i, i) == 0 for i in range(m.rows))
 
 
-def test_zero_diagonal_form_equals_the_recursion():
-    rng = random.Random(2024)
-    tweaks = []
-    for field in ZERO_DIAGONAL_FIELDS:
+@st.composite
+def traceless_matrices(draw):
+    """Traceless n x n matrices, n <= 10, dense, sparse (about a quarter of
+    the entries nonzero) or diagonal, with entries 0, 1, -1 or any residue
+    over F_p and small fractions over Q; the last diagonal entry is set by
+    the trace, and nonzero scalars, which have no zero-diagonal form, are
+    left out."""
+    field = draw(st.sampled_from(ZERO_DIAGONAL_FIELDS))
+    n = draw(st.integers(min_value=1, max_value=10))
+    style = draw(st.sampled_from(("dense", "sparse", "diagonal")))
+    if field.finite:
+        element = st.sampled_from([0, 1, field.size - 1]) | st.integers(min_value=0, max_value=field.size - 1)
+    else:
+        element = st.fractions(min_value=-5, max_value=5, max_denominator=4)
+    off = {"dense": element, "sparse": st.sampled_from([0, 0, 0]) | element, "diagonal": st.just(0)}[style]
+    rows = [[draw(element if i == j and style != "sparse" else off) for j in range(n)] for i in range(n)]
+    m = traceless(field, rows)
+    assume(m.is_zero() or not m.is_scalar())
+    return m
 
-        def element():
-            if field.finite:
-                return rng.choice([0, 1, field.size - 1, rng.randrange(field.size)])
-            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
 
-        for n in range(1, 9):
-            for style in ("dense", "sparse", "diagonal") * 5:
-                density = {"dense": 1, "sparse": 0.25, "diagonal": 0}[style]
-                rows = [
-                    [element() if rng.random() < density or (i == j and style == "diagonal") else 0 for j in range(n)]
-                    for i in range(n)
-                ]
-                m = traceless(field, rows)
-                if m.is_scalar() and not m.is_zero():
-                    continue
-                assert_matches_recursion(m, tweaks)
-    # the sample reaches the basis tweak, which only small characteristic needs
-    assert len(tweaks) >= 10
+@settings(max_examples=300, deadline=None)
+@given(traceless_matrices())
+def test_zero_diagonal_form_is_a_zero_diagonal_similarity(m):
+    assert_zero_diagonal_similarity(m)
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=1, max_value=8).flatmap(lambda n: matrices(Q, n, n, elements=wide_rationals())))
-def test_zero_diagonal_form_equals_the_recursion_on_wide_rationals(m):
+@given(st.integers(min_value=1, max_value=10).flatmap(lambda n: matrices(Q, n, n, elements=wide_rationals())))
+def test_zero_diagonal_form_on_wide_rationals(m):
     m = traceless(Q, m.to_rows())
     if not (m.is_scalar() and not m.is_zero()):
-        assert_matches_recursion(m, [])
+        assert_zero_diagonal_similarity(m)
 
 
-def test_zero_diagonal_form_takes_the_basis_tweak():
-    # after the first step the trailing block of diag(0, 1, 1) over F_2 is
-    # the identity, a nonzero scalar
-    m = Matrix.diagonal(GF2, [0, 1, 1])
-    tweaks = []
-    assert_matches_recursion(m, tweaks)
-    assert tweaks == [Matrix.identity(GF2, 2)]
-    assert zero_diagonal_form(m) == (
-        mat(GF2, [[1, 1, 1], [1, 1, 0], [0, 1, 1]]),
-        mat(GF2, [[1, 0, 1], [1, 1, 1], [1, 1, 0]]),
-        mat(GF2, [[0, 1, 1], [1, 0, 1], [1, 1, 0]]),
-    )
+@pytest.mark.parametrize(
+    "field, rows",
+    [
+        # u = w = 0, then w = s e_j
+        (GF2, [[0, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        (F3, [[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        # w = 0 and u has no zero, then w has no zero and u = 0
+        (GF2, [[0, 1, 1], [0, 1, 0], [0, 0, 1]]),
+        (GF2, [[0, 0, 0], [1, 1, 0], [1, 0, 1]]),
+        (F3, [[0, 1, 2, 1], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        (F3, [[0, 0, 0, 0], [1, 1, 0, 0], [2, 0, 1, 0], [1, 0, 0, 1]]),
+        # w_j / w_(j+1) != w_(j+1) / w_j, and the mirror
+        (F5, [[0] * 6] + [[w] + [int(i == j) for j in range(5)] for i, w in enumerate([1, 2, 3, 4, 1])]),
+        (F5, [[0, 1, 2, 3, 4, 1]] + [[0] + [int(i == j) for j in range(5)] for i in range(5)]),
+        # reached at j = 2, after position 1
+        (F3, [[0, 1, 0, 0, 0], [2, 0, 0, 1, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]]),
+        (GF2, [[1, 1, 0, 0], [1, 1, 0, 1], [0, 0, 1, 0], [0, 0, 0, 1]]),
+    ],
+)
+def test_zero_diagonal_form_escapes_a_scalar_trailing_block(field, rows):
+    # once position j - 1 is zero, the trailing block from j is a nonzero
+    # scalar s I (p | n - j), which only transvections through index j - 1
+    # undo; w and u are column and row j - 1 of that block's rows and columns
+    m = Matrix.from_rows(field, rows)
+    assert_zero_diagonal_similarity(m)
+
+
+@pytest.mark.parametrize(
+    "field, rows",
+    [
+        # row and column 0 are zero off the diagonal: R_11 != R_00 makes (1, 0) nonzero
+        (Q, [[1, 0, 0], [0, -1, 0], [0, 0, 0]]),
+        (F5, [[2, 0, 0], [0, 3, 0], [0, 0, 0]]),
+        # every diagonal entry equals R_00, and row 1 has R_12 != 0, which makes (0, 2) nonzero
+        (GF2, [[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]),
+        (F3, [[2, 0, 0], [0, 2, 0], [0, 1, 2]]),
+    ],
+)
+def test_zero_diagonal_form_makes_a_pivot_where_it_has_none(field, rows):
+    assert_zero_diagonal_similarity(Matrix.from_rows(field, rows))
 
 
 def test_zero_diagonal_form_refuses_what_has_no_zero_diagonal_form():
@@ -647,6 +709,19 @@ def test_index_quotients_match_field_division(case):
     if m.is_square and (not field.finite or field.size >= m.rows):
         square = index_quotients(m)
         assert square == reference_value_quotients(m, range(m.rows), range(m.rows))
+
+
+def test_index_quotients_of_zero_still_check_the_differences():
+    for field, shape in ((Q, (3, 2)), (F3, (2, 2)), (F_M31, (0, 4))):
+        zero = Matrix.zeros(field, *shape)
+        assert index_quotients(zero, [5, -1, 2][: shape[0]], [0, 4, 7, 9][: shape[1]]) == zero
+    assert index_quotients(Matrix.zeros(Q, 4, 4)) == Matrix.zeros(Q, 4, 4)
+    # a zero m is refused exactly where a nonzero one is
+    for m in (Matrix.zeros(F3, 4, 4), Matrix.identity(F3, 4)):
+        with pytest.raises(ValueError, match="value difference 3 is not invertible mod 3"):
+            index_quotients(m)
+    with pytest.raises(ValueError, match="value difference -6 is not invertible mod 3"):
+        index_quotients(Matrix.zeros(F3, 1, 2), [1], [2, 7])
 
 
 def test_region_is_zero_reads_in_place():

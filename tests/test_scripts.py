@@ -39,5 +39,12 @@ def test_scale_ladder_runs_its_lowest_rung():
         assert all(code == 0 or (field != "Q" and code == 3) for code in built.values()), rung
         assert checked == {f"verify (theorem {c[-1]})": 0 for c, code in built.items() if code == 0}, rung
     assert all(len(r["sha256"]) == 64 and r["out_bytes"] > 0 and r["wall_s"] > 0 for r in runs)
+    # a verdict carries no digits; every document and certificate does, F_p
+    # residues stay below p, and the Q certificates of this rung stay short
+    assert all(isinstance(r["max_entry_digits"], int) and r["max_entry_digits"] >= 0 for r in runs), runs
+    made = [r for r in runs if r["exit"] == 0 and not r["command"].startswith("verify")]
+    assert all(r["max_entry_digits"] > 0 for r in made), runs
+    assert all(r["max_entry_digits"] <= 10 for r in made if r["field"] != "Q"), runs
+    assert all(r["max_entry_digits"] <= 60 for r in made if r["field"] == "Q"), runs
     # the peak is null unless the child itself wrote its VmHWM at exit
     assert all(isinstance(r["peak_rss_mib"], float) and r["peak_rss_mib"] > 0 for r in runs), runs

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 import re
 from fractions import Fraction
@@ -29,7 +30,8 @@ from chaincomm.generate import random_chain_map, random_complex, random_endomorp
 from chaincomm.linalg import inverse, is_invertible, sylvester_operator, sylvester_solve
 from chaincomm.matrices import Matrix, characteristic_polynomial, enumerate_matrices, index_quotients
 from chaincomm.splitting import extract_blocks, split_complex
-from chaincomm.verify import commutant_set
+from chaincomm.jsonio import parse_document, serialize_document
+from chaincomm.verify import commutant_set, verify_witness
 from chaincomm.witnesses import (
     analyze,
     commutator_decomposition,
@@ -53,7 +55,6 @@ from helpers import (
     mat,
     matrices,
     reference_commutator_factors,
-    reference_zero_diagonal_form,
     scalars,
     seeds,
     zero_differential_complex,
@@ -176,11 +177,6 @@ def test_decomposition_equals_the_diagonal_formulas(m):
     m = m - Matrix.diagonal(m.field, [0] * (n - 1) + [m.trace()])
     if m.is_zero() or m.is_scalar():
         return
-    tweaks = []
-    reference_zero_diagonal_form(m, tweaks)
-    # a nonzero scalar trailing block of size k has trace k c = 0, so p
-    # divides k < n: with p >= n the basis tweak never runs on this path
-    assert tweaks == []
     got = commutator_decomposition(m)
     assert got == reference_commutator_factors(m)
     for x in got:
@@ -659,6 +655,43 @@ def test_homotopy_pointwise_roundtrip():
         for i in c.degrees:
             a, b = w.residual.pairs[i]
             assert a * b - b * a == residual.map(i)
+
+
+# -- entry height beyond the benchmark's sizes ----------------------------------------
+
+
+def seed_one_document(max_dim):
+    """The complex and endomorphism of ``chaincomm random --seed 1 --field Q
+    --max-dim MAX_DIM --length 3 --ensure t2``."""
+    rng = random.Random(1)
+    c = random_complex(rng, Q, max_dim=max_dim, length=3)
+    return c, random_endomorphism(rng, c, ensure="t2")
+
+
+def certificate_round_trip(c, phi, witness):
+    """The certificate's JSON text (``serialize_document`` refuses an entry
+    over the digit cap) and whether its parsed witness verifies."""
+    text = json.dumps(serialize_document(c, phi, [witness]), indent=2, sort_keys=True)
+    doc = parse_document(json.loads(text))
+    return text, verify_witness(doc.endomorphism, doc.witnesses[0]).ok
+
+
+def test_theorem4_certificate_entries_stay_short_at_max_dim_20():
+    # dims (6, 13, 15) with entries of at most 17 digits; the recursive
+    # zero-diagonal form wrote entries of up to 928 digits here
+    c, phi = seed_one_document(20)
+    assert c.dims == (6, 13, 15)
+    text, ok = certificate_round_trip(c, phi, homotopy_pointwise_witness(phi))
+    assert ok
+    assert max(map(len, re.findall(r"[0-9]+", text))) <= 200
+
+
+def test_theorem2_certificate_builds_and_verifies_at_max_dim_40():
+    # dims (12, 27, 31); with the recursive zero-diagonal form the lcm of a
+    # matrix's denominators passed the 8000-digit cap here
+    c, phi = seed_one_document(40)
+    assert c.dims == (12, 27, 31)
+    assert certificate_round_trip(c, phi, commutator_witness(phi))[1]
 
 
 # -- the chain-map guard ----------------------------------------------------------------
