@@ -546,12 +546,7 @@ def encode_analysis(analysis) -> dict[str, Any]:
             }
             for s in report.stretches
         ],
-        "conditions": {
-            "theorem1": report.degree_traces_vanish,
-            "theorem2": report.degree_and_cohomology_traces_vanish,
-            "theorem3": report.cohomology_traces_vanish,
-            "theorem4": report.stretch_traces_vanish,
-        },
+        "conditions": {name: v.condition_holds for name, v in analysis.verdicts.items()},
         "verdicts": {
             name: {
                 "condition_holds": v.condition_holds,

@@ -89,6 +89,8 @@ class Matrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise ValueError("rows have unequal lengths")
+        if cols is not None and cols != ncols:
+            raise ValueError(f"rows have {ncols} entries, not the {cols} columns asked for")
         return cls(field, nrows, ncols, (e for r in rows for e in r))
 
     @classmethod

@@ -13,7 +13,9 @@ Given a chain endomorphism phi, this module decides and certifies:
 Every builder ends by handing its witness to
 :func:`chaincomm.verify.verify_witness`, the independent re-checker, and
 returns only a witness that it accepts; the identities a witness must satisfy
-are written down there once, not again here.
+are written down there once, not again here.  So the commutator
+factorizations are not multiplied back, and each stretch condition of
+theorem 4 is decided by the propagation that builds its correction.
 """
 
 from __future__ import annotations
@@ -200,8 +202,10 @@ def commutator_decomposition(m: Matrix) -> tuple[Matrix, Matrix]:
     and everything else raises FieldTooSmall.  B diag(0, ..., n-1) is B with
     column j scaled by j, so p takes one product, and q' is read off the
     reduced matrix's stored integers
-    (:func:`chaincomm.matrices.index_quotients`); the result is checked
-    against p q - q p = m.
+    (:func:`chaincomm.matrices.index_quotients`).  The factors are not
+    multiplied back here: each builder's one self-check,
+    :func:`chaincomm.verify.verify_witness`, checks every factorization it
+    uses.
     """
     f = _factored(m)
     return f.p, f.q
@@ -221,15 +225,11 @@ def _factored(m: Matrix) -> _Factors:
         zero, identity = Matrix.zeros(field, n, n), Matrix.identity(field, n)
         return _Factors(zero, zero, identity, identity, (0,) * n)
     if m.is_scalar() or (field.finite and field.size < n):
-        factors = _Factors(*_exhaustive_decomposition(m))
-    else:
-        basis, basis_inv, reduced = zero_diagonal_form(m)
-        p = basis.scale_columns(range(n)) * basis_inv
-        q = basis * index_quotients(reduced) * basis_inv
-        factors = _Factors(p, q, basis, basis_inv, tuple(range(n)))
-    if factors.p * factors.q - factors.q * factors.p != m:
-        raise AssertionError("commutator factorization failed to verify")
-    return factors
+        return _Factors(*_exhaustive_decomposition(m))
+    basis, basis_inv, reduced = zero_diagonal_form(m)
+    p = basis.scale_columns(range(n)) * basis_inv
+    q = basis * index_quotients(reduced) * basis_inv
+    return _Factors(p, q, basis, basis_inv, tuple(range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +302,7 @@ def select_separated_pairs(
 ) -> PairSelection:
     """Factor two traceless families as commutators subject to the three
     spectral-separation condition families (see :class:`PairSelection`).
+    A matrix of nonzero trace, or over another field, raises ValueError.
 
     The left factors of the second family are shifted by scalars (scanned
     0, 1, 2, ... over Q, all elements over F_p) until the mixed and cross
@@ -319,8 +320,6 @@ def select_separated_pairs(
     mu I) is invertible; the matrix that passes is kept for the corner solve.
     """
     for m in (*first, *second):
-        if not field.is_zero(m.trace()):
-            raise ValueError("all inputs must be traceless")
         if m.field != field:
             raise ValueError("field mismatch")
     first_factors = [_factored(m) for m in first]
@@ -536,12 +535,14 @@ def prescribed_trace_nullhomotopy(
     """A null-homotopic endomorphism tau with tr(tau_i) equal to the given
     scalars, together with a homotopy sigma whose boundary is exactly tau.
 
-    Requires the alternating sum of the prescribed traces to vanish over
-    every stretch (raises StretchObstruction otherwise) and the traces to
-    vanish off the window.  Within each stretch, scalars are propagated from
-    the left end (where the boundary space vanishes) by
-    next = prescribed - current; tau acts as that scalar times a rank-one
-    projector on each boundary block.
+    The traces must vanish off the window (ValueError otherwise).  Within
+    each stretch, scalars are propagated from the left end (where the
+    boundary space vanishes) by next = prescribed - current; tau acts as that
+    scalar times a rank-one projector on each boundary block, so tr(tau_i),
+    the sum of the scalars at i and i + 1, is the prescribed trace.  The
+    same pass decides the stretch: it closes when the scalar past its right
+    end is zero, and a remainder r, (-1)^end times the stretch's alternating
+    trace sum, raises StretchObstruction with that sum.
     """
     field = c.field
     prescribed = {i: field.normalize(v) for i, v in traces.items()}
@@ -549,41 +550,26 @@ def prescribed_trace_nullhomotopy(
         if not (c.lo <= i <= c.hi) and not field.is_zero(v):
             raise ValueError(f"prescribed trace at degree {i} is outside the support window")
 
-    def target(i: int) -> Scalar:
-        return prescribed.get(i, field.zero)
-
-    runs = complexes.stretches(c)
-    for run in runs:
-        total = complexes.alternating_sum(field, run, prescribed)
-        if not field.is_zero(total):
-            raise StretchObstruction(run.start, run.end, total)
+    scalars: dict[int, Scalar] = {}
+    for run in complexes.stretches(c):
+        current = field.zero  # boundary space vanishes at the left end of a stretch
+        for i in run.degrees():
+            scalars[i] = current
+            current = field.sub(prescribed.get(i, field.zero), current)
+        if not field.is_zero(current):
+            raise StretchObstruction(run.start, run.end, field.mul(field.alternating_sign(run.end), current))
 
     s = split_complex(c)
-    scalars: dict[int, Scalar] = {}
-    for run in runs:
-        current = field.zero  # boundary space vanishes at the left end of a stretch
-        scalars[run.start] = current
-        for i in run.degrees():
-            current = field.sub(target(i), current)
-            scalars[i + 1] = current
-        if not field.is_zero(scalars[run.end + 1]):
-            raise AssertionError("trace propagation did not close despite vanishing stretch sums")
 
     def boundary_action(i: int) -> Matrix:
         b = s.boundary_dim(i)
-        value = scalars.get(i, field.zero)
         if b == 0:
-            if not field.is_zero(value):
-                raise AssertionError(f"nonzero propagated trace {value} on a vanished boundary space at {i}")
             return Matrix.zeros(field, 0, 0)
+        value = scalars[i]
         return Matrix(field, b, b, (value if r == 0 and col == 0 else 0 for r in range(b) for col in range(b)))
 
     sigma = assemble_homotopy(s, lambda i: {(2, 0): boundary_action(i)})
-    tau = complexes.homotopy_boundary(sigma)
-    for i in c.degrees:
-        if tau.map(i).trace() != target(i):
-            raise AssertionError(f"tau has wrong trace at degree {i}")
-    return tau, sigma
+    return complexes.homotopy_boundary(sigma), sigma
 
 
 def homotopy_pointwise_witness(phi: ChainEndomorphism) -> HomotopyWitness:

@@ -97,3 +97,28 @@ def test_witnesses_build_no_kronecker_system():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sylvester_solve"
     ]
     assert len(calls) == 1
+
+
+def _swapped_product_differences(tree: ast.Module) -> list[int]:
+    """Line numbers of expressions ``x * y - y * x``."""
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Sub)
+            and all(isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult) for side in (node.left, node.right))
+            and ast.dump(node.left.left) == ast.dump(node.right.right)
+            and ast.dump(node.left.right) == ast.dump(node.right.left)
+        ):
+            found.append(node.lineno)
+    return found
+
+
+def test_witnesses_check_no_commutator_identity():
+    # each builder checks its factorizations once, through verify_witness;
+    # the builders do not multiply a pair back to compare it
+    assert _swapped_product_differences(ast.parse("m = f.p * f.q - f.q * f.p")) == [1]
+    assert _swapped_product_differences(ast.parse("m = a * b - a * b\nn = a * b - c * a")) == []
+    path = pathlib.Path(chaincomm.__file__).parent / "witnesses.py"
+    lines = _swapped_product_differences(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"witnesses.py forms x * y - y * x at lines {lines}"

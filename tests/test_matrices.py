@@ -66,6 +66,10 @@ def test_construction_validation():
         Matrix(Q, -1, 2, [])
     with pytest.raises(ValueError):
         Matrix.from_rows(Q, [[1, 2], [3]])
+    with pytest.raises(ValueError):
+        Matrix.from_rows(Q, [[1, 2]], cols=5)
+    assert Matrix.from_rows(Q, [[1, 2]], cols=2).shape == (1, 2)
+    assert Matrix.from_rows(Q, [], cols=5).shape == (0, 5)
 
 
 def test_empty_matrices_are_first_class():

@@ -610,6 +610,37 @@ def test_prescribed_traces_stretch_obstruction():
     assert (err.value.start, err.value.end) == (0, 1)
 
 
+def test_prescribed_traces_decide_each_stretch_by_its_alternating_sum():
+    # one propagation pass decides every stretch; checked against the
+    # definition: the first stretch whose alternating trace sum is nonzero
+    # is the obstruction, with that sum as its value, and otherwise tau has
+    # the prescribed traces and is the boundary of sigma
+    outcomes = set()
+    for seed, rng in seeds(60, start=700):
+        field = Q if seed % 2 == 0 else PrimeField(7)
+        c = random_complex(rng, field, max_dim=4, length=rng.randint(1, 6), lo=rng.randint(-3, 3))
+        traces = {i: field.normalize(rng.randint(-3, 3)) for i in c.degrees if rng.random() < 0.8}
+        for run in complexes.stretches(c):
+            if rng.random() < 0.7:  # close this stretch through its last degree
+                closing = field.mul(field.alternating_sign(run.end), complexes.alternating_sum(field, run, traces))
+                traces[run.end] = field.sub(traces.get(run.end, field.zero), closing)
+        open_runs = [r for r in complexes.stretches(c) if complexes.alternating_sum(field, r, traces) != 0]
+        if open_runs:
+            with pytest.raises(StretchObstruction) as err:
+                prescribed_trace_nullhomotopy(c, traces)
+            first = open_runs[0]
+            assert (err.value.start, err.value.end) == (first.start, first.end)
+            assert err.value.value == complexes.alternating_sum(field, first, traces)
+            outcomes.add("obstruction")
+        else:
+            tau, sigma = prescribed_trace_nullhomotopy(c, traces)
+            for i in c.degrees:
+                assert tau.map(i).trace() == traces.get(i, field.zero)
+            assert homotopy_boundary(sigma) == tau
+            outcomes.add("tau")
+    assert outcomes == {"obstruction", "tau"}
+
+
 def test_prescribed_traces_reject_values_off_window():
     c = exact_two_term()
     with pytest.raises(ValueError):
