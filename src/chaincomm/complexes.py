@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .fields import Field, Scalar
 from .linalg import image_basis, kernel_basis
-from .matrices import Matrix, block_matrix, kron
+from .matrices import Matrix, block_matrix, first_nonzero_entry, kron
 
 
 class ChainComplex:
@@ -266,7 +266,7 @@ def _composite_failures(c: ChainComplex) -> tuple[str, ...]:
     return tuple(
         f"degree {i}: d({i + 1}) . d({i}) != 0"
         for i in range(c.lo, c.hi - 1)
-        if not (c.differential(i + 1) * c.differential(i)).is_zero()
+        if first_nonzero_entry([(1, c.differential(i + 1), c.differential(i))]) is not None
     )
 
 
@@ -276,7 +276,7 @@ def _commutation_failures(c: ChainComplex, maps: tuple[Matrix, ...]) -> tuple[st
     return tuple(
         f"degree {i}: d({i}) . phi({i}) != phi({i + 1}) . d({i})"
         for j, i in enumerate(range(c.lo, c.hi))
-        if c.differential(i) * maps[j] != maps[j + 1] * c.differential(i)
+        if first_nonzero_entry([(1, c.differential(i), maps[j]), (-1, maps[j + 1], c.differential(i))]) is not None
     )
 
 
@@ -386,9 +386,7 @@ class TraceReport:
 def alternating_sum(field: Field, run: Stretch, values: Mapping[int, Scalar]) -> Scalar:
     """The sum of (-1)^i values[i] over the stretch; a degree missing from
     ``values`` counts as zero."""
-    return field.normalize(
-        sum((field.mul(field.alternating_sign(i), values.get(i, field.zero)) for i in run.degrees()), start=0)
-    )
+    return field.normalize(sum(values.get(i, 0) if i % 2 == 0 else -values.get(i, 0) for i in run.degrees()))
 
 
 def trace_report(phi: ChainEndomorphism) -> TraceReport:

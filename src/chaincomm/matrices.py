@@ -25,6 +25,19 @@ integer and makes one big-integer multiply-add per left entry (Kronecker
 substitution, ``_residue_product``): a residue below 2^31 takes two 30-bit
 CPython digits, so each multiply of the dense kernel is a multi-digit one,
 and a 10x10 product over F_(2^31-1) takes about 50 us against 110 us.
+An identity is checked without forming a product: ``first_nonzero_entry``
+packs each row of every right-hand factor of a signed sum of products into
+one integer and compares each packed row of the sum with zero.  Its slots
+are wider than any entry of the integer sum can be, so a nonzero slot
+cannot be cancelled by the slots below it and the comparison is exact.
+Over Q no slot is ever read back, and reading slots back, not multiplying,
+is what made packed signed products lose to the dense kernel; over F_p
+each slot of the sum is read once, where forming the sides read every slot
+of every product and then subtracted.  A slot holds an entry of each factor
+side by side, so over Q, once the stored integers pass about 400 bits,
+dot products cost less, and the check computes the sum's entries by them.  The verifier, the complex and
+chain-map validators and the splitting's standard-form check all compare
+through it, so parsing and verifying a valid certificate form no product.
 ``Matrix.__mul__`` decides trivial products before either kernel, so
 callers need no guards: a zero operand (every empty shape is one) gives
 zero, an identity the other operand.  Stacking is one kernel,
@@ -420,6 +433,123 @@ def _residue_product(a: Matrix, b: Matrix) -> tuple[int, ...]:
             append((slots & mask) % p)
             slots >>= w
     return tuple(out)
+
+
+Term = tuple[int, Matrix, "Matrix | None"]
+"""One term of a signed sum of products: (sign, x, y), sign 1 or -1, stands
+for sign * x * y, or for sign * x when y is None."""
+
+
+def first_nonzero_entry(terms: Iterable[Term]) -> tuple[int, int] | None:
+    """The first entry, in row-major order, at which the sum of ``terms``
+    is nonzero, or None when the sum vanishes; no product is formed.
+
+    Fields and shapes are checked as ``Matrix.__mul__`` and ``+`` check them.
+    Terms with a zero operand (every empty shape is one) drop out.  Over Q
+    every term is put over D, the lcm over the terms of d_x d_y, by the
+    integer factor D / (d_x d_y); over F_p the factor is 1.  Each row of y
+    is packed into one integer, sum_j y_kj 2^(w j), so row i of the sum is
+    the integer sum_t sign factor sum_k x_ik packed_k, whose slot j holds
+    the entry (i, j) of the integer sum.  Every such entry is at most
+    M in absolute value, the sum over the terms of factor * inner dimension *
+    max|x| * max|y|, and w is chosen with 2^w > M, so no slot can be
+    cancelled by the slots below it (their total stays under one unit of its
+    place value): over Q the row is zero exactly when all its entries are,
+    and the lowest set bit of a nonzero row lies in its first nonzero slot.
+    Over F_p each slot is offset by a multiple of p at least M, so that it
+    is nonnegative and can be read back with a mask and ``% p``.  Over Q
+    with slots wider than ``_PACKED_SLOT_BITS`` the entries of the integer
+    sum are dot products instead, which then cost less."""
+    live, shape, field = [], None, None
+    for sign, x, y in terms:
+        if sign != 1 and sign != -1:
+            raise ValueError(f"sign must be 1 or -1, got {sign!r}")
+        if y is not None:
+            if y.field is not x.field and y.field != x.field:
+                raise ValueError("field mismatch")
+            if x.cols != y.rows:
+                raise ValueError(f"cannot multiply {x.shape} by {y.shape}")
+        term_shape = (x.rows, x.cols if y is None else y.cols)
+        if field is None:
+            shape, field = term_shape, x.field
+        elif x.field is not field and x.field != field:
+            raise ValueError("field mismatch")
+        elif term_shape != shape:
+            raise ValueError(f"shape mismatch: {shape} vs {term_shape}")
+        if any(x._ints) and (y is None or any(y._ints)):
+            live.append((sign, x, y))
+    if not live:
+        return None
+    rows, cols = shape
+    p = field.size if field.finite else 0
+    if p:
+        scales = [sign for sign, _, _ in live]
+        bound = sum((p - 1) * (1 if y is None else x.cols * (p - 1)) for _, x, y in live)
+        offset = -(-bound // p) * p
+        w = (offset + bound).bit_length()
+    else:
+        dens = [x._den if y is None else x._den * y._den for _, x, y in live]
+        den = lcm(*dens)
+        scales = [sign * (den // d) for (sign, _, _), d in zip(live, dens)]
+        bound = 0
+        for scale, (_, x, y) in zip(scales, live):
+            ints = x._ints
+            term_bound = abs(scale) * max(max(ints), -min(ints))
+            if y is not None:
+                ints = y._ints
+                term_bound *= x.cols * max(max(ints), -min(ints))
+            bound += term_bound
+        w = bound.bit_length()
+        if w > _PACKED_SLOT_BITS:
+            return _first_nonzero_dot(live, scales, rows, cols)
+    shifts = range(0, w * cols, w)
+    totals = None
+    for scale, (_, x, y) in zip(scales, live):
+        ints, width = (x if y is None else y)._ints, cols
+        packed = [sum(map(lshift, ints[k : k + width], shifts)) for k in range(0, len(ints), width)]
+        if scale != 1:
+            packed = [scale * v for v in packed]
+        if y is not None:
+            ints, width = x._ints, x.cols
+            packed = [sum(map(mul, ints[k : k + width], packed)) for k in range(0, len(ints), width)]
+        totals = packed if totals is None else list(map(add, totals, packed))
+    if not p:
+        for i, total in enumerate(totals):
+            if total:
+                return i, ((total & -total).bit_length() - 1) // w
+        return None
+    base, mask = sum(offset << s for s in shifts), (1 << w) - 1
+    for i, total in enumerate(totals):
+        total += base
+        for j in range(cols):
+            if (total & mask) % p:
+                return i, j
+            total >>= w
+    return None
+
+
+# Above this slot width a packed multiply-add costs more than the dot products
+# it replaces: the slot holds an entry of x and one of y side by side, so each
+# multiply is about twice as long as a dot product's (measured crossover:
+# stored integers of about 400 bits, at sizes 4 to 20).
+_PACKED_SLOT_BITS = 800
+
+
+def _first_nonzero_dot(live: list[Term], scales: list[int], rows: int, cols: int) -> tuple[int, int] | None:
+    """``first_nonzero_entry`` over Q for wide entries: the integer sum row
+    by row, each entry a dot product of the stored integers."""
+    parts = [
+        (scale, x._row_tuples(), None if y is None else y._column_tuples()) for scale, (_, x, y) in zip(scales, live)
+    ]
+    for i in range(rows):
+        row = [0] * cols
+        for scale, x_rows, y_columns in parts:
+            values = x_rows[i] if y_columns is None else [sum(map(mul, x_rows[i], c)) for c in y_columns]
+            row = list(map(add, row, values if scale == 1 else [scale * v for v in values]))
+        j = next((j for j, v in enumerate(row) if v), None)
+        if j is not None:
+            return i, j
+    return None
 
 
 def _rescaled(m: Matrix, den: int) -> tuple[int, ...]:

@@ -25,7 +25,7 @@ from .complexes import ChainComplex, ChainEndomorphism, Homotopy, validate_compl
 from .errors import BlockStructureError
 from .fields import Field
 from .linalg import extend_to_basis, is_invertible, kernel_and_pivots
-from .matrices import Grid, Matrix, block_matrix, check_blocks, split_blocks
+from .matrices import Grid, Matrix, block_matrix, check_blocks, first_nonzero_entry, split_blocks
 
 _UPPER_POSITIONS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 _LOWER_POSITIONS = ((1, 0), (2, 0), (2, 1))
@@ -215,8 +215,8 @@ def _split(c: ChainComplex, problems: Sequence[str]) -> Splitting:
 
     s = Splitting(c, block_dims, basis, inverse)
     for i in range(c.lo - 1, c.hi + 1):
-        conjugated = s.inverse_basis(i + 1) * c.differential(i) * s.basis(i)
-        if conjugated != s.standard_differential(i):
+        left = s.inverse_basis(i + 1) * c.differential(i)
+        if first_nonzero_entry([(1, left, s.basis(i)), (-1, s.standard_differential(i), None)]) is not None:
             raise BlockStructureError(f"conjugated differential at degree {i} is not in standard form")
     return s
 

@@ -1,7 +1,11 @@
 """Independent witness verification and brute-force oracles.
 
-The verifiers recompute every claimed identity from scratch with plain
-matrix arithmetic; they share no code with the constructions in
+The verifiers re-check every claimed identity from scratch, exactly: each
+is a signed sum of products, which
+:func:`chaincomm.matrices.first_nonzero_entry` tests for zero on packed rows
+without forming a product, and only a failing identity's first differing
+entry is computed (a homotopy witness's residual phi - (d s + s d) is one
+such sum and is never formed).  They share no code with the constructions in
 :mod:`chaincomm.witnesses` beyond the exact linear-algebra primitives and
 the witness containers of :mod:`chaincomm.complexes`, so a witness that
 passes here is trustworthy even if the construction code were wrong.  The
@@ -17,19 +21,23 @@ counterexample that defeats the pair-selection lemma.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
+from operator import mul
+from typing import Sequence, Union
 
 from .complexes import (
     ChainEndomorphism,
     CommutatorWitness,
+    Homotopy,
     HomotopyWitness,
     PointwiseWitness,
     chain_map_basis,
     commutator,
 )
-from .fields import PrimeField, render
+from .fields import PrimeField, Scalar, render
 from .linalg import solve_linear, sylvester_operator, sylvester_solve, is_invertible
-from .matrices import Matrix, enumerate_matrices
+from .matrices import Matrix, Term, enumerate_matrices, first_nonzero_entry
 
 
 @dataclass(frozen=True)
@@ -55,27 +63,55 @@ class VerificationResult:
         return not self.violations
 
 
-def _record(out: list[Violation], location: str, identity: str, left: Matrix, right: Matrix) -> None:
-    if left == right:
-        return
-    if left.shape != right.shape or left.field != right.field:
+Side = Union[Matrix, Sequence[Term]]
+"""One side of an identity: a matrix, or a signed sum of products given as
+the terms of :func:`chaincomm.matrices.first_nonzero_entry`."""
+
+
+def _terms(side: Side) -> Sequence[Term]:
+    return [(1, side, None)] if isinstance(side, Matrix) else side
+
+
+def _value(terms: Sequence[Term], i: int, j: int) -> Scalar:
+    """Entry (i, j) of a signed sum of products as a field scalar, summed on
+    the stored integers: one ``Fraction`` over Q, none over F_p."""
+    num, den = 0, 1
+    for sign, x, y in terms:
+        row = x.numerators[i * x.cols : (i + 1) * x.cols]
+        if y is None:
+            n, d = row[j], x.denominator
+        else:
+            n, d = sum(map(mul, row, y.numerators[j :: y.cols])), x.denominator * y.denominator
+        num, den = num * d + sign * n * den, den * d
+    field = terms[0][1].field
+    return num % field.size if field.finite else Fraction(num, den)
+
+
+def _record(out: list[Violation], location: str, identity: str, left: Side, right: Side) -> None:
+    """Append the violation of left = right to ``out``, if they differ.  The
+    sides are compared by one :func:`first_nonzero_entry`, which forms no
+    product, and only the first differing entry's values are computed."""
+    both_matrices = isinstance(left, Matrix) and isinstance(right, Matrix)
+    if both_matrices and (left.shape != right.shape or left.field != right.field):
         out.append(Violation(location, identity, repr(left), repr(right)))
         return
-    xs, ys = left.entries, right.entries
-    k = next(k for k, (x, y) in enumerate(zip(xs, ys)) if x != y)
-    out.append(Violation(location, identity, render(xs[k]), render(ys[k]), divmod(k, left.cols)))
+    left, right = _terms(left), _terms(right)
+    entry = first_nonzero_entry([*left, *((-sign, x, y) for sign, x, y in right)])
+    if entry is not None:
+        out.append(Violation(location, identity, render(_value(left, *entry)), render(_value(right, *entry)), entry))
 
 
 def _check_chain_map(name: str, endo: ChainEndomorphism, out: list[Violation]) -> None:
     c = endo.complex
     # off lo..hi - 1 both sides start or end at a zero space
     for i in range(c.lo, c.hi):
+        d = c.differential(i)
         _record(
             out,
             f"degree {i}",
             f"{name} commutes with the differential",
-            c.differential(i) * endo.map(i),
-            endo.map(i + 1) * c.differential(i),
+            [(1, d, endo.map(i))],
+            [(1, endo.map(i + 1), d)],
         )
 
 
@@ -90,7 +126,7 @@ def verify_commutator(phi: ChainEndomorphism, witness: CommutatorWitness) -> Ver
     _check_chain_map("beta", witness.beta, out)
     for i in phi.complex.degrees:
         a, b = witness.alpha.map(i), witness.beta.map(i)
-        _record(out, f"degree {i}", "[alpha, beta] = phi", a * b - b * a, phi.map(i))
+        _record(out, f"degree {i}", "[alpha, beta] = phi", [(1, a, b), (-1, b, a)], phi.map(i))
     return VerificationResult(tuple(out))
 
 
@@ -109,25 +145,32 @@ def verify_pointwise(phi: ChainEndomorphism, witness: PointwiseWitness) -> Verif
         if a.shape != (phi.complex.dim(i),) * 2 or b.shape != (phi.complex.dim(i),) * 2:
             out.append(Violation(f"degree {i}", "pair shapes match the space", str(a.shape), str(b.shape)))
             continue
-        _record(out, f"degree {i}", "[a_i, b_i] = phi_i", a * b - b * a, phi.map(i))
+        _record(out, f"degree {i}", "[a_i, b_i] = phi_i", [(1, a, b), (-1, b, a)], phi.map(i))
     return VerificationResult(tuple(out))
+
+
+class _Residual:
+    """phi - (d s + s d) in place of a ChainEndomorphism for the verifiers,
+    which read only ``complex`` and ``map``: its map at a degree is a sum of
+    products, so the residual is compared and never formed."""
+
+    def __init__(self, phi: ChainEndomorphism, s: Homotopy):
+        self.complex, self._phi, self._s = phi.complex, phi, s
+
+    def map(self, i: int) -> Side:
+        c, s = self.complex, self._s
+        boundary = [(-1, c.differential(i - 1), s.map(i)), (-1, s.map(i + 1), c.differential(i))]
+        return [*_terms(self._phi.map(i)), *boundary]
 
 
 def verify_homotopy_witness(phi: ChainEndomorphism, witness: HomotopyWitness) -> VerificationResult:
     """Re-check that phi minus the boundary of the homotopy equals the
     residual's commutator (chainwise or pointwise per residual kind)."""
-    c = phi.complex
-    s = witness.homotopy
-    if s.complex != c:
+    if witness.homotopy.complex != phi.complex:
         return VerificationResult(
             (Violation("complex", "homotopy lives on the same complex", "homotopy complex", "target complex"),)
         )
-    residual_maps = {
-        i: phi.map(i) - (c.differential(i - 1) * s.map(i) + s.map(i + 1) * c.differential(i))
-        for i in c.degrees
-    }
-    residual = ChainEndomorphism(c, [residual_maps[i] for i in c.degrees])
-    return verify_witness(residual, witness.residual)
+    return verify_witness(_Residual(phi, witness.homotopy), witness.residual)
 
 
 def verify_witness(phi: ChainEndomorphism, witness: object) -> VerificationResult:

@@ -44,7 +44,14 @@ from .errors import (
 )
 from .fields import Field, Scalar
 from .linalg import is_invertible, solve_linear, sylvester_solve
-from .matrices import Matrix, characteristic_polynomial, enumerate_matrices, index_quotients, zero_diagonal_form
+from .matrices import (
+    Matrix,
+    block_matrix,
+    characteristic_polynomial,
+    enumerate_matrices,
+    index_quotients,
+    zero_diagonal_form,
+)
 from .splitting import BlockData, Splitting, assemble, assemble_homotopy, extract_blocks, split_complex
 from .verify import verify_witness
 
@@ -565,8 +572,7 @@ def prescribed_trace_nullhomotopy(
         b = s.boundary_dim(i)
         if b == 0:
             return Matrix.zeros(field, 0, 0)
-        value = scalars[i]
-        return Matrix(field, b, b, (value if r == 0 and col == 0 else 0 for r in range(b) for col in range(b)))
+        return block_matrix(field, (1, b - 1), (1, b - 1), {(0, 0): Matrix(field, 1, 1, [scalars[i]])})
 
     sigma = assemble_homotopy(s, lambda i: {(2, 0): boundary_action(i)})
     return complexes.homotopy_boundary(sigma), sigma

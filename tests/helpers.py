@@ -9,10 +9,18 @@ from math import gcd, lcm
 
 from hypothesis import strategies as st
 
-from chaincomm.complexes import ChainComplex, ChainEndomorphism, cohomology
-from chaincomm.fields import GF2, RATIONALS, Field, PrimeField, Scalar
+from chaincomm.complexes import (
+    ChainComplex,
+    ChainEndomorphism,
+    CommutatorWitness,
+    HomotopyWitness,
+    PointwiseWitness,
+    cohomology,
+)
+from chaincomm.fields import GF2, RATIONALS, Field, PrimeField, Scalar, render
 from chaincomm.linalg import complement_basis, image_basis, kernel_basis, solve_linear
 from chaincomm.matrices import Matrix, hstack, zero_diagonal_form
+from chaincomm.verify import VerificationResult, Violation
 
 Q = RATIONALS
 F2 = GF2
@@ -423,3 +431,88 @@ def reference_value_quotients(m: Matrix, row_values, col_values) -> Matrix:
             for k, c in enumerate(col_values)
         ),
     )
+
+
+# -- product-based reference verifiers -----------------------------------------
+# The verifiers as they were before identities were compared by packed rows:
+# each side is formed with Matrix products, the homotopy's residual
+# phi - (d s + s d) as a chain endomorphism, and the first differing entry is
+# found on the sides' field scalars.
+
+
+def _reference_record(out: list, location: str, identity: str, left: Matrix, right: Matrix) -> None:
+    if left == right:
+        return
+    if left.shape != right.shape or left.field != right.field:
+        out.append(Violation(location, identity, repr(left), repr(right)))
+        return
+    xs, ys = left.entries, right.entries
+    k = next(k for k, (x, y) in enumerate(zip(xs, ys)) if x != y)
+    out.append(Violation(location, identity, render(xs[k]), render(ys[k]), divmod(k, left.cols)))
+
+
+def _reference_chain_map(name: str, endo: ChainEndomorphism, out: list) -> None:
+    c = endo.complex
+    for i in range(c.lo, c.hi):
+        _reference_record(
+            out,
+            f"degree {i}",
+            f"{name} commutes with the differential",
+            c.differential(i) * endo.map(i),
+            endo.map(i + 1) * c.differential(i),
+        )
+
+
+def reference_verify_commutator(phi: ChainEndomorphism, witness) -> VerificationResult:
+    out: list = []
+    if witness.alpha.complex != phi.complex or witness.beta.complex != phi.complex:
+        out.append(Violation("complex", "witness lives on the same complex", "witness complex", "target complex"))
+        return VerificationResult(tuple(out))
+    _reference_chain_map("alpha", witness.alpha, out)
+    _reference_chain_map("beta", witness.beta, out)
+    for i in phi.complex.degrees:
+        a, b = witness.alpha.map(i), witness.beta.map(i)
+        _reference_record(out, f"degree {i}", "[alpha, beta] = phi", a * b - b * a, phi.map(i))
+    return VerificationResult(tuple(out))
+
+
+def reference_verify_pointwise(phi: ChainEndomorphism, witness) -> VerificationResult:
+    out: list = []
+    if witness.complex != phi.complex:
+        out.append(Violation("complex", "witness lives on the same complex", "witness complex", "target complex"))
+        return VerificationResult(tuple(out))
+    for i in phi.complex.degrees:
+        pair = witness.pairs.get(i)
+        if pair is None:
+            n = phi.complex.dim(i)
+            pair = (Matrix.zeros(phi.complex.field, n, n), Matrix.zeros(phi.complex.field, n, n))
+        a, b = pair
+        if a.shape != (phi.complex.dim(i),) * 2 or b.shape != (phi.complex.dim(i),) * 2:
+            out.append(Violation(f"degree {i}", "pair shapes match the space", str(a.shape), str(b.shape)))
+            continue
+        _reference_record(out, f"degree {i}", "[a_i, b_i] = phi_i", a * b - b * a, phi.map(i))
+    return VerificationResult(tuple(out))
+
+
+def reference_verify_homotopy_witness(phi: ChainEndomorphism, witness) -> VerificationResult:
+    c = phi.complex
+    s = witness.homotopy
+    if s.complex != c:
+        return VerificationResult(
+            (Violation("complex", "homotopy lives on the same complex", "homotopy complex", "target complex"),)
+        )
+    residual = ChainEndomorphism(
+        c, [phi.map(i) - (c.differential(i - 1) * s.map(i) + s.map(i + 1) * c.differential(i)) for i in c.degrees]
+    )
+    return reference_verify_witness(residual, witness.residual)
+
+
+def reference_verify_witness(phi: ChainEndomorphism, witness) -> VerificationResult:
+    if isinstance(witness, CommutatorWitness):
+        return reference_verify_commutator(phi, witness)
+    if isinstance(witness, PointwiseWitness):
+        return reference_verify_pointwise(phi, witness)
+    if isinstance(witness, HomotopyWitness):
+        return reference_verify_homotopy_witness(phi, witness)
+    known = "CommutatorWitness|PointwiseWitness|HomotopyWitness"
+    return VerificationResult((Violation("witness", "known witness kind", type(witness).__name__, known),))

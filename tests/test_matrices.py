@@ -6,12 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
+from chaincomm.fields import GF2, MAX_RATIONAL_DIGITS, RATIONALS as Q, PrimeField
 from chaincomm.matrices import (
     Matrix,
     block_matrix,
     characteristic_polynomial,
     enumerate_matrices,
+    first_nonzero_entry,
     hstack,
     index_quotients,
     kron,
@@ -377,6 +378,144 @@ def test_packed_product_of_kernel_outputs(m):
             product = left * right
             assert product == naive_product(left, right)
             assert_canonical(product)
+
+
+# -- the identity kernel: signed sums of products compared by packed rows ------
+
+IDENTITY_FIELDS = (Q, GF2, PrimeField(7), F_M31)
+
+
+def identity_entries(field, wide=False):
+    """Residues toward p - 1 over F_p; over Q mixed denominators and
+    numerators up to the digit cap, powers of two among them, or, when
+    ``wide``, numerators of 400 to 1500 bits, past which the kernel takes dot
+    products instead of packed rows."""
+    if field.finite:
+        return near_top(field)
+    cap = 10**MAX_RATIONAL_DIGITS - 1
+    denominators = st.one_of(st.sampled_from([1, 2, 3, 6]), st.integers(min_value=1, max_value=10**12))
+    if wide:
+        magnitudes = st.integers(min_value=400, max_value=1500).flatmap(
+            lambda b: st.integers(min_value=2**b, max_value=2 ** (b + 1))
+        )
+        numerators = st.builds(lambda m, negative: -m if negative else m, magnitudes, st.booleans())
+        return st.builds(Fraction, numerators, denominators)
+    numerators = st.one_of(
+        st.sampled_from([0, 1, -1]),
+        st.integers(min_value=-50, max_value=50),
+        st.integers(min_value=0, max_value=cap.bit_length() - 1).flatmap(
+            lambda b: st.sampled_from([2**b, -(2**b), 2**b - 1])
+        ),
+        st.integers(min_value=-cap, max_value=cap),
+    )
+    return st.builds(Fraction, numerators, denominators)
+
+
+@st.composite
+def signed_sums(draw):
+    """1-5 terms over one field with a result shape in 0..6 x 0..6, each a
+    lone matrix or a product with an inner dimension in 0..6; over Q the
+    entries are wide in half the draws, and in half the draws they are
+    mostly zero, so that zero operands drop out."""
+    field = draw(st.sampled_from(IDENTITY_FIELDS))
+    dims = st.integers(min_value=0, max_value=6)
+    rows, cols = draw(dims), draw(dims)
+    elements = identity_entries(field, wide=draw(st.booleans()))
+    if draw(st.booleans()):
+        elements = mostly_zero(elements, field.zero)
+    terms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=5))):
+        sign = draw(st.sampled_from((1, -1)))
+        if draw(st.booleans()):
+            terms.append((sign, draw(matrices(field, rows, cols, elements=elements)), None))
+        else:
+            inner = draw(dims)
+            x = draw(matrices(field, rows, inner, elements=elements))
+            terms.append((sign, x, draw(matrices(field, inner, cols, elements=elements))))
+    return terms
+
+
+def matrix_sum(terms):
+    """The sum of the terms by Matrix arithmetic."""
+    _, x, y = terms[0]
+    total = Matrix.zeros(x.field, x.rows, (x if y is None else y).cols)
+    for sign, x, y in terms:
+        value = x if y is None else x * y
+        total = total + value if sign == 1 else total - value
+    return total
+
+
+def first_nonzero(m):
+    k = next((k for k, v in enumerate(m.numerators) if v), None)
+    return None if k is None else divmod(k, m.cols)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_sums(), st.data())
+def test_identity_kernel_matches_the_sum_of_products(terms, data):
+    total = matrix_sum(terms)
+    assert first_nonzero_entry(terms) == first_nonzero(total)
+    assert (first_nonzero_entry(terms) is None) == total.is_zero()
+    # the sum made to vanish, then one entry of one term changed by +-1
+    balanced = [*terms, (-1, total, None)]
+    assert first_nonzero_entry(balanced) is None
+    spots = [(t, k) for t, (_, x, _) in enumerate(balanced) for k in range(x.rows * x.cols)]
+    if spots:
+        t, k = data.draw(st.sampled_from(spots))
+        sign, x, y = balanced[t]
+        entries = list(x.entries)
+        entries[k] += data.draw(st.sampled_from((1, -1)))
+        changed = [*balanced[:t], (sign, Matrix(x.field, x.rows, x.cols, entries), y), *balanced[t + 1 :]]
+        expected = first_nonzero(matrix_sum(changed))
+        assert first_nonzero_entry(changed) == expected
+        if y is None:  # a lone matrix's change is the sum's change
+            assert expected == divmod(k, x.cols)
+
+
+@pytest.mark.parametrize("b", (1, 30, 64, 1000))
+def test_identity_kernel_slots_are_wide_enough(b):
+    # each sum has an entry 2^k and, one slot up, -1: with slots one bit
+    # narrower than the kernel's, or a bound without the inner dimension, the
+    # upper slot would cancel the lower one
+    lone = [(1, Matrix(Q, 1, 3, [0, 2**b, -1]), None)]
+    products = [(1, Matrix(Q, 1, 1, [2**b]), Matrix(Q, 1, 2, [2**b, 0])), (1, mat(Q, [[1]]), mat(Q, [[0, -1]]))]
+    inner = [(1, Matrix(Q, 1, 2, [2**b] * 2), Matrix(Q, 2, 2, [2**b, 0] * 2)), (1, mat(Q, [[1]]), mat(Q, [[0, -1]]))]
+    over = [(-1, Matrix(Q, 1, 2, [Fraction(2**b, 3), Fraction(-1, 3)]), None)]
+    assert [first_nonzero_entry(t) for t in (lone, products, inner, over)] == [(0, 1), (0, 0), (0, 0), (0, 0)]
+
+
+@pytest.mark.parametrize("field", IDENTITY_FIELDS[1:], ids=lambda f: f"F{f.size}")
+def test_identity_kernel_reads_negative_and_full_slots(field):
+    p = field.size
+    # -(1 + (p - 1)) = -p: zero in F_p, a negative slot before the offset
+    assert first_nonzero_entry([(-1, mat(field, [[1, 1]]), mat(field, [[1], [p - 1]]))]) is None
+    assert first_nonzero_entry([(-1, mat(field, [[1, 1]]), mat(field, [[1], [p - 2 if p > 2 else 0]]))]) == (0, 0)
+    # every slot of f . f is 6 (p - 1)^2, the largest at inner dimension 6
+    full = Matrix(field, 6, 6, [p - 1] * 36)
+    sixes = Matrix(field, 6, 6, [6] * 36)
+    assert first_nonzero_entry([(1, full, full), (-1, sixes, None)]) is None
+    assert first_nonzero_entry([(1, full, full), (-1, full, full), (1, full, full), (-1, sixes, None)]) is None
+    assert first_nonzero_entry([(-1, full, full), (-1, sixes, None)]) == (None if 12 % p == 0 else (0, 0))
+
+
+def test_identity_kernel_checks_its_terms():
+    a = Matrix.identity(Q, 2)
+    zero = Matrix.zeros(Q, 2, 2)
+    for terms, message in (
+        ([(1, a, Matrix.zeros(Q, 3, 2))], "cannot multiply"),
+        ([(1, zero, Matrix.zeros(Q, 3, 2))], "cannot multiply"),
+        ([(1, a, None), (1, Matrix.zeros(Q, 2, 3), None)], "shape mismatch"),
+        ([(1, a, a), (-1, Matrix.zeros(Q, 0, 2), a)], "shape mismatch"),
+        ([(1, a, Matrix.identity(GF2, 2))], "field mismatch"),
+        ([(1, a, None), (1, Matrix.identity(GF2, 2), None)], "field mismatch"),
+        ([(2, a, None)], "sign must be 1 or -1"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            first_nonzero_entry(terms)
+    assert first_nonzero_entry([]) is None
+    assert first_nonzero_entry([(1, Matrix.zeros(Q, 0, 3), Matrix.zeros(Q, 3, 4))]) is None
+    empty_inner = [(1, Matrix.zeros(Q, 3, 0), Matrix.zeros(Q, 0, 4)), (-1, Matrix.zeros(Q, 3, 4), None)]
+    assert first_nonzero_entry(empty_inner) is None
 
 
 # -- trivial products: a zero or identity operand skips both kernels -----------

@@ -8,7 +8,14 @@ import pytest
 
 import chaincomm
 from chaincomm.cli import main
-from chaincomm.complexes import ChainComplex, ChainEndomorphism, Homotopy, commutator
+from chaincomm.complexes import (
+    ChainComplex,
+    ChainEndomorphism,
+    Homotopy,
+    commutator,
+    validate_chain_map,
+    validate_complex,
+)
 from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
 from chaincomm.generate import random_chain_map, random_complex, random_endomorphism
 from chaincomm.jsonio import encode_verification, parse_document, serialize_document
@@ -35,7 +42,15 @@ from chaincomm.witnesses import (
     pointwise_commutator_witness,
 )
 
-from helpers import corner_window, exact_two_term, mat, seeds, zero_differential_complex
+from helpers import (
+    F_M31,
+    corner_window,
+    exact_two_term,
+    mat,
+    reference_verify_witness,
+    seeds,
+    zero_differential_complex,
+)
 
 F3 = PrimeField(3)
 F5 = PrimeField(5)
@@ -217,6 +232,114 @@ def test_verifier_and_parser_import_no_construction_code():
             elif isinstance(node, ast.Import):
                 imported.update(part for alias in node.names for part in alias.name.split("."))
         assert not imported & {"witnesses", "splitting", "generate"}, name
+
+
+# -- packed identity checks against the product-based verifiers ---------------
+
+
+def _four_kinds(rng, field):
+    """(phi, witness) for each witness kind on one random complex: a
+    commutator of two random chain maps, and the builders of theorems 1, 3
+    and 4."""
+    c = random_complex(rng, field, max_dim=3, length=4)
+    alpha, beta = random_chain_map(rng, c), random_chain_map(rng, c)
+    cases = [(commutator(alpha, beta), CommutatorWitness(alpha, beta))]
+    for ensure, builder in (
+        ("t1", pointwise_commutator_witness),
+        ("t3", homotopy_commutator_witness),
+        ("t4", homotopy_pointwise_witness),
+    ):
+        phi = random_endomorphism(rng, c, ensure=ensure)
+        cases.append((phi, builder(phi)))
+    return cases
+
+
+def _bumped(rng, maps):
+    """``maps`` with one entry of one nonempty matrix changed by +-1, or None
+    when every matrix is empty."""
+    spots = [(j, k) for j, m in enumerate(maps) for k in range(m.rows * m.cols)]
+    if not spots:
+        return None
+    j, k = rng.choice(spots)
+    m = maps[j]
+    entries = list(m.entries)
+    entries[k] += rng.choice((1, -1))
+    return [*maps[:j], Matrix(m.field, m.rows, m.cols, entries), *maps[j + 1 :]]
+
+
+def _one_entry_changed(rng, phi, witness):
+    """Variants of (phi, witness), each with one entry of one map changed:
+    of phi, of the homotopy, and of each map family of the residual."""
+    c = phi.complex
+    homotopy = witness.homotopy if isinstance(witness, HomotopyWitness) else None
+    residual = witness.residual if homotopy is not None else witness
+
+    def wrap(r, s=homotopy):
+        return r if s is None else HomotopyWitness(s, r)
+
+    variants = []
+    maps = _bumped(rng, list(phi.maps))
+    if maps is not None:
+        variants.append((ChainEndomorphism(c, maps), witness))
+    if homotopy is not None:
+        maps = _bumped(rng, list(homotopy.maps))
+        if maps is not None:
+            variants.append((phi, wrap(residual, Homotopy(c, maps))))
+    if isinstance(residual, CommutatorWitness):
+        for which in ("alpha", "beta"):
+            maps = _bumped(rng, list(getattr(residual, which).maps))
+            if maps is not None:
+                parts = {"alpha": residual.alpha, "beta": residual.beta, which: ChainEndomorphism(c, maps)}
+                variants.append((phi, wrap(CommutatorWitness(parts["alpha"], parts["beta"]))))
+    else:
+        degrees = sorted(residual.pairs)
+        maps = _bumped(rng, [m for i in degrees for m in residual.pairs[i]])
+        if maps is not None:
+            pairs = {i: (maps[2 * t], maps[2 * t + 1]) for t, i in enumerate(degrees)}
+            variants.append((phi, wrap(PointwiseWitness(c, pairs))))
+    return variants
+
+
+@pytest.mark.parametrize("field", (Q, F7, F_M31), ids=("Q", "F7", "F2^31-1"))
+def test_packed_verifier_equals_the_product_based_verifier(field):
+    # every verdict, violation, entry and value of the packed identity checks
+    # equals the verifier that formed each side with Matrix products
+    accepted = rejected = 0
+    for seed, rng in seeds(12):
+        for phi, witness in _four_kinds(rng, field):
+            assert verify_witness(phi, witness) == reference_verify_witness(phi, witness)
+            assert verify_witness(phi, witness).ok
+            accepted += 1
+            for bad_phi, bad_witness in _one_entry_changed(rng, phi, witness):
+                result = verify_witness(bad_phi, bad_witness)
+                assert result == reference_verify_witness(bad_phi, bad_witness)
+                rejected += not result.ok
+    assert accepted == 48 and rejected > 48
+
+
+def test_parsing_and_verifying_a_valid_certificate_form_no_product(monkeypatch):
+    # the parser's complex and chain-map checks and every identity of the
+    # verifier compare packed rows; a valid certificate of each kind is
+    # parsed and accepted without one Matrix product
+    rng = random.Random(5)
+    documents = []
+    for field in (Q, F_M31):
+        for phi, witness in _four_kinds(rng, field):
+            documents.append(json.loads(json.dumps(serialize_document(phi.complex, phi, [witness]))))
+    calls = []
+    product = Matrix.__mul__
+
+    def counted(a, b):
+        calls.append((a.shape, b.shape))
+        return product(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", counted)
+    for document in documents:
+        validate_complex.cache_clear()
+        validate_chain_map.cache_clear()
+        parsed = parse_document(document)
+        assert verify_witness(parsed.endomorphism, parsed.witnesses[0]).ok
+    assert calls == []
 
 
 # -- single-matrix brute force ----------------------------------------------------
