@@ -9,10 +9,13 @@ arrays of row arrays; every expected shape is determined by the window and
 dimensions, so empty matrices are unambiguous.
 
 Parsing returns domain objects or raises :class:`SchemaError` carrying all
-violations, each with a machine-readable code and a JSON-path location.  A
-matrix whose cells are all canonical is checked and converted in one pass
-over the whole matrix, building no ``Fraction``; any other matrix is walked
-cell by cell, which names every violation in order.
+violations, each with a machine-readable code and a JSON-path location.  The
+cells of every matrix a document holds, at the shapes its window and
+dimensions fix, are checked and converted in one batch per document,
+building no ``Fraction``: over Q one pattern over the comma-joined cells
+and one ``gcd`` per cell, over F_p one ``min`` and one ``max``.  A document
+that fails anywhere in the batch is walked matrix by matrix and cell by
+cell instead, which names every violation in order.
 """
 
 from __future__ import annotations
@@ -43,10 +46,13 @@ FORMAT_VERSION = "1"
 _RATIONAL_RE = re.compile(r"(-?([0-9]+))(?:/([0-9]+))?")
 
 _NONZERO_MAGNITUDE = f"[1-9][0-9]{{0,{MAX_RATIONAL_DIGITS - 1}}}"
-_CANONICAL_RATIONAL_RE = re.compile(rf"0|-?{_NONZERO_MAGNITUDE}(?:/(?!1\Z){_NONZERO_MAGNITUDE})?")
-"""The one spelling ``_decode_scalar`` accepts, lowest terms aside: ASCII
-digits within the digit cap, no leading zeros, no "-0", and a denominator,
-when written, neither 0 nor 1."""
+_CANONICAL_CELL = rf"(?:0|-?{_NONZERO_MAGNITUDE}(?:/(?!1(?:,|\Z)){_NONZERO_MAGNITUDE})?)"
+_CANONICAL_CELLS_RE = re.compile(rf"{_CANONICAL_CELL}(?:,{_CANONICAL_CELL})*")
+"""Comma-joined cells, each in the one spelling ``_decode_scalar`` accepts,
+lowest terms aside: ASCII digits within the digit cap, no leading zeros, no
+"-0", and a denominator, when written, neither 0 nor 1 (a "1" that ends its
+cell).  It reads a cell holding a comma as two cells, so the caller counts
+the commas too."""
 
 MAX_TOTAL_DIMENSION = 10_000
 """Largest sum of ``dims`` a document may declare.  Zero matrices off and at
@@ -61,7 +67,11 @@ unrelated denominators would hold integers as long as all of them together
 in each of its entries."""
 
 _DENOMINATOR_LIMIT = 10**MAX_DENOMINATOR_DIGITS
-_LCM_BLOCK = 256
+
+_BLOCK = 256
+"""Cells taken at a time by one ``lcm`` (see ``_decode_matrix``) or by one
+match of the joined pattern, which keeps a few hundred bytes of backtracking
+state for each cell it has matched until the match ends."""
 
 
 @dataclass(frozen=True)
@@ -91,8 +101,12 @@ class Document:
 
 
 class _Collector:
+    """What one parse has found: the violations, and the entries of the
+    matrices the document batch decoded (see ``_decode_batch``)."""
+
     def __init__(self) -> None:
         self.violations: list[SchemaViolation] = []
+        self.decoded: dict[tuple[int, int], tuple[list, Any]] = {}
 
     def add(self, code: str, path: str, message: str) -> None:
         self.violations.append(SchemaViolation(code, path, message))
@@ -215,8 +229,10 @@ def _decode_matrix(
     if len(raw) != rows:
         errors.add("shape_mismatch", path, f"expected {rows} rows, got {len(raw)}")
         return None
-    entries = _canonical_cells(field, raw, cols)
-    if entries is None:
+    batched = errors.decoded.get((id(raw), cols))
+    if batched is not None:
+        entries = batched[1]
+    else:
         entries = _decode_cells(field, raw, cols, path, errors)
         if entries is None:
             return None
@@ -227,8 +243,8 @@ def _decode_matrix(
     # that refusing a matrix costs time linear in its size
     nums, dens = entries
     den = 1
-    for k in range(0, len(dens), _LCM_BLOCK):
-        den = lcm(den, *dens[k : k + _LCM_BLOCK])
+    for k in range(0, len(dens), _BLOCK):
+        den = lcm(den, *dens[k : k + _BLOCK])
         if den >= _DENOMINATOR_LIMIT:
             errors.add(
                 "denominator_too_large",
@@ -239,35 +255,95 @@ def _decode_matrix(
     return Matrix.from_ratios(field, rows, cols, nums, dens, den)
 
 
-def _canonical_cells(field: Field, raw: list, cols: int) -> list | tuple[list[int], list[int]] | None:
-    """The entries of a matrix whose rows all hold ``cols`` cells, each in
-    its one canonical spelling, checked and converted a whole matrix at a
-    time: the residues over F_p, the numerators and the denominators over Q.
-    None when any row or cell is not, for ``_decode_cells`` to report."""
-    if not all(type(row) is list and len(row) == cols for row in raw):
-        return None
-    cells = list(chain.from_iterable(raw))
+def _document_matrices(data: dict, dims: list[int]) -> list[tuple[Any, tuple[int, int]]]:
+    """Every matrix ``parse_document`` reads from ``data``, with the shape it
+    reads it at: the differentials, the endomorphism and each witness's
+    maps.  Empty when an array of matrices or a witness is not laid out as
+    that walk expects, leaving every matrix to the walk, which reports it."""
+    square = [(n, n) for n in dims]
+    groups = [(data.get("differentials", []), list(zip(dims[1:], dims)))]
+    if data.get("endomorphism") is not None:
+        groups.append((data["endomorphism"], square))
+    raw_witnesses = data.get("witnesses")
+    if raw_witnesses is not None:
+        if type(raw_witnesses) is not list:
+            return []
+        for raw in raw_witnesses:
+            kind = raw.get("type") if type(raw) is dict else None
+            if kind not in _WITNESS_TYPES:
+                return []
+            if kind.startswith("homotopy_"):
+                # the homotopy at degree lo + j maps V_j to V_(j-1)
+                groups.append((raw.get("homotopy"), list(zip((0, *dims), dims))))
+            if kind.endswith("pointwise"):
+                pairs = raw.get("pairs")
+                if type(pairs) is not list or not all(type(pair) is list and len(pair) == 2 for pair in pairs):
+                    return []
+                groups.append((list(chain.from_iterable(pairs)), [shape for shape in square for _ in "ab"]))
+            else:
+                groups += [(raw.get("alpha"), square), (raw.get("beta"), square)]
+    matrices = []
+    for raw, shapes in groups:
+        if type(raw) is not list or len(raw) != len(shapes):
+            return []
+        matrices += zip(raw, shapes)
+    return matrices
+
+
+def _decode_batch(
+    field: Field, matrices: list[tuple[Any, tuple[int, int]]]
+) -> dict[tuple[int, int], tuple[list, Any]]:
+    """The entries of the matrices of ``_document_matrices``, in the form
+    ``_decode_cells`` gives them, checked and converted as one batch of
+    cells: one type test, then over Q one pattern over the comma-joined
+    cells (a block at a time), one ``int`` pass and one ``gcd`` per cell for
+    lowest terms, over F_p one ``min`` and one ``max``.  Keyed by the ``id``
+    of a matrix's array and its column count (an empty array has any), each
+    with that array, so that no other array takes its ``id`` during the
+    parse.  Empty when any row or cell fails, leaving the whole document to
+    the walk, which reports it."""
+    rows, widths = [], []
+    for raw, (r, c) in matrices:
+        if type(raw) is not list or len(raw) != r:
+            return {}
+        rows += raw
+        widths += [c] * r
+    if not set(map(type, rows)) <= {list} or list(map(len, rows)) != widths:
+        return {}
+    cells = list(chain.from_iterable(rows))
     if field.finite:
         if not set(map(type, cells)) <= {int} or (cells and (min(cells) < 0 or max(cells) >= field.size)):
-            return None
-        return cells
-    if not (set(map(type, cells)) <= {str} and all(map(_CANONICAL_RATIONAL_RE.fullmatch, cells))):
-        return None
-    halves = [c.partition("/") for c in cells]
-    nums = [int(n) for n, _, _ in halves]
-    dens = [int(d) if d else 1 for _, _, d in halves]
-    # the gcd of an integer with its denominator 1 is 1
-    if max(map(gcd, nums, dens), default=1) != 1:
-        return None
-    return nums, dens
+            return {}
+    else:
+        if not set(map(type, cells)) <= {str}:
+            return {}
+        for k in range(0, len(cells), _BLOCK):
+            block = cells[k : k + _BLOCK]
+            text = ",".join(block)
+            # a cell holding a comma would read as two canonical cells
+            if text.count(",") != len(block) - 1 or not _CANONICAL_CELLS_RE.fullmatch(text):
+                return {}
+        halves = [cell.partition("/") for cell in cells]
+        nums = [int(n) for n, _, _ in halves]
+        dens = [int(d) if d else 1 for _, _, d in halves]
+        # the gcd of an integer with its denominator 1 is 1
+        if max(map(gcd, nums, dens), default=1) != 1:
+            return {}
+    decoded = {}
+    start = 0
+    for raw, (r, c) in matrices:
+        end = start + r * c
+        decoded[id(raw), c] = (raw, cells[start:end] if field.finite else (nums[start:end], dens[start:end]))
+        start = end
+    return decoded
 
 
 def _decode_cells(
     field: Field, raw: list, cols: int, path: str, errors: _Collector
 ) -> list | tuple[list[int], list[int]] | None:
-    """The entries, row-major, cell by cell, in the form ``_canonical_cells``
-    gives them; None after recording every malformed row and cell in
-    order."""
+    """The entries, row-major, cell by cell: the residues over F_p, the
+    numerators and the denominators over Q; None after recording every
+    malformed row and cell in order."""
     entries: list = []
     ok = True
     for i, row in enumerate(raw):
@@ -319,11 +395,12 @@ def _decode_field(raw: Any, errors: _Collector) -> Field | None:
         errors.add("field_invalid", "field", "field must be an object")
         return None
     kind = raw.get("kind")
-    if kind == "Q":
-        extra = set(raw) - {"kind"}
+    if kind in ("Q", "Fp"):
+        extra = set(raw) - ({"kind"} if kind == "Q" else {"kind", "p"})
         if extra:
             errors.add("field_invalid", "field", f"unexpected keys {sorted(extra)}")
             return None
+    if kind == "Q":
         return Rationals()
     if kind == "Fp":
         p = raw.get("p")
@@ -378,6 +455,7 @@ def parse_document(data: Any) -> Document:
     errors.raise_if_any()
     assert field is not None and dims is not None
 
+    errors.decoded = _decode_batch(field, _document_matrices(data, dims))
     differential_shapes = [(dims[j + 1], dims[j]) for j in range(len(dims) - 1)]
     differentials = _decode_matrix_list(
         field, data.get("differentials", []), differential_shapes, "differentials", errors

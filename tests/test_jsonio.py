@@ -268,62 +268,164 @@ def test_decodes_each_rational_in_lowest_terms():
 
 _NEAR_MISSES = {
     "Q": ["01", "-0", "1/01", "0/5", "2/4", "3/1", "\u0663", "5\n", 1.5, True, -1]
-    + ["9" * (MAX_RATIONAL_DIGITS + 1), "1/" + "9" * (MAX_RATIONAL_DIGITS + 1)],
+    + ["9" * (MAX_RATIONAL_DIGITS + 1), "1/" + "9" * (MAX_RATIONAL_DIGITS + 1)]
+    # what a check over the comma-joined cells could misread
+    + ["1,2", "1/2,3", "", "-", "/", "2/1", "1/1,2"],
     "Fp": ["3", 1.0, True, False, -1, None],
 }
 
 
 @st.composite
-def wire_matrices(draw):
-    """(field, rows, cols, cells): a matrix as JSON arrays of canonical
-    spellings, with up to two cells replaced by near misses and, in one
-    draw in ten, a row one cell short."""
+def wire_documents(draw):
+    """(field, document, clean): a whole document as JSON, built from
+    canonical spellings: its differentials alternately random and zero, so
+    they form a complex; its endomorphism a scalar, a random map (rarely a
+    chain map) or absent; and one witness of each kind with random maps.
+    Unless clean, up to three cells of any matrices are near misses and, in
+    one draw in four, a row is one cell short."""
     field = draw(st.sampled_from([Q, PrimeField(5), PrimeField(2**31 - 1)]))
-    rows, cols = draw(st.integers(min_value=0, max_value=4)), draw(st.integers(min_value=0, max_value=4))
+    dims = draw(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4))
     if field.finite:
-        valid = st.integers(min_value=0, max_value=field.size - 1)
+        zero, valid = 0, st.integers(min_value=0, max_value=field.size - 1)
         near = st.sampled_from(_NEAR_MISSES["Fp"] + [field.size])
     else:
         numerators = st.one_of(st.sampled_from([0, 1, -1]), st.integers(min_value=-(10**40), max_value=10**40))
-        denominators = st.one_of(st.sampled_from([1, 2, 3]), st.integers(min_value=1, max_value=10**40))
+        denominators = st.one_of(st.sampled_from([1, 2, 3, 10]), st.integers(min_value=1, max_value=10**40))
+        zero = "0"
         valid = st.one_of(
             st.builds(Fraction, numerators, denominators).map(lambda x: encode_scalar(Q, x)),
-            st.just("-" + "9" * MAX_RATIONAL_DIGITS),
+            # a denominator written with a leading 1, beside "2/1" among the misses
+            st.sampled_from(["-" + "9" * MAX_RATIONAL_DIGITS, "3/10", "-1/100", "10/11"]),
         )
         near = st.sampled_from(_NEAR_MISSES["Q"])
-    cells = [draw(st.lists(valid, min_size=cols, max_size=cols)) for _ in range(rows)]
-    if rows and cols:
-        for _ in range(draw(st.integers(min_value=0, max_value=2))):
-            i, j = draw(st.integers(min_value=0, max_value=rows - 1)), draw(st.integers(min_value=0, max_value=cols - 1))
-            cells[i][j] = draw(near)
-        if draw(st.integers(min_value=0, max_value=9)) == 0:
-            cells[draw(st.integers(min_value=0, max_value=rows - 1))].pop()
-    return field, rows, cols, cells
+
+    def matrix(rows, cols, random=True):
+        return [draw(st.lists(valid, min_size=cols, max_size=cols)) if random else [zero] * cols for _ in range(rows)]
+
+    def square():
+        return [matrix(n, n) for n in dims]
+
+    def homotopy():
+        return [matrix(m, n) for m, n in zip([0, *dims], dims)]
+
+    def pairs():
+        return [[matrix(n, n), matrix(n, n)] for n in dims]
+
+    raw = {"format_version": "1", "field": encode_field(field), "lo": 0, "hi": len(dims) - 1, "dims": dims}
+    raw["differentials"] = [matrix(dims[j + 1], dims[j], j % 2 == 0) for j in range(len(dims) - 1)]
+    endomorphism = draw(st.sampled_from(["scalar", "random", "absent"]))
+    if endomorphism == "scalar":
+        c = draw(valid)
+        raw["endomorphism"] = [[[c if i == j else zero for j in range(n)] for i in range(n)] for n in dims]
+    elif endomorphism == "random":
+        raw["endomorphism"] = square()
+    raw["witnesses"] = [
+        {"type": "pointwise", "pairs": pairs()},
+        {"type": "commutator", "alpha": square(), "beta": square()},
+        {"type": "homotopy_pointwise", "homotopy": homotopy(), "pairs": pairs()},
+        {"type": "homotopy_commutator", "homotopy": homotopy(), "alpha": square(), "beta": square()},
+    ]
+    clean = draw(st.booleans())
+    rows = [row for row in _rows_of(raw) if row]
+    if not clean and rows:
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            row = draw(st.sampled_from(rows))
+            row[draw(st.integers(min_value=0, max_value=len(row) - 1))] = draw(near)
+        if draw(st.integers(min_value=0, max_value=3)) == 0:
+            draw(st.sampled_from(rows)).pop()
+    return field, raw, clean
 
 
-@settings(max_examples=300, deadline=None)
-@given(wire_matrices())
-def test_one_pass_decoding_equals_the_per_cell_walk(case):
-    # a complex of two degrees, so the one differential is checked against nothing
-    from chaincomm.jsonio import _Collector, _decode_scalar
+def _rows_of(raw):
+    """Every row of every matrix in a document as ``wire_documents`` lays it out."""
+    maps = list(raw["differentials"]) + list(raw.get("endomorphism") or [])
+    for witness in raw["witnesses"]:
+        maps += [m for key in ("homotopy", "alpha", "beta") for m in witness.get(key, [])]
+        maps += [m for pair in witness.get("pairs", []) for m in pair]
+    return [row for m in maps for row in m]
 
-    field, rows, cols, cells = case
-    raw = {"format_version": "1", "field": encode_field(field), "lo": 0, "hi": 1, "dims": [cols, rows]}
-    raw["differentials"] = [cells]
-    expected, walk = [], _Collector()
-    for i, row in enumerate(cells):
-        if len(row) != cols:
-            walk.add("shape_mismatch", f"differentials[0][{i}]", f"expected a row of {cols} entries")
-            continue
-        expected += [_decode_scalar(field, c, f"differentials[0][{i}][{j}]", walk) for j, c in enumerate(row)]
+
+def _parsed(raw):
     try:
-        decoded = parse_document(raw).complex.differential(0)
+        return parse_document(raw)
     except SchemaError as err:
-        assert walk.violations and list(err.violations) == walk.violations
-    else:
-        assert not walk.violations
-        scalars = expected if field.finite else [Fraction(*pair) for pair in expected]
-        assert decoded == Matrix(field, rows, cols, scalars)
+        return list(err.violations)
+
+
+def _q_example(cell, clean=False):
+    """A Q document with ``cell`` ahead of the endomorphism's two cells."""
+    raw = {"format_version": "1", "field": {"kind": "Q"}, "lo": 0, "hi": 1, "dims": [1, 1], "witnesses": []}
+    return Q, {**raw, "differentials": [[[cell]]], "endomorphism": [[["1"]], [["1"]]]}, clean
+
+
+@settings(max_examples=200, deadline=None)
+# each miss alone among canonical cells, where only a joined check could
+# misread it; "3/10" ahead of another cell is canonical
+@example(_q_example("2/1"))
+@example(_q_example("1,2"))
+@example(_q_example("1/2,3"))
+@example(_q_example(""))
+@example(_q_example("-"))
+@example(_q_example("/"))
+@example(_q_example("3/10", clean=True))
+@given(wire_documents())
+def test_one_pass_decoding_equals_the_per_cell_walk(case):
+    # the walk the batch falls back to is the reference: run with the batch
+    # decoding nothing, it reads every matrix cell by cell
+    from unittest import mock
+
+    from chaincomm import jsonio
+
+    field, raw, clean = case
+    with mock.patch.object(jsonio, "_decode_batch", lambda field, matrices: {}):
+        walked = _parsed(raw)
+    with mock.patch.object(jsonio, "_decode_cells", wraps=jsonio._decode_cells) as per_cell:
+        batched = _parsed(raw)
+    assert batched == walked
+    if clean:
+        # every matrix of a canonical document comes from the batch
+        assert per_cell.call_count == 0
+    if isinstance(batched, list):
+        # a canonical document can fail only on its algebra
+        assert not clean or {v.code for v in batched} == {"endomorphism_not_chain_map"}
+        return
+    dims, scalar = raw["dims"], int if field.finite else Fraction
+    assert batched.complex.stored_differentials == tuple(
+        Matrix(field, dims[j + 1], dims[j], [scalar(c) for row in d for c in row])
+        for j, d in enumerate(raw["differentials"])
+    )
+
+
+def test_the_denominator_cap_is_per_matrix():
+    # each differential's lcm is under the cap, their union's is not; the
+    # complex is one because the second differential's first column is zero
+    big = 10 ** (MAX_RATIONAL_DIGITS - 1)
+    raw = {"format_version": "1", "field": {"kind": "Q"}, "lo": 0, "hi": 2, "dims": [2, 2, 3]}
+    first = [[f"1/{big}", f"1/{big + 1}"], ["0", "0"]]
+    raw["differentials"] = [first, [["0", f"1/{big - 1}"], ["0", f"1/{big + 3}"], ["0", "0"]]]
+    assert parse_document(raw).complex.differential(1).entry(1, 1) == Fraction(1, big + 3)
+    raw["differentials"] = [first, [["0", f"1/{big - 1}"], ["0", f"1/{big + 1}"], ["0", f"1/{big + 3}"]]]
+    with pytest.raises(SchemaError) as err:
+        parse_document(raw)
+    assert [(v.code, v.path) for v in err.value.violations] == [("denominator_too_large", "differentials[1]")]
+
+
+def test_the_batch_holds_little_beside_the_cells():
+    # the joined pattern keeps backtracking state for every cell it has
+    # matched, about 600 bytes each for a cell like "-12/35", so it is run a
+    # block of cells at a time; the whole parse then peaks under 300 bytes a cell
+    import tracemalloc
+
+    n = 5000
+    raw = {"format_version": "1", "field": {"kind": "Q"}, "lo": 0, "hi": 1, "dims": [2, n]}
+    raw["differentials"] = [[["-12/35", "7/9"] for _ in range(n)]]
+    tracemalloc.start()
+    try:
+        parse_document(raw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 300 * 2 * n
 
 
 def test_rejects_bad_window_and_dims():
@@ -399,6 +501,7 @@ ZERO_PAIR = [[["0"]], [["0"]]]
             "witness_invalid",
             "witnesses[0].pairs[0]",
         ),
+        ({"field": {"kind": "Fp", "p": 2, "q": 3}}, "field_invalid", "field"),
         (None, "bad_document", "$"),
     ],
 )
