@@ -9,13 +9,16 @@ arrays of row arrays; every expected shape is determined by the window and
 dimensions, so empty matrices are unambiguous.
 
 Parsing returns domain objects or raises :class:`SchemaError` carrying all
-violations, each with a machine-readable code and a JSON-path location.  The
-cells of every matrix a document holds, at the shapes its window and
-dimensions fix, are checked and converted in one batch per document,
-building no ``Fraction``: over Q one pattern over the comma-joined cells
-and one ``gcd`` per cell, over F_p one ``min`` and one ``max``.  A document
-that fails anywhere in the batch is walked matrix by matrix and cell by
-cell instead, which names every violation in order.
+violations, each with a machine-readable code and a JSON-path location.  A
+key the format does not name, at the top level or in a witness, is refused.
+One walk over the document reads it, and is the only reader of its layout.
+Each array of matrices the walk reaches (the differentials, the
+endomorphism, a witness's homotopy, alpha, beta or pairs) has its cells
+checked and converted in one batch at the shapes the window and dimensions
+fix, building no ``Fraction``: over Q one pattern over the comma-joined
+cells and one ``gcd`` per cell, over F_p one ``min`` and one ``max``.  An
+array that fails anywhere in its batch is walked matrix by matrix and cell
+by cell instead, which names every violation in order.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ in each of its entries."""
 _DENOMINATOR_LIMIT = 10**MAX_DENOMINATOR_DIGITS
 
 _BLOCK = 256
-"""Cells taken at a time by one ``lcm`` (see ``_decode_matrix``) or by one
+"""Cells taken at a time by one ``lcm`` (see ``_matrix``) or by one
 match of the joined pattern, which keeps a few hundred bytes of backtracking
 state for each cell it has matched until the match ends."""
 
@@ -101,12 +104,10 @@ class Document:
 
 
 class _Collector:
-    """What one parse has found: the violations, and the entries of the
-    matrices the document batch decoded (see ``_decode_batch``)."""
+    """The violations one parse has found."""
 
     def __init__(self) -> None:
         self.violations: list[SchemaViolation] = []
-        self.decoded: dict[tuple[int, int], tuple[list, Any]] = {}
 
     def add(self, code: str, path: str, message: str) -> None:
         self.violations.append(SchemaViolation(code, path, message))
@@ -220,6 +221,19 @@ def encode_matrix(m: Matrix) -> list[list[str | int]]:
     return [cells[i * m.cols : (i + 1) * m.cols] for i in range(m.rows)]
 
 
+def _decode_matrices(
+    field: Field, matrices: list[tuple[Any, int, int, str]], errors: _Collector
+) -> list[Matrix | None]:
+    """The matrices of one array, each given as (raw, rows, cols, path), or
+    None for each after recording its violations.  Their cells are checked
+    and converted in one batch; if any row or cell fails, each matrix is
+    walked cell by cell instead, which names every violation in order."""
+    batch = _decode_batch(field, matrices)
+    if batch is None:
+        return [_decode_matrix(field, raw, rows, cols, path, errors) for raw, rows, cols, path in matrices]
+    return [_matrix(field, r, c, entries, path, errors) for (_, r, c, path), entries in zip(matrices, batch)]
+
+
 def _decode_matrix(
     field: Field, raw: Any, rows: int, cols: int, path: str, errors: _Collector
 ) -> Matrix | None:
@@ -229,13 +243,14 @@ def _decode_matrix(
     if len(raw) != rows:
         errors.add("shape_mismatch", path, f"expected {rows} rows, got {len(raw)}")
         return None
-    batched = errors.decoded.get((id(raw), cols))
-    if batched is not None:
-        entries = batched[1]
-    else:
-        entries = _decode_cells(field, raw, cols, path, errors)
-        if entries is None:
-            return None
+    entries = _decode_cells(field, raw, cols, path, errors)
+    if entries is None:
+        return None
+    return _matrix(field, rows, cols, entries, path, errors)
+
+
+def _matrix(field: Field, rows: int, cols: int, entries: Any, path: str, errors: _Collector) -> Matrix | None:
+    """The matrix of entries in the form ``_decode_cells`` gives them."""
     if field.finite:
         return Matrix.from_canonical(field, rows, cols, entries)
     # the matrix stores every entry over the lcm of the denominators, so the
@@ -255,87 +270,49 @@ def _decode_matrix(
     return Matrix.from_ratios(field, rows, cols, nums, dens, den)
 
 
-def _document_matrices(data: dict, dims: list[int]) -> list[tuple[Any, tuple[int, int]]]:
-    """Every matrix ``parse_document`` reads from ``data``, with the shape it
-    reads it at: the differentials, the endomorphism and each witness's
-    maps.  Empty when an array of matrices or a witness is not laid out as
-    that walk expects, leaving every matrix to the walk, which reports it."""
-    square = [(n, n) for n in dims]
-    groups = [(data.get("differentials", []), list(zip(dims[1:], dims)))]
-    if data.get("endomorphism") is not None:
-        groups.append((data["endomorphism"], square))
-    raw_witnesses = data.get("witnesses")
-    if raw_witnesses is not None:
-        if type(raw_witnesses) is not list:
-            return []
-        for raw in raw_witnesses:
-            kind = raw.get("type") if type(raw) is dict else None
-            if kind not in _WITNESS_TYPES:
-                return []
-            if kind.startswith("homotopy_"):
-                # the homotopy at degree lo + j maps V_j to V_(j-1)
-                groups.append((raw.get("homotopy"), list(zip((0, *dims), dims))))
-            if kind.endswith("pointwise"):
-                pairs = raw.get("pairs")
-                if type(pairs) is not list or not all(type(pair) is list and len(pair) == 2 for pair in pairs):
-                    return []
-                groups.append((list(chain.from_iterable(pairs)), [shape for shape in square for _ in "ab"]))
-            else:
-                groups += [(raw.get("alpha"), square), (raw.get("beta"), square)]
-    matrices = []
-    for raw, shapes in groups:
-        if type(raw) is not list or len(raw) != len(shapes):
-            return []
-        matrices += zip(raw, shapes)
-    return matrices
-
-
-def _decode_batch(
-    field: Field, matrices: list[tuple[Any, tuple[int, int]]]
-) -> dict[tuple[int, int], tuple[list, Any]]:
-    """The entries of the matrices of ``_document_matrices``, in the form
-    ``_decode_cells`` gives them, checked and converted as one batch of
-    cells: one type test, then over Q one pattern over the comma-joined
-    cells (a block at a time), one ``int`` pass and one ``gcd`` per cell for
-    lowest terms, over F_p one ``min`` and one ``max``.  Keyed by the ``id``
-    of a matrix's array and its column count (an empty array has any), each
-    with that array, so that no other array takes its ``id`` during the
-    parse.  Empty when any row or cell fails, leaving the whole document to
-    the walk, which reports it."""
+def _decode_batch(field: Field, matrices: list[tuple[Any, int, int, str]]) -> list | None:
+    """The entries of each of ``matrices``, in the form ``_decode_cells``
+    gives them, checked and converted as one batch of cells: over Q one
+    pattern over the comma-joined cells (a block at a time; the join refuses
+    a cell that is not a string), one ``int`` pass and one ``gcd`` per cell
+    for lowest terms, over F_p one type test, one ``min`` and one ``max``.
+    None when any matrix, row or cell fails, leaving every matrix to the
+    walk, which reports it."""
     rows, widths = [], []
-    for raw, (r, c) in matrices:
+    for raw, r, c, _ in matrices:
         if type(raw) is not list or len(raw) != r:
-            return {}
+            return None
         rows += raw
         widths += [c] * r
     if not set(map(type, rows)) <= {list} or list(map(len, rows)) != widths:
-        return {}
+        return None
     cells = list(chain.from_iterable(rows))
     if field.finite:
         if not set(map(type, cells)) <= {int} or (cells and (min(cells) < 0 or max(cells) >= field.size)):
-            return {}
+            return None
     else:
-        if not set(map(type, cells)) <= {str}:
-            return {}
         for k in range(0, len(cells), _BLOCK):
             block = cells[k : k + _BLOCK]
-            text = ",".join(block)
+            try:
+                text = ",".join(block)
+            except TypeError:  # a cell that is not a string
+                return None
             # a cell holding a comma would read as two canonical cells
             if text.count(",") != len(block) - 1 or not _CANONICAL_CELLS_RE.fullmatch(text):
-                return {}
+                return None
         halves = [cell.partition("/") for cell in cells]
         nums = [int(n) for n, _, _ in halves]
         dens = [int(d) if d else 1 for _, _, d in halves]
         # the gcd of an integer with its denominator 1 is 1
         if max(map(gcd, nums, dens), default=1) != 1:
-            return {}
-    decoded = {}
+            return None
+    batch = []
     start = 0
-    for raw, (r, c) in matrices:
+    for _, r, c, _ in matrices:
         end = start + r * c
-        decoded[id(raw), c] = (raw, cells[start:end] if field.finite else (nums[start:end], dens[start:end]))
+        batch.append(cells[start:end] if field.finite else (nums[start:end], dens[start:end]))
         start = end
-    return decoded
+    return batch
 
 
 def _decode_cells(
@@ -375,15 +352,9 @@ def _decode_matrix_list(
     if len(raw) != len(shapes):
         errors.add("shape_mismatch", path, f"expected {len(shapes)} matrices, got {len(raw)}")
         return None
-    out = []
-    ok = True
-    for j, (item, (r, c)) in enumerate(zip(raw, shapes)):
-        m = _decode_matrix(field, item, r, c, f"{path}[{j}]", errors)
-        if m is None:
-            ok = False
-        else:
-            out.append(m)
-    return out if ok else None
+    items = [(item, r, c, f"{path}[{j}]") for j, (item, (r, c)) in enumerate(zip(raw, shapes))]
+    out = _decode_matrices(field, items, errors)
+    return None if any(m is None for m in out) else out
 
 
 # ---------------------------------------------------------------------------
@@ -418,11 +389,17 @@ def _decode_field(raw: Any, errors: _Collector) -> Field | None:
     return None
 
 
+_DOCUMENT_KEYS = {"format_version", "field", "lo", "hi", "dims", "differentials", "endomorphism", "witnesses"}
+
+
 def parse_document(data: Any) -> Document:
     errors = _Collector()
     if not isinstance(data, dict):
         errors.add("bad_document", "$", "document must be a JSON object")
         errors.raise_if_any()
+    extra = set(data) - _DOCUMENT_KEYS
+    if extra:
+        errors.add("bad_document", "$", f"unexpected keys {sorted(extra)}")
 
     version = data.get("format_version")
     if version != FORMAT_VERSION:
@@ -455,7 +432,6 @@ def parse_document(data: Any) -> Document:
     errors.raise_if_any()
     assert field is not None and dims is not None
 
-    errors.decoded = _decode_batch(field, _document_matrices(data, dims))
     differential_shapes = [(dims[j + 1], dims[j]) for j in range(len(dims) - 1)]
     differentials = _decode_matrix_list(
         field, data.get("differentials", []), differential_shapes, "differentials", errors
@@ -500,21 +476,21 @@ def _parse_pairs(
     if not isinstance(raw, list) or len(raw) != len(dims):
         errors.add("witness_invalid", path, f"expected {len(dims)} pairs")
         return None
-    pairs = {}
-    ok = True
-    for j, item in enumerate(raw):
-        if not isinstance(item, list) or len(item) != 2:
-            errors.add("witness_invalid", f"{path}[{j}]", "expected a pair of matrices")
-            ok = False
+    well_formed = [isinstance(item, list) and len(item) == 2 for item in raw]
+    # the pairs are one batch, or with a malformed pair one batch each, so
+    # that a malformed pair is reported in its place among the others' cells
+    groups = [range(len(raw))] if all(well_formed) else [[j] for j in range(len(raw))]
+    matrices: list = []
+    for group in groups:
+        if not well_formed[group[0]]:
+            errors.add("witness_invalid", f"{path}[{group[0]}]", "expected a pair of matrices")
+            matrices += [None, None]
             continue
-        n = dims[j]
-        a = _decode_matrix(complex.field, item[0], n, n, f"{path}[{j}][0]", errors)
-        b = _decode_matrix(complex.field, item[1], n, n, f"{path}[{j}][1]", errors)
-        if a is None or b is None:
-            ok = False
-        else:
-            pairs[complex.lo + j] = (a, b)
-    return pairs if ok else None
+        items = [(m, dims[j], dims[j], f"{path}[{j}][{k}]") for j in group for k, m in enumerate(raw[j])]
+        matrices += _decode_matrices(complex.field, items, errors)
+    if any(m is None for m in matrices):
+        return None
+    return {complex.lo + j: (matrices[2 * j], matrices[2 * j + 1]) for j in range(len(dims))}
 
 
 def _decode_graded(cls: type, complex: ChainComplex, raw: Any, path: str, errors: _Collector):
@@ -539,9 +515,15 @@ def _parse_witness(complex: ChainComplex, raw: Any, path: str, errors: _Collecto
         errors.add("witness_invalid", f"{path}.type", f"unknown witness type {kind!r}")
         return None
     homotopic = kind.startswith("homotopy_")
+    pointwise = kind.endswith("pointwise")
+    maps = ({"homotopy"} if homotopic else set()) | ({"pairs"} if pointwise else {"alpha", "beta"})
+    extra = set(raw) - maps - {"type"}
+    if extra:
+        errors.add("witness_invalid", path, f"unexpected keys {sorted(extra)}")
+        return None
     if homotopic:
         homotopy = _decode_graded(Homotopy, complex, raw.get("homotopy"), f"{path}.homotopy", errors)
-    if kind.endswith("pointwise"):
+    if pointwise:
         pairs = _parse_pairs(complex, raw.get("pairs"), f"{path}.pairs", errors)
         residual = PointwiseWitness(complex, pairs) if pairs is not None else None
     else:

@@ -122,3 +122,27 @@ def test_witnesses_check_no_commutator_identity():
     path = pathlib.Path(chaincomm.__file__).parent / "witnesses.py"
     lines = _swapped_product_differences(ast.parse(path.read_text(encoding="utf-8")))
     assert not lines, f"witnesses.py forms x * y - y * x at lines {lines}"
+
+
+def _functions_spelling(tree: ast.Module, words: set[str]) -> set[str]:
+    """Names of the top-level definitions (``<module>`` for other statements)
+    that hold a string constant among ``words``."""
+    found = set()
+    for top in tree.body:
+        name = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Constant) and node.value in words:
+                found.add(name)
+    return found
+
+
+def test_only_the_walk_and_the_writer_spell_the_witness_maps():
+    # parse_document's walk is the one reading of the witness schema, so the
+    # schema cannot be forked into a second reader that drifts from it
+    keys = {"pairs", "homotopy", "alpha", "beta"}
+    sample = 'def f(raw):\n    return raw["alpha"]\n\n\ndef g():\n    """the pairs"""\n\n\nKEYS = ("homotopy",)'
+    assert _functions_spelling(ast.parse(sample), keys) == {"f", "<module>"}
+    path = pathlib.Path(chaincomm.__file__).parent / "jsonio.py"
+    spelled = _functions_spelling(ast.parse(path.read_text(encoding="utf-8")), keys)
+    allowed = {"_parse_witness", "encode_witness", "_encode_residual"}
+    assert spelled <= allowed, f"jsonio.py spells witness keys in {sorted(spelled - allowed)}"

@@ -377,7 +377,7 @@ def test_one_pass_decoding_equals_the_per_cell_walk(case):
     from chaincomm import jsonio
 
     field, raw, clean = case
-    with mock.patch.object(jsonio, "_decode_batch", lambda field, matrices: {}):
+    with mock.patch.object(jsonio, "_decode_batch", lambda field, matrices: None):
         walked = _parsed(raw)
     with mock.patch.object(jsonio, "_decode_cells", wraps=jsonio._decode_cells) as per_cell:
         batched = _parsed(raw)
@@ -484,7 +484,22 @@ def test_rejects_unknown_witness_type():
     assert codes_of(err.value) == {"witness_invalid"}
 
 
+def test_violations_in_a_pairs_list_keep_their_order():
+    # a malformed pair is reported between the cells of the pairs around it
+    raw = {"format_version": "1", "field": {"kind": "Q"}, "lo": 0, "hi": 2, "dims": [1, 1, 1]}
+    raw["differentials"] = [[["0"]], [["0"]]]
+    raw["witnesses"] = [{"type": "pointwise", "pairs": [[[["2/4"]], [["0"]]], [[["0"]]], [[["0"]], [["1/0"]]]]}]
+    with pytest.raises(SchemaError) as err:
+        parse_document(raw)
+    assert [(v.code, v.path) for v in err.value.violations] == [
+        ("rational_not_reduced", "witnesses[0].pairs[0][0][0][0]"),
+        ("witness_invalid", "witnesses[0].pairs[1]"),
+        ("rational_invalid", "witnesses[0].pairs[2][1][0][0]"),
+    ]
+
+
 ZERO_PAIR = [[["0"]], [["0"]]]
+ONES = [[["1"]], [["1"]]]
 
 
 @pytest.mark.parametrize(
@@ -503,6 +518,13 @@ ZERO_PAIR = [[["0"]], [["0"]]]
         ),
         ({"field": {"kind": "Fp", "p": 2, "q": 3}}, "field_invalid", "field"),
         (None, "bad_document", "$"),
+        # an unread key would let two texts stand for one certificate
+        ({"extra": 1}, "bad_document", "$"),
+        (
+            {"witnesses": [{"type": "commutator", "alpha": ONES, "beta": ONES, "pairs": "junk", "homotopy": 7}]},
+            "witness_invalid",
+            "witnesses[0]",
+        ),
     ],
 )
 def test_schema_violation_names_its_code_and_path(changes, code, path):
