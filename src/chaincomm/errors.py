@@ -93,7 +93,8 @@ class ValueTooLong(ConstructionLimitation):
 
 
 class FiniteFieldUnsupported(ConstructionLimitation):
-    """The requested construction is only available over an infinite field."""
+    """Nothing raises this any more: every construction runs on every field.
+    It stays importable for callers that catch it."""
 
 
 class BlockStructureError(RuntimeError):

@@ -5,7 +5,7 @@ Given a chain endomorphism phi, this module decides and certifies:
 * pointwise commutator       -- each phi_i = [a_i, b_i] with no chain condition
                                 (--theorem 1 on the CLI),
 * commutator                 -- phi = [alpha, beta] with alpha, beta chain maps
-                                (--theorem 2; infinite field required),
+                                (--theorem 2),
 * homotopic to a commutator  -- phi - (dS + Sd) = [alpha, beta]
                                 (--theorem 3),
 * homotopic to a pointwise commutator (--theorem 4).
@@ -16,12 +16,16 @@ returns only a witness that it accepts; the identities a witness must satisfy
 are written down there once, not again here.  So the commutator
 factorizations are not multiplied back, and each stretch condition of
 theorem 4 is decided by the propagation that builds its correction.
+
+Every builder runs on every field.  Over a small finite field one may end
+in a ConstructionLimitation, which claims nothing about the input:
+FieldTooSmall, or for theorem 2 also SelectionExhausted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from . import complexes
 from .complexes import (
@@ -37,7 +41,6 @@ from .complexes import (
 )
 from .errors import (
     FieldTooSmall,
-    FiniteFieldUnsupported,
     SelectionExhausted,
     StretchObstruction,
     TraceObstruction,
@@ -249,24 +252,20 @@ def _factored(m: Matrix) -> _Factors:
 # eigenvalues are compared as integer sets.
 
 
-def _scalar_candidates(field: Field, exclusion_bound: int) -> Iterable[int]:
-    """Scan order for scalar shifts: all elements over a finite field; the
-    integers 0..exclusion_bound over Q (each invertibility condition excludes
-    at most its operator's size many scalars, so the bound suffices)."""
-    if field.finite:
-        return field.elements()
-    return range(exclusion_bound + 1)
-
-
 def _first_shift(field: Field, bound: int, attempt: Callable[[int], object], stage: str, i: int) -> tuple[int, object]:
-    """The first scalar of the scan for which ``attempt`` returns something
-    true, and what it returned."""
-    for scalar in _scalar_candidates(field, bound):
+    """The first scalar of the scan 0, 1, ..., bound (capped at p over F_p)
+    for which ``attempt`` returns something true, and what it returned.
+    Each invertibility condition excludes at most its operator's size many
+    scalars, ``bound``, over every field (eigenvalues in the algebraic
+    closure count too), so only a field of at most ``bound`` elements can
+    exhaust the scan; it raises SelectionExhausted."""
+    candidates = range(min(bound + 1, field.size) if field.finite else bound + 1)
+    for scalar in candidates:
         found = attempt(scalar)
         if found:
             return scalar, found
-    if not field.finite:
-        raise AssertionError("scalar scan over Q exhausted its exclusion bound")
+    if len(candidates) > bound:
+        raise AssertionError("scalar scan exhausted its exclusion bound")
     raise SelectionExhausted(stage, i)
 
 
@@ -289,19 +288,12 @@ def _coprime(coefficients: Sequence[Scalar], a: Matrix) -> Matrix | None:
 
 def _shift_test(fixed: Sequence[_Factors], moving: _Factors) -> Callable[[int], bool]:
     """The test of a scalar c: whether moving.p + c I shares no eigenvalue
-    with any fixed.p.  Empty matrices pass vacuously.  When every spectrum is
-    known, c must avoid the differences d - e of eigenvalues d of a fixed p
-    and e of moving.p; otherwise chi_{moving.p}(fixed.p - c I) must be
-    invertible."""
-    fixed = [f for f in fixed if f.p.rows]
-    if not fixed or not moving.p.rows:
-        return lambda c: True
+    with any fixed.p, all of known spectrum: c must avoid the differences
+    d - e of eigenvalues d of a fixed p and e of moving.p.  Empty matrices
+    pass vacuously."""
     field = moving.p.field
-    if moving.eigenvalues is not None and all(f.eigenvalues is not None for f in fixed):
-        forbidden = {_residue(field, d - e) for f in fixed for d in f.eigenvalues for e in moving.eigenvalues}
-        return lambda c: c not in forbidden
-    chi = characteristic_polynomial(moving.p)
-    return lambda c: all(_coprime(chi, _shift(f.p, -c)) is not None for f in fixed)
+    forbidden = {_residue(field, d - e) for f in fixed for d in f.eigenvalues for e in moving.eigenvalues}
+    return lambda c: c not in forbidden
 
 
 def select_separated_pairs(
@@ -311,13 +303,15 @@ def select_separated_pairs(
     spectral-separation condition families (see :class:`PairSelection`).
     A matrix of nonzero trace, or over another field, raises ValueError.
 
-    The left factors of the second family are shifted by scalars (scanned
-    0, 1, 2, ... over Q, all elements over F_p) until the mixed and cross
-    separations hold; then the right factors of the first family are shifted
-    index by index, sweeping upward, until the right-factor separations
-    hold.  Shifting by a scalar never disturbs the commutator identities.
-    Over an infinite field each condition excludes finitely many scalars, so
-    the scans terminate; over a finite field exhaustion raises
+    Every factor must carry its left factor's eigenbasis: a matrix that
+    only exhaustive search factors (size <= 3 over F_2 or F_3) raises
+    FieldTooSmall.  The left factors of the second family are shifted by
+    scalars (scanned 0, 1, 2, ..., see :func:`_first_shift`) until the mixed
+    and cross separations hold; then the right factors of the first family
+    are shifted index by index, sweeping upward, until the right-factor
+    separations hold.  Shifting by a scalar never disturbs the commutator
+    identities.  Each condition excludes finitely many scalars, so the scans
+    terminate; over a field too small for the scan, exhaustion raises
     SelectionExhausted.
 
     No Kronecker operator is built.  The first scalar that separates s_i
@@ -331,6 +325,10 @@ def select_separated_pairs(
             raise ValueError("field mismatch")
     first_factors = [_factored(m) for m in first]
     second_factors = [_factored(m) for m in second]
+    if any(f.eigenvalues is None for f in (*first_factors, *second_factors)):
+        raise FieldTooSmall(
+            "a block factored only by exhaustive search carries no eigenbasis for Lemma A's Sylvester solves"
+        )
 
     for i, s in enumerate(second_factors):
         neighbours = first_factors[i : i + 2]  # p_i and p_{i+1}, where they exist
@@ -447,12 +445,6 @@ def commutator_witness_detailed(
     back.
     """
     c = phi.complex
-    field = c.field
-    if field.finite:
-        raise FiniteFieldUnsupported(
-            "the chain-commutator construction requires an infinite field; "
-            "no claim is made about existence over finite fields"
-        )
     require_chain_map(phi)
     _check_traces(c, lambda i: complexes.degree_trace(phi, i), "degree")
     s = split_complex(c)
@@ -460,7 +452,7 @@ def commutator_witness_detailed(
     _check_traces(c, lambda i: blocks.cohomology_block(i).trace(), "cohomology")
     first = [blocks.boundary_block(i) for i in range(c.lo, c.hi + 2)]
     second = [blocks.cohomology_block(i) for i in c.degrees]
-    selection = select_separated_pairs(first, second, field)
+    selection = select_separated_pairs(first, second, c.field)
 
     mixed_solutions: dict[int, Matrix] = {}
     corner_solutions: dict[int, Matrix] = {}
@@ -597,28 +589,18 @@ def homotopy_pointwise_witness(phi: ChainEndomorphism) -> HomotopyWitness:
 # analysis
 
 
-_THEOREM_NOTES = {
-    "theorem1": "pointwise commutator",
-    "theorem2": "commutator of chain maps",
-    "theorem3": "homotopic to a commutator",
-    "theorem4": "homotopic to a pointwise commutator",
+_THEOREMS = {
+    "theorem1": ("degree_traces_vanish", "pointwise commutator"),
+    "theorem2": ("degree_and_cohomology_traces_vanish", "commutator of chain maps"),
+    "theorem3": ("cohomology_traces_vanish", "homotopic to a commutator"),
+    "theorem4": ("stretch_traces_vanish", "homotopic to a pointwise commutator"),
 }
 
 
 def analyze(phi: ChainEndomorphism) -> Analysis:
-    """Evaluate all four trace conditions and report which witness
-    constructions this library can attempt."""
+    """Evaluate all four trace conditions.  Every construction is available
+    on every field; over a small finite field one may still end in a
+    ConstructionLimitation."""
     report = trace_report(phi)
-    finite = phi.complex.field.finite
-    verdicts = {
-        "theorem1": Verdict(report.degree_traces_vanish, True, _THEOREM_NOTES["theorem1"]),
-        "theorem2": Verdict(
-            report.degree_and_cohomology_traces_vanish,
-            not finite,
-            _THEOREM_NOTES["theorem2"]
-            + ("; construction unavailable (requires an infinite field)" if finite else ""),
-        ),
-        "theorem3": Verdict(report.cohomology_traces_vanish, True, _THEOREM_NOTES["theorem3"]),
-        "theorem4": Verdict(report.stretch_traces_vanish, True, _THEOREM_NOTES["theorem4"]),
-    }
+    verdicts = {name: Verdict(getattr(report, flag), True, note) for name, (flag, note) in _THEOREMS.items()}
     return Analysis(report, verdicts)

@@ -24,7 +24,7 @@ from chaincomm.complexes import (
     trace_report,
     validate_chain_map,
 )
-from chaincomm.errors import FiniteFieldUnsupported, StretchObstruction, TraceObstruction
+from chaincomm.errors import SelectionExhausted, StretchObstruction, TraceObstruction
 from chaincomm.fields import GF2, RATIONALS as Q
 from chaincomm.generate import random_chain_map, random_complex, random_endomorphism, random_homotopy
 from chaincomm.matrices import Matrix, enumerate_matrices
@@ -259,10 +259,12 @@ def test_negative_controls():
             pointwise_commutator_witness(lopsided)
         assert err.value.degree == 0
 
-        # over F_2 the chain-commutator construction refuses
-        f2 = ChainComplex(GF2, 0, [1], [])
-        with pytest.raises(FiniteFieldUnsupported):
-            commutator_witness(ChainEndomorphism.zero(f2))
+        # over F_2 the chain-commutator construction refuses, as a
+        # limitation, where every shift of Lemma A's scan fails
+        rng = random.Random(1)
+        f2_window = random_complex(rng, GF2, max_dim=3, length=3)
+        with pytest.raises(SelectionExhausted):
+            commutator_witness(random_endomorphism(rng, f2_window, ensure="t2"))
 
 
 # ---------------------------------------------------------------------------

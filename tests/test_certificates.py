@@ -1,11 +1,11 @@
 """Certificate bytes are part of the contract: identical inputs must give
 byte-identical certificates across versions of the library, so a third party
-can compare what two versions served; a change to the digest below means
-some certificate byte changed.  It was re-recorded when the zero-diagonal
-form of Lemma A's factorizations changed from Fillmore's recursion (a
-rank-two update per step) to transvections with pivots chosen by height:
-the factors p and q are different, equally valid witnesses with shorter
-entries.  On these 30 certificates the total size fell from 595,120 to
+can compare what two versions served; a change to a digest below means
+some certificate byte changed.  EXPECTED_SHA256 was re-recorded when the
+zero-diagonal form of Lemma A's factorizations changed from Fillmore's
+recursion (a rank-two update per step) to transvections with pivots chosen
+by height: the factors p and q are different, equally valid witnesses with
+shorter entries.  On these 30 certificates the total size fell from 595,120 to
 419,983 bytes and the longest numerator or denominator from 168 to 57
 digits; every certificate still verifies."""
 
@@ -31,19 +31,25 @@ BUILDERS = {
     4: homotopy_pointwise_witness,
 }
 
-# (field, theorems): theorem 2 is refused over finite fields
+# (field, theorems) pinned by EXPECTED_SHA256; theorem 2 over the finite
+# fields, which it was first built on later, is pinned by its own digest
 CASES = (
     (Q, (1, 2, 3, 4)),
     (PrimeField(101), (1, 3, 4)),
     (PrimeField(2**31 - 1), (1, 3, 4)),
 )
+FINITE_THEOREM2_CASES = (
+    (PrimeField(101), (2,)),
+    (PrimeField(2**31 - 1), (2,)),
+)
 SEEDS = (1, 2, 3)
 
 EXPECTED_SHA256 = "62b869e96387d4fa77cc81f0504212efdaae3c1defa636227f0e1c402ce9cab3"
+FINITE_THEOREM2_SHA256 = "94ad38ebe18afd355f8f0d4240ccc050e2c1e7438b75441e12504c28b40da58c"
 
 
-def certificate_texts():
-    for field, theorems in CASES:
+def certificate_texts(cases):
+    for field, theorems in cases:
         for theorem in theorems:
             for seed in SEEDS:
                 rng = random.Random(1000 * theorem + seed)
@@ -53,9 +59,17 @@ def certificate_texts():
                 yield json.dumps(serialize_document(c, phi, [witness]), indent=2, sort_keys=True)
 
 
+def digest(cases):
+    sha = hashlib.sha256()
+    for text in certificate_texts(cases):
+        sha.update(text.encode())
+        sha.update(b"\n")
+    return sha.hexdigest()
+
+
 def test_certificates_are_byte_stable():
-    digest = hashlib.sha256()
-    for text in certificate_texts():
-        digest.update(text.encode())
-        digest.update(b"\n")
-    assert digest.hexdigest() == EXPECTED_SHA256
+    assert digest(CASES) == EXPECTED_SHA256
+
+
+def test_finite_field_theorem2_certificates_are_byte_stable():
+    assert digest(FINITE_THEOREM2_CASES) == FINITE_THEOREM2_SHA256

@@ -59,7 +59,7 @@ def test_analyze_fixture(capsys, tmp_path):
     }
     assert payload["degree_traces"] == {"0": 0, "1": 0, "2": 0, "3": 0}
     assert payload["cohomology_traces"] == {"0": 1, "1": 0, "2": 0, "3": 1}
-    assert payload["verdicts"]["theorem2"]["construction_available"] is False
+    assert payload["verdicts"]["theorem2"]["construction_available"] is True
 
 
 def test_witness_trace_obstruction_exit_2(capsys, tmp_path):
@@ -88,19 +88,23 @@ def test_witness_stretch_obstruction_exit_2(capsys, tmp_path):
 
 
 def test_witness_finite_field_limitation_exit_3(capsys, tmp_path):
-    doc = {
-        "format_version": "1",
-        "field": {"kind": "Fp", "p": 2},
-        "lo": 0,
-        "hi": 0,
-        "dims": [1],
-        "differentials": [],
-        "endomorphism": [[[0]]],
-    }
-    path = write_json(tmp_path, "inst.json", doc)
-    code, out, _ = run_cli(capsys, "witness", path, "--theorem", "2")
-    assert code == 3
-    assert json.loads(out)["limitation"]["error"] == "FiniteFieldUnsupported"
+    # theorem 2 over F_2: seed 0 has a block that only exhaustive search
+    # factors, seed 1 exhausts Lemma A's shift scan, seed 2 builds
+    outcomes = {0: "FieldTooSmall", 1: "SelectionExhausted", 2: None}
+    for seed, limitation in outcomes.items():
+        args = ("--seed", str(seed), "--field", "Fp:2", "--max-dim", "3", "--length", "3", "--ensure", "t2")
+        code, document, _ = run_cli(capsys, "random", *args)
+        assert code == 0
+        path = tmp_path / f"seed{seed}.json"
+        path.write_text(document, encoding="utf-8")
+        code, out, _ = run_cli(capsys, "witness", str(path), "--theorem", "2")
+        if limitation is not None:
+            assert code == 3
+            assert json.loads(out)["limitation"]["error"] == limitation
+            continue
+        assert code == 0
+        path.write_text(out, encoding="utf-8")
+        assert run_cli(capsys, "verify", str(path))[0] == 0
 
 
 def _two_dim_document(endomorphism, witnesses=None):
