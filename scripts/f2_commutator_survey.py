@@ -25,19 +25,21 @@ def main() -> int:
         image = commutator_image(GF2, n)
         traceless = {m for m in enumerate_matrices(GF2, n, n) if m.trace() == 0}
         agree = image == traceless
-        built = 0
+        built = failed = 0
         for m in traceless:
             p, q = commutator_decomposition(m)
-            assert p * q - q * p == m
-            built += 1
+            if p * q - q * p == m:
+                built += 1
+            else:
+                failed += 1
         elapsed = time.monotonic() - start
         print(
             f"size {n}: {4 ** (n * n)} pairs scanned, "
             f"{len(image)} commutators, {len(traceless)} traceless, "
-            f"equal={agree}, {built} constructive decompositions verified "
-            f"({elapsed:.2f}s)"
+            f"equal={agree}, {built} constructive decompositions verified, "
+            f"{failed} failed ({elapsed:.2f}s)"
         )
-        if not agree:
+        if not agree or failed:
             return 1
     return 0
 

@@ -36,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from chaincomm.errors import FieldTooSmall, SelectionExhausted, TraceObstruction  # noqa: E402
 from chaincomm.fields import GF2  # noqa: E402
 from chaincomm.generate import random_complex, random_endomorphism  # noqa: E402
-from chaincomm.verify import brute_force_chain_commutator  # noqa: E402
+from chaincomm.verify import ScanOutOfBounds, brute_force_chain_commutator  # noqa: E402
 from chaincomm.witnesses import commutator_witness  # noqa: E402
 
 
@@ -53,7 +53,7 @@ def outcome(seed: int, max_dim: int, length: int) -> str:
         pass
     try:
         found = brute_force_chain_commutator(phi)
-    except ValueError:  # the scan's bounds
+    except ScanOutOfBounds:
         return "out_of_bounds"
     return "refused_witness_exists" if found is not None else "refused_no_witness"
 

@@ -60,6 +60,7 @@ from .matrices import Matrix, block_matrix, enumerate_matrices, hstack, kron, sp
 from .splitting import BlockData, Splitting, assemble, extract_blocks, split_complex
 from .verify import (
     Example2Report,
+    ScanOutOfBounds,
     VerificationResult,
     Violation,
     brute_force_chain_commutator,

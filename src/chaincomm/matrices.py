@@ -16,28 +16,26 @@ Sylvester solve that solves any equation between two diagonalised factors
 (``index_quotients``) and the characteristic polynomial
 (``characteristic_polynomial``, Berkowitz's division-free algorithm) run on
 the integers alone, one kernel for both fields; the fields differ only in
-reducing ``% p`` or by gcds over Q.  Only the product's inner loop differs
-by field.  Over Q it takes one dense integer dot product per entry: at the
-sizes the library meets, skipping zero entries costs more than it saves,
-and packing signed numerators into one integer ran at 0.4-1.2 times the
-dense kernel's speed.  Over F_p it packs each right-hand row into one
-integer and makes one big-integer multiply-add per left entry (Kronecker
-substitution, ``_residue_product``): a residue below 2^31 takes two 30-bit
-CPython digits, so each multiply of the dense kernel is a multi-digit one,
-and a 10x10 product over F_(2^31-1) takes about 50 us against 110 us.
-An identity is checked without forming a product: ``first_nonzero_entry``
-packs each row of every right-hand factor of a signed sum of products into
-one integer and compares each packed row of the sum with zero.  Its slots
-are wider than any entry of the integer sum can be, so a nonzero slot
-cannot be cancelled by the slots below it and the comparison is exact.
-Over Q no slot is ever read back, and reading slots back, not multiplying,
-is what made packed signed products lose to the dense kernel; over F_p
-each slot of the sum is read once, where forming the sides read every slot
-of every product and then subtracted.  A slot holds an entry of each factor
-side by side, so over Q, once the stored integers pass about 400 bits,
-dot products cost less, and the check computes the sum's entries by them.  The verifier, the complex and
-chain-map validators and the splitting's standard-form check all compare
-through it, so parsing and verifying a valid certificate form no product.
+reducing ``% p`` or by gcds over Q.  Sums of products are evaluated here
+alone, by three loops.  Packed rows (Kronecker substitution,
+``_packed_rows``) pack each row of a right-hand factor into one integer,
+sum_j y_kj 2^(w j), and make one big-integer multiply-add per left entry, so
+slot j of a packed row of the result holds its entry j; each field has one
+rule for w, stated in ``first_nonzero_entry``, that keeps every slot from
+carrying into or cancelling the next.  F_p products and every identity check
+(``first_nonzero_entry``, which forms no product) take packed rows: a
+residue below 2^31 takes two 30-bit CPython digits, so a dense kernel's
+multiplies are multi-digit ones, and a 10x10 product over F_(2^31-1) takes
+about 50 us against 110 us.  The dense Q product takes one integer dot
+product per entry: at the library's sizes skipping zero entries costs more
+than it saves, and packed signed products, whose slots must be read back,
+ran at 0.4-1.2 times its speed.  Dot rows (``_dot_rows``) give entries of
+the integer sum as dot products: ``sum_entry`` reads one entry of a sum (a
+failing identity's two values), and over Q, once the stored integers pass
+about 400 bits, the identity check takes them instead of packed rows.  The
+verifier, the complex and chain-map validators and the splitting's
+standard-form check all compare through ``first_nonzero_entry``, so parsing
+and verifying a valid certificate form no product.
 ``Matrix.__mul__`` decides trivial products before either kernel, so
 callers need no guards: a zero operand (every empty shape is one) gives
 zero, an identity the other operand.  Stacking is one kernel,
@@ -299,7 +297,11 @@ class Matrix:
             if m._den == 1 and m._ints[0] == 1 and m.is_scalar():  # m is the identity
                 return rest
         if self.field.finite:
-            return _wrap(self.field, self.rows, other.cols, _residue_product(self, other), 1)
+            p = self.field.size
+            w = (self.cols * (p - 1) ** 2).bit_length()  # first_nonzero_entry's rule for one product
+            shifts, mask = range(0, w * other.cols, w), (1 << w) - 1
+            residues = [(row >> s & mask) % p for row in _packed_rows(self, other, shifts) for s in shifts]
+            return _wrap(self.field, self.rows, other.cols, tuple(residues), 1)
         cols = other._column_tuples()
         dots = [sum(map(mul, row, col)) for row in self._row_tuples() for col in cols]
         return _lowest(self.field, self.rows, other.cols, tuple(dots), self._den * other._den)
@@ -411,56 +413,20 @@ def _reduced(field: Field, rows: int, cols: int, raw: Iterable[int], den: int) -
     return _lowest(field, rows, cols, tuple(raw), den)
 
 
-def _residue_product(a: Matrix, b: Matrix) -> tuple[int, ...]:
-    """The residues of a * b over F_p by Kronecker substitution.  Row t of b
-    is packed into one integer, sum_j b_tj * 2^(w j); row i of the product is
-    then sum_t a_it * packed_t, one big-integer multiply-add per entry of a,
-    and its slot j holds the dot product of row i of a and column j of b.
-    This relies on the stored residues lying in range(p): each dot product is
-    then at most k (p - 1)^2 < 2^w, for the inner dimension k and
-    w = 2 bitlen(p - 1) + bitlen(k), so no slot carries into the next, and a
-    mask and ``% p`` read each one back as a canonical residue."""
-    p, k = a.field.size, a.cols
-    w = 2 * (p - 1).bit_length() + k.bit_length()
-    mask = (1 << w) - 1
-    shifts = range(0, w * b.cols, w)
-    packed = [sum(map(lshift, row, shifts)) for row in b._row_tuples()]
-    out: list[int] = []
-    append = out.append
-    for row in a._row_tuples():
-        slots = sum(map(mul, row, packed))
-        for _ in shifts:
-            append((slots & mask) % p)
-            slots >>= w
-    return tuple(out)
-
-
 Term = tuple[int, Matrix, "Matrix | None"]
 """One term of a signed sum of products: (sign, x, y), sign 1 or -1, stands
 for sign * x * y, or for sign * x when y is None."""
 
 
-def first_nonzero_entry(terms: Iterable[Term]) -> tuple[int, int] | None:
-    """The first entry, in row-major order, at which the sum of ``terms``
-    is nonzero, or None when the sum vanishes; no product is formed.
-
-    Fields and shapes are checked as ``Matrix.__mul__`` and ``+`` check them.
-    Terms with a zero operand (every empty shape is one) drop out.  Over Q
-    every term is put over D, the lcm over the terms of d_x d_y, by the
-    integer factor D / (d_x d_y); over F_p the factor is 1.  Each row of y
-    is packed into one integer, sum_j y_kj 2^(w j), so row i of the sum is
-    the integer sum_t sign factor sum_k x_ik packed_k, whose slot j holds
-    the entry (i, j) of the integer sum.  Every such entry is at most
-    M in absolute value, the sum over the terms of factor * inner dimension *
-    max|x| * max|y|, and w is chosen with 2^w > M, so no slot can be
-    cancelled by the slots below it (their total stays under one unit of its
-    place value): over Q the row is zero exactly when all its entries are,
-    and the lowest set bit of a nonzero row lies in its first nonzero slot.
-    Over F_p each slot is offset by a multiple of p at least M, so that it
-    is nonnegative and can be read back with a mask and ``% p``.  Over Q
-    with slots wider than ``_PACKED_SLOT_BITS`` the entries of the integer
-    sum are dot products instead, which then cost less."""
-    live, shape, field = [], None, None
+def _scaled_terms(terms: Iterable[Term]) -> tuple[Field | None, tuple[int, int], int, list[Term]]:
+    """The field, shape and common denominator D of a signed sum of
+    products, and its terms without a zero operand (every empty shape is
+    one) as (scale, x, y): the sum is sum_t scale_t x_t y_t / D over the
+    stored integers, where D is the lcm over those terms of d_x d_y and
+    scale = sign * D / (d_x d_y), so over F_p D is 1 and scale the sign.
+    Fields and shapes are checked as ``Matrix.__mul__`` and ``+`` check
+    them; no terms give field None and shape (0, 0)."""
+    live, shape, field = [], (0, 0), None
     for sign, x, y in terms:
         if sign != 1 and sign != -1:
             raise ValueError(f"sign must be 1 or -1, got {sign!r}")
@@ -478,42 +444,90 @@ def first_nonzero_entry(terms: Iterable[Term]) -> tuple[int, int] | None:
             raise ValueError(f"shape mismatch: {shape} vs {term_shape}")
         if any(x._ints) and (y is None or any(y._ints)):
             live.append((sign, x, y))
+    if not live or field.finite:
+        return field, shape, 1, live
+    dens = [x._den if y is None else x._den * y._den for _, x, y in live]
+    den = lcm(*dens)
+    return field, shape, den, [(sign * (den // d), x, y) for (sign, x, y), d in zip(live, dens)]
+
+
+def _packed_rows(x: Matrix, y: Matrix | None, shifts: range, scale: int = 1) -> list[int]:
+    """Each row of scale * x * y (of scale * x when y is None) packed into one
+    integer, sum_j v_ij 2^(shifts[j]), by Kronecker substitution: each row of
+    y is packed, and row i of the product is sum_k x_ik packed_k, one
+    big-integer multiply-add per entry of x.  Exact when every slot of the
+    result is narrower than the step of ``shifts``."""
+    m = x if y is None else y
+    c, e = m.cols, m._ints
+    packed = [sum(map(lshift, e[k : k + c], shifts)) for k in range(0, len(e), c)]
+    if scale != 1:
+        packed = [scale * v for v in packed]
+    if y is None:
+        return packed
+    c, e = x.cols, x._ints
+    return [sum(map(mul, e[k : k + c], packed)) for k in range(0, len(e), c)]
+
+
+def _dot_rows(live: list[Term], rows: Iterable[int], cols: Sequence[int]) -> Iterator[list[int]]:
+    """The rows ``rows`` of the integer sum of scaled terms, in the columns
+    ``cols``, each entry a dot product of the stored integers; y's columns
+    are taken once."""
+    parts = [(scale, x, None if y is None else [y._ints[j :: y.cols] for j in cols]) for scale, x, y in live]
+    for i in rows:
+        row = [0] * len(cols)
+        for scale, x, y_columns in parts:
+            x_row = x._ints[i * x.cols : (i + 1) * x.cols]
+            values = [x_row[j] for j in cols] if y_columns is None else [sum(map(mul, x_row, c)) for c in y_columns]
+            row = [r + scale * v for r, v in zip(row, values)]
+        yield row
+
+
+def first_nonzero_entry(terms: Iterable[Term]) -> tuple[int, int] | None:
+    """The first entry, in row-major order, at which the sum of ``terms``
+    is nonzero, or None when the sum vanishes; no product is formed.
+
+    Terms are checked and put over one denominator by ``_scaled_terms``,
+    and each row of the integer sum is packed into one integer by
+    ``_packed_rows``, whose slot j holds the entry (i, j).  Each entry is at
+    most M in absolute value, the sum over the terms of |scale| * max|x|,
+    times k * max|y| for a product of inner dimension k; over F_p, with
+    entries in range(p), a term adds (p - 1) or k (p - 1)^2.  Over F_p, when
+    a term is negative, each slot is offset by the least multiple of p at
+    least M, which keeps it nonnegative and keeps its residue, and
+    w = bitlen(offset + M), so no slot carries into the next and a mask and
+    ``% p`` read each one back; a lone positive product has no offset and
+    w = bitlen(k (p - 1)^2), as in ``Matrix.__mul__``.  Over Q, w =
+    bitlen(M), so no slot can be cancelled by the slots below it (their
+    total stays under one unit of its place value): the row is zero exactly
+    when all its entries are, and the lowest set bit of a nonzero row lies
+    in its first nonzero slot.  With slots wider than ``_PACKED_SLOT_BITS``
+    the entries are dot products (``_dot_rows``) instead, which then cost
+    less."""
+    field, (rows, cols), _, live = _scaled_terms(terms)
     if not live:
         return None
-    rows, cols = shape
-    p = field.size if field.finite else 0
-    if p:
-        scales = [sign for sign, _, _ in live]
+    if field.finite:
+        p = field.size
         bound = sum((p - 1) * (1 if y is None else x.cols * (p - 1)) for _, x, y in live)
-        offset = -(-bound // p) * p
+        offset = -(-bound // p) * p if any(scale < 0 for scale, _, _ in live) else 0
         w = (offset + bound).bit_length()
     else:
-        dens = [x._den if y is None else x._den * y._den for _, x, y in live]
-        den = lcm(*dens)
-        scales = [sign * (den // d) for (sign, _, _), d in zip(live, dens)]
         bound = 0
-        for scale, (_, x, y) in zip(scales, live):
-            ints = x._ints
-            term_bound = abs(scale) * max(max(ints), -min(ints))
+        for scale, x, y in live:
+            term_bound = abs(scale) * max(max(x._ints), -min(x._ints))
             if y is not None:
-                ints = y._ints
-                term_bound *= x.cols * max(max(ints), -min(ints))
+                term_bound *= x.cols * max(max(y._ints), -min(y._ints))
             bound += term_bound
         w = bound.bit_length()
         if w > _PACKED_SLOT_BITS:
-            return _first_nonzero_dot(live, scales, rows, cols)
+            dot_rows = enumerate(_dot_rows(live, range(rows), range(cols)))
+            return next(((i, j) for i, row in dot_rows for j, v in enumerate(row) if v), None)
     shifts = range(0, w * cols, w)
     totals = None
-    for scale, (_, x, y) in zip(scales, live):
-        ints, width = (x if y is None else y)._ints, cols
-        packed = [sum(map(lshift, ints[k : k + width], shifts)) for k in range(0, len(ints), width)]
-        if scale != 1:
-            packed = [scale * v for v in packed]
-        if y is not None:
-            ints, width = x._ints, x.cols
-            packed = [sum(map(mul, ints[k : k + width], packed)) for k in range(0, len(ints), width)]
+    for scale, x, y in live:
+        packed = _packed_rows(x, y, shifts, scale)
         totals = packed if totals is None else list(map(add, totals, packed))
-    if not p:
+    if not field.finite:
         for i, total in enumerate(totals):
             if total:
                 return i, ((total & -total).bit_length() - 1) // w
@@ -528,28 +542,23 @@ def first_nonzero_entry(terms: Iterable[Term]) -> tuple[int, int] | None:
     return None
 
 
+def sum_entry(terms: Iterable[Term], i: int, j: int) -> Scalar:
+    """Entry (i, j) of the sum of ``terms`` as a field scalar, the terms
+    checked and scaled as in ``first_nonzero_entry``; each term's entry is
+    one dot product of the stored integers (``_dot_rows``), so no product is
+    formed, and terms with a zero operand add nothing."""
+    field, (rows, cols), den, live = _scaled_terms(terms)
+    if not (0 <= i < rows and 0 <= j < cols):  # no terms have shape (0, 0)
+        raise IndexError((i, j))
+    (value,) = next(_dot_rows(live, [i], [j]))
+    return value % field.size if field.finite else Fraction(value, den)
+
+
 # Above this slot width a packed multiply-add costs more than the dot products
 # it replaces: the slot holds an entry of x and one of y side by side, so each
 # multiply is about twice as long as a dot product's (measured crossover:
 # stored integers of about 400 bits, at sizes 4 to 20).
 _PACKED_SLOT_BITS = 800
-
-
-def _first_nonzero_dot(live: list[Term], scales: list[int], rows: int, cols: int) -> tuple[int, int] | None:
-    """``first_nonzero_entry`` over Q for wide entries: the integer sum row
-    by row, each entry a dot product of the stored integers."""
-    parts = [
-        (scale, x._row_tuples(), None if y is None else y._column_tuples()) for scale, (_, x, y) in zip(scales, live)
-    ]
-    for i in range(rows):
-        row = [0] * cols
-        for scale, x_rows, y_columns in parts:
-            values = x_rows[i] if y_columns is None else [sum(map(mul, x_rows[i], c)) for c in y_columns]
-            row = list(map(add, row, values if scale == 1 else [scale * v for v in values]))
-        j = next((j for j, v in enumerate(row) if v), None)
-        if j is not None:
-            return i, j
-    return None
 
 
 def _rescaled(m: Matrix, den: int) -> tuple[int, ...]:

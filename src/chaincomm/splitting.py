@@ -57,11 +57,7 @@ class Splitting:
 
     def boundary_dim(self, degree: int) -> int:
         """dim B_degree = rank of the incoming differential."""
-        if degree in self._block_dims:
-            return self._block_dims[degree][0]
-        if degree == self.complex.hi + 1:
-            return self._block_dims[self.complex.hi][2]
-        return 0
+        return self.block_dims(degree)[0]
 
     def cohomology_dim(self, degree: int) -> int:
         return self.block_dims(degree)[1]
@@ -164,8 +160,6 @@ class BlockData:
     def boundary_block(self, degree: int) -> Matrix:
         """The action on B_degree (empty for off-window or end degrees)."""
         c = self.splitting.complex
-        if degree == c.hi + 1:
-            return self.block(c.hi, 2, 2)
         return self.block(degree, 0, 0) if c.lo <= degree <= c.hi else Matrix.zeros(c.field, 0, 0)
 
     def cohomology_block(self, degree: int) -> Matrix:

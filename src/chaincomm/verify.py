@@ -1,29 +1,31 @@
 """Independent witness verification and brute-force oracles.
 
-The verifiers re-check every claimed identity from scratch, exactly: each
-is a signed sum of products, which
+The verifiers re-check every claimed identity from scratch, exactly: each is
+a signed sum of products, which
 :func:`chaincomm.matrices.first_nonzero_entry` tests for zero on packed rows
 without forming a product, and only a failing identity's first differing
-entry is computed (a homotopy witness's residual phi - (d s + s d) is one
-such sum and is never formed).  They share no code with the constructions in
-:mod:`chaincomm.witnesses` beyond the exact linear-algebra primitives and
-the witness containers of :mod:`chaincomm.complexes`, so a witness that
-passes here is trustworthy even if the construction code were wrong.  The
-builders call :func:`verify_witness` on their own output as their one
-self-check, so every identity a witness must satisfy, including that
-``alpha`` and ``beta`` are chain maps, is written down here alone.  The
+entry is computed, both sides' values by
+:func:`chaincomm.matrices.sum_entry` (a homotopy witness's residual
+phi - (d s + s d) is one such sum and is never formed); this module
+evaluates no sum itself and reads no stored integers.  The verifiers share no code with the
+constructions in :mod:`chaincomm.witnesses` beyond the exact linear-algebra
+primitives and the witness containers of :mod:`chaincomm.complexes`, so a
+witness that passes here is trustworthy even if the construction code were
+wrong.  The builders call :func:`verify_witness` on their own output as
+their one self-check, so every identity a witness must satisfy, including
+that ``alpha`` and ``beta`` are chain maps, is written down here alone.  The
 module also hosts exhaustive finite-field searches: pair scans over single
 matrices (a first commutator pair, commutant sets), a chain-level search
 over the space of chain maps, and the bit-exact reproduction of the F_2
-counterexample that defeats the pair-selection lemma.
+counterexample that defeats the pair-selection lemma.  A scan refused for
+its size raises :class:`ScanOutOfBounds`, a ``ValueError``; a field the scan
+does not cover at all raises a plain ``ValueError``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
-from operator import mul
 from typing import Sequence, Union
 
 from .complexes import (
@@ -35,9 +37,9 @@ from .complexes import (
     chain_map_basis,
     commutator,
 )
-from .fields import PrimeField, Scalar, render
+from .fields import PrimeField, render
 from .linalg import solve_linear, sylvester_operator, sylvester_solve, is_invertible
-from .matrices import Matrix, Term, enumerate_matrices, first_nonzero_entry
+from .matrices import Matrix, Term, enumerate_matrices, first_nonzero_entry, sum_entry
 
 
 @dataclass(frozen=True)
@@ -72,25 +74,11 @@ def _terms(side: Side) -> Sequence[Term]:
     return [(1, side, None)] if isinstance(side, Matrix) else side
 
 
-def _value(terms: Sequence[Term], i: int, j: int) -> Scalar:
-    """Entry (i, j) of a signed sum of products as a field scalar, summed on
-    the stored integers: one ``Fraction`` over Q, none over F_p."""
-    num, den = 0, 1
-    for sign, x, y in terms:
-        row = x.numerators[i * x.cols : (i + 1) * x.cols]
-        if y is None:
-            n, d = row[j], x.denominator
-        else:
-            n, d = sum(map(mul, row, y.numerators[j :: y.cols])), x.denominator * y.denominator
-        num, den = num * d + sign * n * den, den * d
-    field = terms[0][1].field
-    return num % field.size if field.finite else Fraction(num, den)
-
-
 def _record(out: list[Violation], location: str, identity: str, left: Side, right: Side) -> None:
     """Append the violation of left = right to ``out``, if they differ.  The
     sides are compared by one :func:`first_nonzero_entry`, which forms no
-    product, and only the first differing entry's values are computed."""
+    product, and only the first differing entry's values are computed, by
+    :func:`chaincomm.matrices.sum_entry`."""
     both_matrices = isinstance(left, Matrix) and isinstance(right, Matrix)
     if both_matrices and (left.shape != right.shape or left.field != right.field):
         out.append(Violation(location, identity, repr(left), repr(right)))
@@ -98,7 +86,8 @@ def _record(out: list[Violation], location: str, identity: str, left: Side, righ
     left, right = _terms(left), _terms(right)
     entry = first_nonzero_entry([*left, *((-sign, x, y) for sign, x, y in right)])
     if entry is not None:
-        out.append(Violation(location, identity, render(_value(left, *entry)), render(_value(right, *entry)), entry))
+        left_value, right_value = (render(sum_entry(side, *entry)) for side in (left, right))
+        out.append(Violation(location, identity, left_value, right_value, entry))
 
 
 def _check_chain_map(name: str, endo: ChainEndomorphism, out: list[Violation]) -> None:
@@ -137,12 +126,9 @@ def verify_pointwise(phi: ChainEndomorphism, witness: PointwiseWitness) -> Verif
         out.append(Violation("complex", "witness lives on the same complex", "witness complex", "target complex"))
         return VerificationResult(tuple(out))
     for i in phi.complex.degrees:
-        pair = witness.pairs.get(i)
-        if pair is None:
-            n = phi.complex.dim(i)
-            pair = (Matrix.zeros(phi.complex.field, n, n), Matrix.zeros(phi.complex.field, n, n))
-        a, b = pair
-        if a.shape != (phi.complex.dim(i),) * 2 or b.shape != (phi.complex.dim(i),) * 2:
+        zero = Matrix.zeros(phi.complex.field, phi.complex.dim(i), phi.complex.dim(i))
+        a, b = witness.pairs.get(i, (zero, zero))  # a missing degree is the zero pair
+        if a.shape != zero.shape or b.shape != zero.shape:
             out.append(Violation(f"degree {i}", "pair shapes match the space", str(a.shape), str(b.shape)))
             continue
         _record(out, f"degree {i}", "[a_i, b_i] = phi_i", [(1, a, b), (-1, b, a)], phi.map(i))
@@ -192,8 +178,18 @@ def verify_witness(phi: ChainEndomorphism, witness: object) -> VerificationResul
 _PAIR_SCAN_BOUNDS = {2: 3, 3: 2, 5: 2}  # modulus -> max size
 
 
-def _scan_allowed(field, size: int) -> bool:
-    return field.finite and _PAIR_SCAN_BOUNDS.get(field.size, 0) >= size
+class ScanOutOfBounds(ValueError):
+    """An exhaustive scan refused for its size.  A field the scan does not
+    cover at all raises a plain ValueError instead."""
+
+
+def _check_pair_scan(field, size: int) -> None:
+    if not field.finite:
+        raise ValueError("pair enumeration requires a finite field")
+    if _PAIR_SCAN_BOUNDS.get(field.size, 0) < size:
+        raise ScanOutOfBounds(
+            f"pair enumeration limited to sizes <= {_PAIR_SCAN_BOUNDS} per modulus; got size {size} over {field!r}"
+        )
 
 
 def commutant_set(m: Matrix) -> frozenset[Matrix]:
@@ -206,7 +202,7 @@ def commutant_set(m: Matrix) -> frozenset[Matrix]:
         raise ValueError("square matrix required")
     n = m.rows
     if field.size ** (2 * n * n) > 1 << 20:
-        raise ValueError(f"enumeration of {field.size}^{2 * n * n} pairs is out of bounds")
+        raise ScanOutOfBounds(f"enumeration of {field.size}^{2 * n * n} pairs is out of bounds")
     members = []
     for p in enumerate_matrices(field, n, n):
         for q in enumerate_matrices(field, n, n):
@@ -226,11 +222,7 @@ def brute_force_commutator(m: Matrix) -> tuple[Matrix, Matrix] | None:
     field = m.field
     if not m.is_square:
         raise ValueError("square matrix required")
-    if not _scan_allowed(field, m.rows):
-        raise ValueError(
-            f"pair enumeration limited to sizes <= {_PAIR_SCAN_BOUNDS} per modulus; "
-            f"got size {m.rows} over {field!r}"
-        )
+    _check_pair_scan(field, m.rows)
     n = m.rows
     for p in enumerate_matrices(field, n, n):
         if sylvester_solve(p, p, m) is None:
@@ -243,14 +235,9 @@ def brute_force_commutator(m: Matrix) -> tuple[Matrix, Matrix] | None:
 
 def commutator_image(field: PrimeField, size: int) -> frozenset[Matrix]:
     """Every value of p q - q p over all pairs; one full enumeration."""
-    if not _scan_allowed(field, size):
-        raise ValueError("enumeration out of bounds")
-    seen: set[Matrix] = set()
+    _check_pair_scan(field, size)
     mats = list(enumerate_matrices(field, size, size))
-    for p in mats:
-        for q in mats:
-            seen.add(p * q - q * p)
-    return frozenset(seen)
+    return frozenset(p * q - q * p for p in mats for q in mats)
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +363,11 @@ def brute_force_chain_commutator(phi: ChainEndomorphism) -> CommutatorWitness | 
     if not (field.finite and field.size == 2):
         raise ValueError("chain-level enumeration is limited to F_2")
     if c.total_dim() > _CHAIN_SCAN_MAX_TOTAL_DIM:
-        raise ValueError(f"total dimension {c.total_dim()} exceeds the enumeration bound")
+        raise ScanOutOfBounds(f"total dimension {c.total_dim()} exceeds the enumeration bound")
     basis = chain_map_basis(c)
     dim = len(basis)
     if dim > _CHAIN_SCAN_MAX_SPACE_DIM:
-        raise ValueError(f"chain-map space dimension {dim} exceeds the enumeration bound")
+        raise ScanOutOfBounds(f"chain-map space dimension {dim} exceeds the enumeration bound")
 
     def flatten(endo: ChainEndomorphism) -> Matrix:
         entries = [e for i in c.degrees for e in endo.map(i).entries]

@@ -242,6 +242,10 @@ def test_usage_errors_exit_64(capsys, tmp_path):
     assert run_cli(capsys, "random", "--seed", "1", "--field", "C")[0] == 64
     assert run_cli(capsys, "random", "--seed", "1", "--field", f"Fp:{PRIMALITY_BOUND}")[0] == 64
     assert run_cli(capsys, "analyze", str(tmp_path / "missing.json"))[0] == 64
+    for argv in (("--field", "Fp:abc"), ("--length", "0"), ("--max-dim", "-1")):
+        code, out, err = run_cli(capsys, "random", "--seed", "1", *argv)
+        assert (code, out) == (64, "")
+        assert "usage error" in err
 
 
 def test_random_refuses_instances_too_large_to_parse(capsys):

@@ -146,3 +146,13 @@ def test_only_the_walk_and_the_writer_spell_the_witness_maps():
     spelled = _functions_spelling(ast.parse(path.read_text(encoding="utf-8")), keys)
     allowed = {"_parse_witness", "encode_witness", "_encode_residual"}
     assert spelled <= allowed, f"jsonio.py spells witness keys in {sorted(spelled - allowed)}"
+
+
+def test_verify_reads_no_stored_integers():
+    # a failing identity's two values come from matrices.sum_entry, so the
+    # verifier evaluates no sum of products itself
+    path = pathlib.Path(chaincomm.__file__).parent / "verify.py"
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert not {"numerators", "denominator"} & set(found)
+    assert not _imported_names(tree) & {"Fraction", "mul"}

@@ -19,6 +19,7 @@ from chaincomm.matrices import (
     pivot_columns,
     row_reduce,
     split_blocks,
+    sum_entry,
     vstack,
     zero_diagonal_form,
 )
@@ -456,6 +457,12 @@ def test_identity_kernel_matches_the_sum_of_products(terms, data):
     total = matrix_sum(terms)
     assert first_nonzero_entry(terms) == first_nonzero(total)
     assert (first_nonzero_entry(terms) is None) == total.is_zero()
+    if total.rows and total.cols:
+        i, j = data.draw(st.integers(0, total.rows - 1)), data.draw(st.integers(0, total.cols - 1))
+        assert sum_entry(terms, i, j) == total.entry(i, j)
+    else:
+        with pytest.raises(IndexError):
+            sum_entry(terms, 0, 0)
     # the sum made to vanish, then one entry of one term changed by +-1
     balanced = [*terms, (-1, total, None)]
     assert first_nonzero_entry(balanced) is None
@@ -510,12 +517,17 @@ def test_identity_kernel_checks_its_terms():
         ([(1, a, None), (1, Matrix.identity(GF2, 2), None)], "field mismatch"),
         ([(2, a, None)], "sign must be 1 or -1"),
     ):
-        with pytest.raises(ValueError, match=message):
-            first_nonzero_entry(terms)
+        for kernel in (first_nonzero_entry, lambda t: sum_entry(t, 0, 0)):
+            with pytest.raises(ValueError, match=message):
+                kernel(terms)
     assert first_nonzero_entry([]) is None
+    for terms, i, j in (([], 0, 0), ([(1, a, a)], 2, 0), ([(1, a, None)], 0, -1)):
+        with pytest.raises(IndexError):
+            sum_entry(terms, i, j)
     assert first_nonzero_entry([(1, Matrix.zeros(Q, 0, 3), Matrix.zeros(Q, 3, 4))]) is None
     empty_inner = [(1, Matrix.zeros(Q, 3, 0), Matrix.zeros(Q, 0, 4)), (-1, Matrix.zeros(Q, 3, 4), None)]
     assert first_nonzero_entry(empty_inner) is None
+    assert sum_entry(empty_inner, 2, 3) == Q.zero and sum_entry([(1, zero, zero)], 1, 1) == Q.zero
 
 
 # -- trivial products: a zero or identity operand skips both kernels -----------

@@ -365,6 +365,18 @@ def test_generation_does_not_fill_the_cache():
     assert [f.cache_info() for f in caches] == before
 
 
+def test_generators_refuse_bad_arguments():
+    rng = random.Random(5)
+    c = random_complex(rng, Q, max_dim=2, length=2)
+    for bad, message in (
+        (lambda: random_complex(rng, Q, length=0), "length must be at least 1"),
+        (lambda: random_complex(rng, Q, max_dim=-1), "max_dim must be nonnegative"),
+        (lambda: random_endomorphism(rng, c, ensure="t5"), "ensure must be one of"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            bad()
+
+
 @pytest.mark.parametrize("builder", ["commutator_witness", "homotopy_commutator_witness", "homotopy_pointwise_witness"])
 def test_certificates_do_not_depend_on_cache_state(builder):
     rng = random.Random(11)

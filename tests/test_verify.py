@@ -21,9 +21,11 @@ from chaincomm.generate import random_chain_map, random_complex, random_endomorp
 from chaincomm.jsonio import encode_verification, parse_document, serialize_document
 from chaincomm.matrices import Matrix, enumerate_matrices
 from chaincomm.verify import (
+    ScanOutOfBounds,
     _record,
     brute_force_chain_commutator,
     brute_force_commutator,
+    commutant_set,
     commutator_image,
     example2_search,
     verify_commutator,
@@ -101,9 +103,20 @@ def test_verify_commutator_flags_non_chain_map_factor():
 def test_verify_commutator_rejects_wrong_complex():
     c = corner_window(Q, 3)
     other = exact_two_term()
-    w = CommutatorWitness(ChainEndomorphism.zero(other), ChainEndomorphism.zero(other))
-    result = verify_commutator(ChainEndomorphism.zero(c), w)
-    assert not result.ok
+    phi, zero = ChainEndomorphism.zero(c), ChainEndomorphism.zero(other)
+    elsewhere = ("witness lives on the same complex", "witness complex", "target complex")
+    for verifier, witness, expected in (
+        (verify_commutator, CommutatorWitness(zero, zero), elsewhere),
+        (verify_pointwise, PointwiseWitness(other, {}), elsewhere),
+        (
+            verify_homotopy_witness,
+            HomotopyWitness(Homotopy.zero(other), PointwiseWitness(c, {})),
+            ("homotopy lives on the same complex", "homotopy complex", "target complex"),
+        ),
+    ):
+        (violation,) = verifier(phi, witness).violations
+        assert (violation.location, violation.identity, violation.left, violation.right) == ("complex", *expected)
+        assert violation.entry is None
 
 
 def test_violation_names_the_first_differing_entry():
@@ -117,6 +130,18 @@ def test_violation_names_the_first_differing_entry():
     assert encode_verification(result)["violations"] == [
         {"location": "degree 0", "identity": "[a_i, b_i] = phi_i", "entry": [1, 2], "left": "0", "right": "5/2"}
     ]
+    # a missing degree is the zero pair, whose terms have no nonzero operand;
+    # a pair of the wrong shape is reported by its shapes
+    identity = Matrix.identity(Q, 2)
+    for pairs, expected in (
+        ({}, ("[a_i, b_i] = phi_i", "0", "5/2", (1, 2))),
+        ({0: (identity, zero)}, ("pair shapes match the space", "(2, 2)", "(3, 3)", None)),
+    ):
+        (violation,) = verify_pointwise(phi, PointwiseWitness(c, pairs)).violations
+        assert (violation.location, violation.identity, violation.left, violation.right, violation.entry) == (
+            "degree 0",
+            *expected,
+        )
 
 
 def test_shape_mismatch_reports_an_over_long_entry_by_its_size():
@@ -346,14 +371,26 @@ def test_parsing_and_verifying_a_valid_certificate_form_no_product(monkeypatch):
 
 
 def test_brute_force_bounds():
-    with pytest.raises(ValueError):
-        brute_force_commutator(Matrix.zeros(Q, 1, 1))
-    with pytest.raises(ValueError):
-        brute_force_commutator(Matrix.zeros(GF2, 4, 4))
-    with pytest.raises(ValueError):
-        brute_force_commutator(Matrix.zeros(F3, 3, 3))
-    with pytest.raises(ValueError):
-        brute_force_commutator(Matrix.zeros(F7, 1, 1))
+    # a scan refused for its size raises ScanOutOfBounds, a ValueError; a
+    # field no scan covers raises a plain ValueError
+    for refused in (
+        lambda: brute_force_commutator(Matrix.zeros(GF2, 4, 4)),
+        lambda: brute_force_commutator(Matrix.zeros(F3, 3, 3)),
+        lambda: brute_force_commutator(Matrix.zeros(F7, 1, 1)),
+        lambda: commutator_image(GF2, 4),
+        lambda: commutator_image(F5, 3),
+        lambda: commutant_set(Matrix.zeros(GF2, 4, 4)),
+    ):
+        with pytest.raises(ScanOutOfBounds):
+            refused()
+    for uncovered in (
+        lambda: brute_force_commutator(Matrix.zeros(Q, 1, 1)),
+        lambda: commutator_image(Q, 1),
+        lambda: commutant_set(Matrix.zeros(Q, 1, 1)),
+    ):
+        with pytest.raises(ValueError) as refusal:
+            uncovered()
+        assert not isinstance(refusal.value, ScanOutOfBounds)
 
 
 def test_brute_force_trace_zero_equivalence_2x2():
@@ -470,14 +507,14 @@ def test_chain_brute_force_finds_commutators():
 
 def test_chain_brute_force_bounds():
     big = ChainComplex(GF2, 0, [4, 4], [Matrix.zeros(GF2, 4, 4)])
-    with pytest.raises(ValueError):
-        brute_force_chain_commutator(ChainEndomorphism.zero(big))
-    rational = exact_two_term(Q)
-    with pytest.raises(ValueError):
-        brute_force_chain_commutator(ChainEndomorphism.zero(rational))
-    f3_complex = ChainComplex(F3, 0, [1], [])
-    with pytest.raises(ValueError):
-        brute_force_chain_commutator(ChainEndomorphism.zero(f3_complex))
+    wide = ChainComplex(GF2, 0, [5], [])  # total dimension 5, 25 chain-map coordinates
+    for c, message in ((big, "total dimension 8"), (wide, "chain-map space dimension 25")):
+        with pytest.raises(ScanOutOfBounds, match=message):
+            brute_force_chain_commutator(ChainEndomorphism.zero(c))
+    for c in (exact_two_term(Q), ChainComplex(F3, 0, [1], [])):
+        with pytest.raises(ValueError, match="limited to F_2") as refusal:
+            brute_force_chain_commutator(ChainEndomorphism.zero(c))
+        assert not isinstance(refusal.value, ScanOutOfBounds)
 
 
 def test_chain_brute_force_probes_the_open_finite_field_question():
