@@ -1,45 +1,56 @@
 """Seeded random instances: valid complexes, chain maps, homotopies.
 
 Complexes are built from standard-form differentials conjugated by random
-invertible changes of basis, so d . d = 0 holds by construction.  Chain
-endomorphisms are sampled in split coordinates (random upper block-
-triangular data with matching boundary blocks), which parameterizes the
-whole space of chain maps without solving linear systems.  Everything is
-driven by a caller-supplied ``random.Random`` so identical seeds give
-identical instances.
+invertible changes of basis T_j, so d . d = 0 holds by construction.  The
+standard differential out of degree j is the identity from the last b =
+dim B_{j+1} coordinates of V_j onto the first b of V_{j+1}, so d_j =
+T_{j+1} . std . T_j^-1 is formed as one thin product, the first b columns of
+T_{j+1} times the last b rows of T_j^-1.  Chain endomorphisms are sampled in
+split coordinates (random upper block-triangular data with matching boundary
+blocks), which parameterizes the whole space of chain maps without solving
+linear systems; the commutators drawn for ``ensure`` are formed there too,
+A'B' - B'A' per degree from the two maps' split matrices, and conjugated
+back once.  The generators split each complex through a small memo of their
+own (:func:`split_for_generation`), so drawing several endomorphisms of one
+complex splits it once and the request caches are left as they were.
+Everything is driven by a caller-supplied ``random.Random`` so identical
+seeds give identical instances.
 """
 
 from __future__ import annotations
 
 import random
-from fractions import Fraction
+from functools import lru_cache
 
 from . import complexes, splitting
-from .complexes import ChainComplex, ChainEndomorphism, Homotopy, commutator, add
-from .fields import Field, Scalar
+from .complexes import ChainComplex, ChainEndomorphism, Homotopy, add
+from .fields import Field
 from .linalg import inverse, is_invertible
 from .matrices import Matrix
-from .splitting import BlockData, Splitting, assemble, standard_differential
+from .splitting import BlockData, Splitting, assemble
 
 ENSURE_CHOICES = ("t1", "t2", "t3", "t4")
 
 
-def _split_uncached(c: ChainComplex) -> Splitting:
-    """c's splitting, past the splitting and validation caches: generating an
+@lru_cache(maxsize=4)
+def split_for_generation(c: ChainComplex) -> Splitting:
+    """c's splitting for the generators, memoised on the complex's content
+    in a 4-entry LRU cache of its own (``cache_info()``, ``cache_clear()``).
+    It is built past the splitting and validation caches: generating an
     instance must not fill in the answers that later requests about it read.
-    The algebra (``commutator``, ``add``) checks its results past the cache
-    too."""
+    The algebra (``add``) and :func:`random_endomorphism`'s commutators check
+    their results past the cache too."""
     return splitting._split(c, complexes._composite_failures(c))
 
 
-def random_scalar(rng: random.Random, field: Field, span: int = 3) -> Scalar:
-    if field.finite:
-        return rng.randrange(field.size)
-    return Fraction(rng.randint(-span, span))
-
-
 def random_matrix(rng: random.Random, field: Field, rows: int, cols: int, span: int = 3) -> Matrix:
-    return Matrix(field, rows, cols, (random_scalar(rng, field, span) for _ in range(rows * cols)))
+    """Entries drawn row-major: uniform residues over F_p, integers in
+    [-span, span] over Q."""
+    if field.finite:
+        p = field.size
+        return Matrix.from_canonical(field, rows, cols, [rng.randrange(p) for _ in range(rows * cols)])
+    nums = [rng.randint(-span, span) for _ in range(rows * cols)]
+    return Matrix.from_ratios(field, rows, cols, nums, (1,) * len(nums), 1)
 
 
 def random_invertible(rng: random.Random, field: Field, n: int) -> Matrix:
@@ -74,18 +85,19 @@ def random_complex(
     bases = [random_invertible(rng, field, n) for n in dims]
     differentials = []
     for j in range(length - 1):
-        rows = (boundary[j + 1], cohom[j + 1], boundary[j + 2])
-        cols = (boundary[j], cohom[j], boundary[j + 1])
-        differentials.append(bases[j + 1] * standard_differential(field, rows, cols) * inverse(bases[j]))
+        b, n, m = boundary[j + 1], dims[j], dims[j + 1]
+        if b == 0:
+            differentials.append(Matrix.zeros(field, m, n))
+            continue
+        # T_{j+1} . std . T_j^-1: std picks the last b coordinates of V_j
+        # and puts them first in V_{j+1}
+        differentials.append(bases[j + 1].submatrix(0, m, 0, b) * inverse(bases[j]).submatrix(n - b, n, 0, n))
     return ChainComplex(field, lo, dims, differentials)
 
 
-def random_chain_map(
-    rng: random.Random, c: ChainComplex, splitting: Splitting | None = None, span: int = 3
-) -> ChainEndomorphism:
-    """A uniform-ish random chain endomorphism, sampled in split coordinates."""
-    s = splitting if splitting is not None else _split_uncached(c)
-    field = c.field
+def _random_blocks(rng: random.Random, s: Splitting, span: int = 3) -> BlockData:
+    """Random upper block-triangular data on s, boundary actions first."""
+    c, field = s.complex, s.complex.field
     boundary_actions = {
         i: random_matrix(rng, field, s.boundary_dim(i), s.boundary_dim(i), span)
         for i in range(c.lo, c.hi + 2)
@@ -101,7 +113,15 @@ def random_chain_map(
             (1, 2): random_matrix(rng, field, h, b_next, span),
             (2, 2): boundary_actions[i + 1],
         }
-    return assemble(BlockData.from_blocks(s, blocks))
+    return BlockData.from_blocks(s, blocks)
+
+
+def random_chain_map(
+    rng: random.Random, c: ChainComplex, splitting: Splitting | None = None, span: int = 3
+) -> ChainEndomorphism:
+    """A uniform-ish random chain endomorphism, sampled in split coordinates."""
+    s = splitting if splitting is not None else split_for_generation(c)
+    return assemble(_random_blocks(rng, s, span))
 
 
 def random_homotopy(rng: random.Random, c: ChainComplex, span: int = 3) -> Homotopy:
@@ -124,17 +144,26 @@ def random_endomorphism(
     * t3/t4 -- a commutator plus the boundary of a random homotopy (the
       cohomology traces and all stretch sums vanish, the degree traces
       generally do not).
+
+    The commutator [alpha, beta] is formed at each degree as P (A'B' - B'A')
+    P^-1 from the split matrices A', B' and the splitting's basis P; the
+    returned map is checked past the validation cache, by
+    ``complexes._rechecked`` or by ``add``.
     """
     if ensure is not None and ensure not in ENSURE_CHOICES:
         raise ValueError(f"ensure must be one of {ENSURE_CHOICES}, got {ensure!r}")
-    s = splitting if splitting is not None else _split_uncached(c)
+    s = splitting if splitting is not None else split_for_generation(c)
     if ensure is None:
         return random_chain_map(rng, c, s)
-    alpha = random_chain_map(rng, c, s)
-    beta = random_chain_map(rng, c, s)
-    base = commutator(alpha, beta)
+    alpha = _random_blocks(rng, s)
+    beta = _random_blocks(rng, s)
+    maps = []
+    for i in c.degrees:
+        a, b = alpha.split_map(i), beta.split_map(i)
+        maps.append(s.from_split(i, a * b - b * a))
+    base = ChainEndomorphism(c, maps)
     if ensure in ("t1", "t2"):
-        return base
+        return complexes._rechecked(base)
     # c has a splitting, so it is valid and d s + s d is a chain map; add
     # checks the sum
     return add(base, complexes._boundary(random_homotopy(rng, c)))

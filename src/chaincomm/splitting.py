@@ -23,7 +23,6 @@ from typing import Callable, Mapping, Sequence
 
 from .complexes import ChainComplex, ChainEndomorphism, Homotopy, validate_complex
 from .errors import BlockStructureError
-from .fields import Field
 from .linalg import extend_to_basis, is_invertible, kernel_and_pivots
 from .matrices import Grid, Matrix, block_matrix, check_blocks, first_nonzero_entry, split_blocks
 
@@ -94,19 +93,16 @@ class Splitting:
         return coords.submatrix(0, h, 0, h)
 
     def standard_differential(self, degree: int) -> Matrix:
-        """The split-coordinate differential out of ``degree``."""
+        """The split-coordinate differential out of ``degree``: the identity
+        from the last block of V_degree onto the first of V_{degree+1}, else
+        zero."""
         row_sizes, col_sizes = self.block_dims(degree + 1), self.block_dims(degree)
         if row_sizes[0] != col_sizes[2]:
             raise BlockStructureError(
                 f"inconsistent boundary dimensions between degrees {degree} and {degree + 1}"
             )
-        return standard_differential(self.complex.field, row_sizes, col_sizes)
-
-
-def standard_differential(field: Field, row_sizes: Sequence[int], col_sizes: Sequence[int]) -> Matrix:
-    """The split-coordinate differential from blocks of sizes ``col_sizes`` to
-    ``row_sizes``: the identity from the last block onto the first, else zero."""
-    return block_matrix(field, row_sizes, col_sizes, {(0, 2): Matrix.identity(field, col_sizes[2])})
+        field = self.complex.field
+        return block_matrix(field, row_sizes, col_sizes, {(0, 2): Matrix.identity(field, col_sizes[2])})
 
 
 class BlockData:

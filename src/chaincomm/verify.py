@@ -175,7 +175,7 @@ def verify_witness(phi: ChainEndomorphism, witness: object) -> VerificationResul
 # ---------------------------------------------------------------------------
 # exhaustive single-matrix oracle
 
-_PAIR_SCAN_BOUNDS = {2: 3, 3: 2, 5: 2}  # modulus -> max size
+_PAIR_SCAN_BITS = 20  # a pair scan covers at most 2^20 pairs
 
 
 class ScanOutOfBounds(ValueError):
@@ -184,25 +184,24 @@ class ScanOutOfBounds(ValueError):
 
 
 def _check_pair_scan(field, size: int) -> None:
+    """Admit a scan of all pairs of size x size matrices over a finite field
+    when there are at most 2^20 of them, |F|^(2 size^2) <= 2^20."""
     if not field.finite:
         raise ValueError("pair enumeration requires a finite field")
-    if _PAIR_SCAN_BOUNDS.get(field.size, 0) < size:
-        raise ScanOutOfBounds(
-            f"pair enumeration limited to sizes <= {_PAIR_SCAN_BOUNDS} per modulus; got size {size} over {field!r}"
-        )
+    exponent = 2 * size * size
+    # |F| >= 2, so a larger exponent is refused without forming the power
+    if exponent > _PAIR_SCAN_BITS or field.size**exponent > 1 << _PAIR_SCAN_BITS:
+        raise ScanOutOfBounds(f"enumeration of {field.size}^{exponent} pairs of size-{size} matrices exceeds 2^20")
 
 
 def commutant_set(m: Matrix) -> frozenset[Matrix]:
     """C(m) = { p : some q satisfies p q - q p = m }, by exhaustive
     enumeration of all (p, q) pairs over a small finite field."""
     field = m.field
-    if not field.finite:
-        raise ValueError("commutant enumeration requires a finite field")
     if not m.is_square:
         raise ValueError("square matrix required")
+    _check_pair_scan(field, m.rows)
     n = m.rows
-    if field.size ** (2 * n * n) > 1 << 20:
-        raise ScanOutOfBounds(f"enumeration of {field.size}^{2 * n * n} pairs is out of bounds")
     members = []
     for p in enumerate_matrices(field, n, n):
         for q in enumerate_matrices(field, n, n):

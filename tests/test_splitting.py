@@ -16,7 +16,14 @@ from chaincomm.complexes import (
 )
 from chaincomm.errors import BlockStructureError
 from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
-from chaincomm.generate import random_chain_map, random_complex, random_endomorphism, random_homotopy, random_matrix
+from chaincomm.generate import (
+    random_chain_map,
+    random_complex,
+    random_endomorphism,
+    random_homotopy,
+    random_matrix,
+    split_for_generation,
+)
 from chaincomm.matrices import Matrix, block_matrix, split_blocks
 from chaincomm.splitting import BlockData, assemble, extract_blocks, split_complex
 
@@ -363,6 +370,23 @@ def test_generation_does_not_fill_the_cache():
         random_endomorphism(rng, c, ensure=ensure)
     random_chain_map(rng, c)
     assert [f.cache_info() for f in caches] == before
+
+
+def test_generators_split_each_complex_once():
+    rng = random.Random(5)
+    c = random_complex(rng, PrimeField(101), max_dim=4, length=4)
+    split_for_generation.cache_clear()
+    for _ in range(2):
+        random_endomorphism(rng, c, ensure="t4")
+    assert (split_for_generation.cache_info().hits, split_for_generation.cache_info().misses) == (1, 1)
+    # keyed by content, like split_complex: an equal complex shares the entry
+    random_chain_map(rng, ChainComplex(c.field, c.lo, c.dims, c.stored_differentials))
+    assert (split_for_generation.cache_info().hits, split_for_generation.cache_info().misses) == (2, 1)
+    for k in range(10):
+        random_chain_map(rng, exact_two_term(Q, k + 1))
+        assert split_for_generation.cache_info().currsize <= 4
+    info = split_for_generation.cache_info()
+    assert info.maxsize == 4 and info.currsize == 4 and info.misses == 11
 
 
 def test_generators_refuse_bad_arguments():

@@ -371,18 +371,23 @@ def test_parsing_and_verifying_a_valid_certificate_form_no_product(monkeypatch):
 
 
 def test_brute_force_bounds():
-    # a scan refused for its size raises ScanOutOfBounds, a ValueError; a
-    # field no scan covers raises a plain ValueError
-    for refused in (
-        lambda: brute_force_commutator(Matrix.zeros(GF2, 4, 4)),
-        lambda: brute_force_commutator(Matrix.zeros(F3, 3, 3)),
-        lambda: brute_force_commutator(Matrix.zeros(F7, 1, 1)),
-        lambda: commutator_image(GF2, 4),
-        lambda: commutator_image(F5, 3),
-        lambda: commutant_set(Matrix.zeros(GF2, 4, 4)),
-    ):
-        with pytest.raises(ScanOutOfBounds):
-            refused()
+    # every pair scan admits |F|^(2 n^2) <= 2^20 pairs and refuses more with
+    # ScanOutOfBounds, a ValueError; a field no scan covers raises a plain
+    # ValueError
+    for field, n in ((GF2, 4), (F3, 3), (F5, 3), (F7, 2)):
+        zero = Matrix.zeros(field, n, n)
+        for refused in (
+            lambda: brute_force_commutator(zero),
+            lambda: commutator_image(field, n),
+            lambda: commutant_set(zero),
+        ):
+            with pytest.raises(ScanOutOfBounds):
+                refused()
+    for field, n in ((GF2, 3), (F5, 2), (F7, 1)):
+        zero = Matrix.zeros(field, n, n)
+        assert brute_force_commutator(zero) == (zero, zero)
+        assert len(commutant_set(zero)) == field.size ** (n * n)  # q = 0 commutes with every p
+    assert commutator_image(F7, 1) == {Matrix.zeros(F7, 1, 1)}
     for uncovered in (
         lambda: brute_force_commutator(Matrix.zeros(Q, 1, 1)),
         lambda: commutator_image(Q, 1),
