@@ -1,8 +1,11 @@
 """Exact dense linear algebra: row reduction, kernels, images, Sylvester solves.
 
 Each routine is one ``matrices.row_reduce`` (or, where only the pivots
-count, ``matrices.pivot_columns``) followed by slicing, stacking and row
-gathers, so this module does no scalar arithmetic.  All choices
+count, ``matrices.pivot_columns``, which eliminates forward only) followed by
+slicing, stacking and row gathers, so this module does no scalar arithmetic.
+``split_basis``, a splitting's basis at one degree, is two: the reduction of
+the outgoing differential and one elimination of the boundaries' free rows,
+which together also give the basis inverse.  All choices
 (pivot order, free-variable values, complement selection) are deterministic
 so that every downstream construction is reproducible run to run.
 """
@@ -62,20 +65,20 @@ def _at_pivots(pivots: tuple[int, ...], top: Matrix, n: int) -> Matrix:
     return padded.take_rows([source.get(i, len(pivots)) for i in range(n)])
 
 
-def kernel_and_pivots(m: Matrix) -> tuple[Matrix, tuple[int, ...]]:
-    """A deterministic basis of ker(m) (count = cols - rank) and the pivot
-    columns of m, from one elimination: the free columns of I - E, where E
-    holds the reduced rows at their pivot positions."""
-    c = m.cols
-    reduced, pivots = row_reduce(m)
-    placed = _at_pivots(pivots, reduced.submatrix(0, len(pivots), 0, c), c)
-    free = [col for col in range(c) if col not in pivots]
-    return (Matrix.identity(m.field, c) - placed).take_columns(free), pivots
+def _cocycles(pivots: tuple[int, ...], top: Matrix, free: list[int]) -> Matrix:
+    """The kernel vectors of a matrix whose reduced rows are ``top``, one per
+    free column in ``free``: 1 there, zero at the other free columns, minus
+    that column of ``top`` at the pivot positions."""
+    n = top.cols
+    return Matrix.identity(top.field, n).take_columns(free) - _at_pivots(pivots, top.take_columns(free), n)
 
 
 def kernel_basis(m: Matrix) -> Matrix:
-    """Columns form a deterministic basis of ker(m); count = cols - rank."""
-    return kernel_and_pivots(m)[0]
+    """Columns form a deterministic basis of ker(m); count = cols - rank: the
+    cocycles of one elimination at every free column."""
+    c = m.cols
+    reduced, pivots = row_reduce(m)
+    return _cocycles(pivots, reduced.submatrix(0, len(pivots), 0, c), [col for col in range(c) if col not in pivots])
 
 
 def image_basis(m: Matrix) -> Matrix:
@@ -83,38 +86,50 @@ def image_basis(m: Matrix) -> Matrix:
     return m.take_columns(pivot_columns(m))
 
 
-def _greedy_complement(inside: Matrix, ambient_basis: Matrix) -> tuple[Matrix, list[int]]:
-    """One elimination of ``[inside | ambient_basis]``: its reduced form and
-    the ambient columns that greedily extend ``inside``.
+def complement_basis(inside: Matrix, ambient_basis: Matrix) -> Matrix:
+    """Greedily extend the independent columns of ``inside`` to a basis of
+    span(ambient_basis), choosing ambient columns by ascending index.
 
-    A column is a pivot exactly when it is independent of the columns before
-    it, so ``inside`` is independent exactly when its columns are the first
-    pivots, and the ambient pivots are the greedy choice."""
+    One elimination of ``[inside | ambient_basis]``: a column is a pivot
+    exactly when it is independent of the columns before it, so ``inside``
+    is independent exactly when its columns are the first pivots, and the
+    ambient pivots are the greedy choice."""
     if inside.rows != ambient_basis.rows:
         raise ValueError("row count mismatch")
     k = inside.cols
-    reduced, pivots = row_reduce(hstack([inside, ambient_basis]))
+    pivots = pivot_columns(hstack([inside, ambient_basis]))
     if pivots[:k] != tuple(range(k)):
         raise ValueError("inside columns are linearly dependent")
-    return reduced, [col - k for col in pivots[k:]]
+    return ambient_basis.take_columns([col - k for col in pivots[k:]])
 
 
-def complement_basis(inside: Matrix, ambient_basis: Matrix) -> Matrix:
-    """Greedily extend the independent columns of ``inside`` to a basis of
-    span(ambient_basis), choosing ambient columns by ascending index."""
-    return ambient_basis.take_columns(_greedy_complement(inside, ambient_basis)[1])
+def split_basis(boundaries: Matrix, d: Matrix) -> tuple[Matrix, Matrix, tuple[int, ...]]:
+    """(P, P^-1, pivots of d) for P = [boundaries | lifts | E], from the
+    reduction of the outgoing differential d and one elimination z x (b + z).
 
-
-def extend_to_basis(inside: Matrix, within: Matrix | None = None) -> tuple[Matrix, Matrix]:
-    """(t, t^-1) for t = [inside | greedy columns of ``within`` | greedy unit
-    vectors], from one elimination of ``[inside | within | I]`` whose pivot
-    columns are t's: its row operations E satisfy E t = I, and I ends as E."""
-    n = inside.rows
-    identity = Matrix.identity(inside.field, n)
-    ambient = identity if within is None else hstack([within, identity])
-    reduced, chosen = _greedy_complement(inside, ambient)
-    t_inv = reduced.submatrix(0, n, reduced.cols - n, reduced.cols)
-    return hstack([inside, ambient.take_columns(chosen)]), t_inv
+    ``boundaries`` must be b independent cocycles of d (else P is not
+    square, or P^-1 not its inverse); d has rank r and z = n - r free
+    columns F.  E is the unit vectors at d's pivot columns, and the lifts
+    extend the boundaries greedily by d's kernel basis, the cocycles at the
+    free columns.  A cocycle is fixed by its F-entries, so that choice is
+    the greedy extension of B_F (the boundaries' F-rows) by the columns of
+    I_z, read off the pivots of ``[B_F | I_z]``; its row operations invert
+    M = [B_F | chosen columns of I_z], so I_z ends as M^-1.  With R the
+    reduced rows of d, a vector v has coordinates R v along E, and
+    v - E R v is the cocycle with v's F-entries, whose coordinates along the
+    boundaries and lifts are M^-1 v_F.  So P^-1 is M^-1 spread over the F
+    columns, above R."""
+    field, n = d.field, d.cols
+    reduced, pivots = row_reduce(d)
+    top = reduced.submatrix(0, len(pivots), 0, n)
+    free = [col for col in range(n) if col not in pivots]
+    b, z = boundaries.cols, len(free)
+    both, chosen = row_reduce(hstack([boundaries.take_rows(free), Matrix.identity(field, z)]))
+    lifts = _cocycles(pivots, top, [free[col - b] for col in chosen[b:]])
+    basis = hstack([boundaries, lifts, Matrix.identity(field, n).take_columns(pivots)])
+    slot = dict(zip(free, range(z)))
+    spread = hstack([both.submatrix(0, z, b, b + z), Matrix.zeros(field, z, 1)])
+    return basis, vstack([spread.take_columns([slot.get(j, z) for j in range(n)]), top]), pivots
 
 
 def solve_linear(a: Matrix, b: Matrix) -> Matrix | None:

@@ -576,15 +576,20 @@ def row_reduce(m: Matrix, width: int | None = None) -> tuple[Matrix, tuple[int, 
 
 
 def pivot_columns(m: Matrix) -> tuple[int, ...]:
-    """The pivot columns of ``m``'s reduced row echelon form, which is never
-    packed into a matrix."""
-    return _eliminate(m, m.cols)[2]
+    """The pivot columns of ``m``'s reduced row echelon form, read off a
+    forward elimination that clears only the rows below each pivot: an echelon
+    form has the same pivots, and nothing is packed into a matrix."""
+    return _eliminate(m, m.cols, forward=True)[2]
 
 
-def _eliminate(m: Matrix, width: int) -> tuple[list[list[int]], list[int], tuple[int, ...]]:
-    """The elimination behind ``row_reduce``: the reduced rows, each integers
-    over its own denominator, so every row stays exact, those below the rank
-    included; and the pivot columns, sought among the first ``width``."""
+def _eliminate(m: Matrix, width: int, forward: bool = False) -> tuple[list[list[int]], list[int], tuple[int, ...]]:
+    """The elimination behind ``row_reduce`` and ``pivot_columns``: the rows,
+    each integers over its own denominator, so every row stays exact, those
+    below the rank included; and the pivot columns, sought among the first
+    ``width``.  Each pivot clears its column from every other row (reduced
+    form) or, when ``forward``, from the rows below it only (echelon form).
+    The rows below the pivots see the same operations either way, so the
+    pivots agree."""
     n = m.rows
     rows = [list(r) for r in m._row_tuples()]
     dens = [m._den] * n
@@ -598,10 +603,11 @@ def _eliminate(m: Matrix, width: int) -> tuple[list[list[int]], list[int], tuple
             continue
         rows[top], rows[pivot] = rows[pivot], rows[top]
         dens[top], dens[pivot] = dens[pivot], dens[top]
+        first = top + 1 if forward else 0
         if m.field.finite:
-            _clear_residues(rows, top, col, m.field.size)
+            _clear_residues(rows, top, col, m.field.size, first)
         else:
-            _clear_rationals(rows, dens, top, col)
+            _clear_rationals(rows, dens, top, col, first)
         pivots.append(col)
     return rows, dens, tuple(pivots)
 
@@ -614,29 +620,32 @@ def _packed(field: Field, rows: list[list[int]], dens: list[int], cols: int) -> 
     return _lowest(field, len(rows), cols, tuple(ints), den)
 
 
-def _clear_residues(rows: list[list[int]], top: int, col: int, p: int) -> None:
+def _clear_residues(rows: list[list[int]], top: int, col: int, p: int, first: int) -> None:
     """Scale row ``top`` to pivot 1, then clear column ``col`` from the other
-    rows ``% p``, from ``col`` on: the pivot row is zero before it."""
+    rows from row ``first`` on, ``% p`` and from ``col`` on: the pivot row is
+    zero before it."""
     lead = rows[top][col]
     if lead != 1:
         s = pow(lead, -1, p)
         rows[top][col:] = [x * s % p for x in rows[top][col:]]
     tail = rows[top][col:]
-    for r, row in enumerate(rows):
+    for r in range(first, len(rows)):
+        row = rows[r]
         f = row[col]
         if f and r != top:
             row[col:] = [(a - f * b) % p for a, b in zip(row[col:], tail)]
 
 
-def _clear_rationals(rows: list[list[int]], dens: list[int], top: int, col: int) -> None:
+def _clear_rationals(rows: list[list[int]], dens: list[int], top: int, col: int, first: int) -> None:
     """Put row ``top`` over its pivot in lowest terms, so the pivot b equals
-    the denominator, then turn each other row with factor f in column ``col``
-    into b*row - f*pivot_row over den*b, in lowest terms."""
+    the denominator, then turn each other row from row ``first`` on with
+    factor f in column ``col`` into b*row - f*pivot_row over den*b, in lowest
+    terms."""
     pivot_row, b = rows[top], dens[top] = _lowest_terms(rows[top], rows[top][col])
-    for r, row in enumerate(rows):
-        f = row[col]
+    for r in range(first, len(rows)):
+        f = rows[r][col]
         if f and r != top:
-            rows[r], dens[r] = _lowest_terms([b * x - f * y for x, y in zip(row, pivot_row)], dens[r] * b)
+            rows[r], dens[r] = _lowest_terms([b * x - f * y for x, y in zip(rows[r], pivot_row)], dens[r] * b)
 
 
 def zero_diagonal_form(m: Matrix) -> tuple[Matrix, Matrix, Matrix]:

@@ -11,9 +11,11 @@ corner.  Chain endomorphisms then become block upper-triangular with the
 same boundary block shared by adjacent degrees; that block data drives all
 witness constructions.
 
-Each degree's basis and its inverse come from one elimination that extends
-the boundaries greedily, first by cocycles, then by unit vectors; every
-choice is deterministic, so block data is reproducible run to run.
+Each degree's basis extends the boundaries greedily, first by cocycles, then
+by unit vectors, and it and its inverse are read off the reduction of the
+outgoing differential and one small elimination of the boundaries
+(:func:`chaincomm.linalg.split_basis`); every choice is deterministic, so
+block data is reproducible run to run.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 from .complexes import ChainComplex, ChainEndomorphism, Homotopy, validate_complex
 from .errors import BlockStructureError
-from .linalg import extend_to_basis, is_invertible, kernel_and_pivots
+from .linalg import is_invertible, split_basis
 from .matrices import Grid, Matrix, block_matrix, check_blocks, first_nonzero_entry, split_blocks
 
 _UPPER_POSITIONS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
@@ -174,13 +176,18 @@ def split_complex(c: ChainComplex) -> Splitting:
     reads the complex's validity from :func:`validate_complex`'s cache.
 
     Construction per degree: boundary basis = pivot columns of the incoming
-    differential; one elimination extends it greedily by cocycles (lifts of
-    cohomology), then by unit vectors, and yields the inverse.  Those unit
-    vectors sit at the pivot columns of the outgoing differential d, since
-    e_j is independent of ker d + span(e_<j) iff d e_j is independent of
-    d e_<j; so d maps them onto the boundary basis one degree up.  The
+    differential, extended greedily by cocycles (lifts of cohomology), then
+    by unit vectors.  Those unit vectors sit at the pivot columns of the
+    outgoing differential d, since e_j is independent of ker d + span(e_<j)
+    iff d e_j is independent of d e_<j; so d maps them onto the boundary
+    basis one degree up.  The reduction of d gives its kernel, those pivots
+    and the coordinates along the unit vectors; one elimination of the
+    boundaries' rows at d's free columns, beside an identity, picks the lifts
+    and gives the other coordinates (:func:`chaincomm.linalg.split_basis`).
+    No elimination is wider than the boundaries plus the cocycles.  Each
+    basis is checked invertible by one forward elimination, and the
     conjugated differentials are asserted to equal the standard corner
-    matrix exactly, through those inverses.
+    matrix exactly, through the inverses.
     """
     return _split(c, validate_complex(c))
 
@@ -196,12 +203,12 @@ def _split(c: ChainComplex, problems: Sequence[str]) -> Splitting:
     basis: dict[int, Matrix] = {}
     inverse: dict[int, Matrix] = {}
     for i in c.degrees:
-        cocycles, pivots[i] = kernel_and_pivots(c.differential(i))
         boundaries = c.differential(i - 1).take_columns(pivots[i - 1])
-        basis[i], inverse[i] = extend_to_basis(boundaries, cocycles)
+        basis[i], inverse[i], pivots[i] = split_basis(boundaries, c.differential(i))
         if not is_invertible(basis[i]):
             raise BlockStructureError(f"chosen basis at degree {i} is not invertible")
-        block_dims[i] = (boundaries.cols, cocycles.cols - boundaries.cols, len(pivots[i]))
+        b, r = boundaries.cols, len(pivots[i])
+        block_dims[i] = (b, c.dim(i) - b - r, r)
 
     s = Splitting(c, block_dims, basis, inverse)
     for i in range(c.lo - 1, c.hi + 1):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from chaincomm.fields import GF2, RATIONALS as Q, PrimeField
 from chaincomm.linalg import (
     complement_basis,
-    extend_to_basis,
     image_basis,
     inverse,
     is_invertible,
@@ -15,6 +14,7 @@ from chaincomm.linalg import (
     rank,
     rref,
     solve_linear,
+    split_basis,
     sylvester_operator,
     sylvester_solve,
 )
@@ -27,7 +27,6 @@ from helpers import (
     matrices,
     reference_complement_basis,
     reference_rank,
-    reference_extension,
     reference_kernel,
     reference_rref,
     reference_solution,
@@ -292,32 +291,14 @@ def test_complement_basis_matches_greedy_reference(case):
     assert_canonical(result)
 
 
-def test_extend_to_basis_examples():
-    t, t_inv = extend_to_basis(mat(Q, [[1], [2], [0]]))
-    assert t == mat(Q, [[1, 1, 0], [2, 0, 0], [0, 0, 1]])  # e_1 lies in span(v, e_0)
-    assert t_inv * t == Matrix.identity(Q, 3)
-    with pytest.raises(ValueError):
-        extend_to_basis(mat(Q, [[1, 2], [2, 4], [0, 0]]))
-
-
-@settings(max_examples=300, deadline=None)
-@given(complement_cases())
-def test_extend_to_basis_equals_complement_then_inverse(case):
-    inside, ambient = case
-    field, n = inside.field, inside.rows
-    for within in (None, ambient):
-        candidates = Matrix.zeros(field, n, 0) if within is None else within
-        try:
-            extended = hstack([inside, complement_basis(inside, candidates)])
-            t = hstack([extended, complement_basis(extended, Matrix.identity(field, n))])
-        except ValueError:
-            with pytest.raises(ValueError):
-                extend_to_basis(inside, within)
-            continue
-        result = extend_to_basis(inside, within)
-        assert result == (t, inverse(t))
-        assert_canonical(result[0])
-        assert_canonical(result[1])
+def test_split_basis_examples():
+    # d has pivot 1 and free columns 0, 2; the cocycle e_2 - 2 e_1 lifts
+    # cohomology beside the boundary e_0, and e_1 maps onto the image
+    d = mat(Q, [[0, 1, 2]])
+    basis, basis_inv, pivots = split_basis(mat(Q, [[1], [0], [0]]), d)
+    assert pivots == (1,)
+    assert basis == mat(Q, [[1, 0, 0], [0, -2, 1], [0, 1, 0]])
+    assert basis_inv == inverse(basis)
 
 
 @settings(max_examples=200, deadline=None)
@@ -379,17 +360,5 @@ def test_q_kernel_on_wide_rationals_matches_references(data):
     if solution is not None:
         results.append(solution)
 
-    indices = data.draw(st.lists(st.integers(min_value=0, max_value=m.cols - 1), max_size=3)) if m.cols else []
-    inside = m.take_columns(indices)
-    for within in (None, m):
-        try:
-            expected = reference_extension(inside, within)
-        except ValueError:
-            with pytest.raises(ValueError):
-                extend_to_basis(inside, within)
-            continue
-        extended = extend_to_basis(inside, within)
-        assert extended == expected
-        results += extended
     for result in results:
         assert_canonical(result)

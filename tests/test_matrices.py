@@ -821,9 +821,28 @@ def test_zero_diagonal_form_refuses_what_has_no_zero_diagonal_form():
         assert zero_diagonal_form(zero) == (Matrix.identity(F3, n), Matrix.identity(F3, n), zero)
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.sampled_from(KERNEL_FIELDS).flatmap(matrices))
+def _low_rank(field):
+    """Up to 10 x 20, the product of two factors through at most 5 dimensions."""
+    shape = st.tuples(*(st.integers(min_value=0, max_value=k) for k in (10, 5, 20)))
+    return shape.flatmap(lambda s: st.tuples(matrices(field, s[0], s[1]), matrices(field, s[1], s[2]))).map(
+        lambda pair: pair[0] * pair[1]
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.one_of(
+        st.sampled_from(KERNEL_FIELDS).flatmap(matrices),
+        matrices(Q, max_dim=5, elements=wide_rationals()),
+        # the sizes of the fp set-up's rank tests and inverses
+        st.tuples(st.sampled_from(KERNEL_FIELDS), st.integers(0, 10), st.integers(0, 20)).flatmap(
+            lambda case: matrices(*case)
+        ),
+        st.sampled_from(KERNEL_FIELDS).flatmap(_low_rank),
+    )
+)
 def test_pivot_columns_are_row_reduces_pivots(m):
+    # pivot_columns eliminates forward only: an echelon form has the reduced form's pivots
     assert pivot_columns(m) == row_reduce(m)[1] == reference_rref(m)[2]
 
 

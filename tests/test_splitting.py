@@ -4,8 +4,10 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chaincomm import jsonio, witnesses
+from chaincomm import jsonio, matrices, witnesses
 from chaincomm.complexes import (
     ChainComplex,
     ChainEndomorphism,
@@ -24,16 +26,22 @@ from chaincomm.generate import (
     random_matrix,
     split_for_generation,
 )
+from chaincomm.linalg import inverse, kernel_basis
 from chaincomm.matrices import Matrix, block_matrix, split_blocks
 from chaincomm.splitting import BlockData, assemble, extract_blocks, split_complex
 
 from helpers import (
+    F_M31,
     alternating_reflection,
     corner_window,
     exact_two_term,
     mat,
+    matrices as matrix_strategy,
+    reference_extension,
+    reference_rref,
     reference_split_bases,
     seeds,
+    wide_rationals,
     zero_differential_complex,
 )
 
@@ -76,13 +84,106 @@ def test_split_standard_form_on_random_complexes():
             assert b + h + b_next == c.dim(i)
 
 
-@pytest.mark.parametrize("field", [Q, GF2, PrimeField(101)], ids=["Q", "F2", "F101"])
+def _reference_splitting(c: ChainComplex) -> dict[int, tuple[Matrix, Matrix, tuple[int, int, int]]]:
+    """Per degree (basis, inverse, block dims) from the kernel basis and the
+    greedy reference extension: the boundaries (pivot columns of the
+    incoming differential) extended greedily by the outgoing differential's
+    kernel basis, then by unit vectors, and inverted by reference_rref."""
+    out = {}
+    for i in c.degrees:
+        incoming = c.differential(i - 1)
+        boundaries = incoming.take_columns(reference_rref(incoming)[2])
+        cocycles = kernel_basis(c.differential(i))
+        b, z = boundaries.cols, cocycles.cols
+        out[i] = (*reference_extension(boundaries, cocycles), (b, z - b, c.dim(i) - z))
+    return out
+
+
+def _edge_complexes(field) -> list[ChainComplex]:
+    """Zero-dimensional degrees, zero differentials, and injective and
+    surjective differentials."""
+    zero = Matrix.zeros
+    return [
+        ChainComplex(field, 0, [0], []),
+        ChainComplex(field, 0, [0, 0, 0], [zero(field, 0, 0)] * 2),
+        ChainComplex(field, 0, [2, 0, 3], [zero(field, 0, 2), zero(field, 3, 0)]),
+        zero_differential_complex(field, [2, 3, 1]),
+        ChainComplex(field, 0, [2, 3], [mat(field, [[1, 0], [0, 1], [1, 1]])]),
+        ChainComplex(field, 0, [3, 2], [mat(field, [[1, 0, 1], [0, 1, 1]])]),
+        ChainComplex(
+            field, 0, [2, 4, 2], [mat(field, [[1, 0], [0, 1], [0, 0], [0, 0]]), mat(field, [[0, 0, 1, 0], [0, 0, 0, 1]])]
+        ),
+        exact_two_term(field),
+        corner_window(field),
+    ]
+
+
+def _assert_split_matches_references(c: ChainComplex, label) -> None:
+    s = split_complex.__wrapped__(c)
+    expected = _reference_splitting(c)
+    assert {i: s.basis(i) for i in c.degrees} == reference_split_bases(c), label
+    for i in c.degrees:
+        assert (s.basis(i), s.inverse_basis(i), s.block_dims(i)) == expected[i], (label, i)
+        assert s.inverse_basis(i) * s.basis(i) == Matrix.identity(c.field, c.dim(i)), (label, i)
+
+
+def _wide_invertible(data, n: int) -> Matrix:
+    """Upper triangular with wide rational entries and a nonzero diagonal."""
+    upper = data.draw(matrix_strategy(Q, n, n, elements=wide_rationals())).to_rows()
+    diagonal = data.draw(st.lists(wide_rationals().filter(bool), min_size=n, max_size=n))
+    return Matrix.from_rows(
+        Q, [[diagonal[r] if r == k else e if k > r else 0 for k, e in enumerate(row)] for r, row in enumerate(upper)], n
+    )
+
+
+@pytest.mark.parametrize("field", [Q, GF2, PrimeField(101), F_M31], ids=["Q", "F2", "F101", "F_M31"])
 def test_split_bases_match_the_solve_based_reference(field):
-    # preimages are read off the pivots of the differential, not solved for
+    # preimages are read off the pivots of the differential, not solved for;
+    # the inverses off the reductions, not by inverting the bases
     for seed, rng in seeds(40):
-        c = random_complex(rng, field, max_dim=4, length=4)
-        s = split_complex.__wrapped__(c)
-        assert {i: s.basis(i) for i in c.degrees} == reference_split_bases(c), seed
+        _assert_split_matches_references(random_complex(rng, field, max_dim=4, length=4), seed)
+    for n, c in enumerate(_edge_complexes(field)):
+        _assert_split_matches_references(c, f"edge {n}")
+    if field.finite:
+        return
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def wide(data):
+        # a seeded complex conjugated by wide rational changes of basis
+        c = random_complex(random.Random(data.draw(st.integers(0, 2**16))), Q, max_dim=4, length=3)
+        t = [_wide_invertible(data, n) for n in c.dims]
+        maps = [t[j + 1] * c.differential(i) * inverse(t[j]) for j, i in enumerate(range(c.lo, c.hi))]
+        _assert_split_matches_references(ChainComplex(Q, c.lo, list(c.dims), maps), "wide")
+
+    wide()
+
+
+def test_split_makes_no_elimination_wider_than_its_cocycles(monkeypatch):
+    # besides each differential's own reduction, one elimination of at most
+    # b + z columns per degree (an elimination of [B | Z | I] would take
+    # b + z + n), and the basis check is the only pivots-only one
+    original = matrices._eliminate
+    calls = []
+
+    def recording(m, width, forward=False):
+        calls.append((m, forward))
+        return original(m, width, forward)
+
+    for field in (Q, F_M31):
+        c = random_complex(random.Random(3), field, max_dim=6, length=4)
+        assert validate_complex(c) == []
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(matrices, "_eliminate", recording)
+            s = split_complex.__wrapped__(c)
+        full = [m for m, forward in calls if not forward]
+        assert full[0::2] == [c.differential(i) for i in c.degrees]
+        for i, m in zip(c.degrees, full[1::2], strict=True):
+            b, h, _ = s.block_dims(i)
+            assert m.cols <= b + (b + h), (field, i)
+        assert [m for m, forward in calls if forward] == [s.basis(i) for i in c.degrees]
+        assert any(all(s.block_dims(i)) for i in c.degrees)
 
 
 def test_split_rejects_invalid_complex():
